@@ -1,9 +1,8 @@
-//! E6: CAN substrate micro-benchmarks — codec round trip (reference and
-//! packed paths), CRC (bit-serial and word-table), `wire_len`, and bus
-//! arbitration rounds.
+//! E6: CAN substrate micro-benchmarks — codec round trip, `wire_len` (the
+//! bus's timing path), CRC (bit-serial and word-table), and bus arbitration
+//! rounds.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use polsec_can::bits::PackedBits;
 use polsec_can::{codec, crc::crc15, crc::crc15_words, CanBus, CanFrame, CanId, CanNode};
 use std::hint::black_box;
 
@@ -23,29 +22,8 @@ fn bench_encode_decode(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("decode", dlc), &dlc, |b, _| {
             b.iter(|| black_box(codec::decode(black_box(encoded.bits())).expect("valid")));
         });
-    }
-    group.finish();
-}
-
-fn bench_packed_codec(c: &mut Criterion) {
-    let mut group = c.benchmark_group("can/packed");
-    for &dlc in &[0usize, 4, 8] {
-        let frame = frame_with_dlc(dlc);
-        group.bench_with_input(BenchmarkId::new("encode_into", dlc), &dlc, |b, _| {
-            let mut buf = codec::EncodeBuf::new();
-            b.iter(|| {
-                codec::encode_into(black_box(&frame), true, &mut buf);
-                black_box(buf.wire().len())
-            });
-        });
         group.bench_with_input(BenchmarkId::new("wire_len", dlc), &dlc, |b, _| {
             b.iter(|| black_box(codec::wire_len(black_box(&frame))));
-        });
-        let mut buf = codec::EncodeBuf::new();
-        codec::encode_into(&frame, true, &mut buf);
-        let wire = buf.wire().clone();
-        group.bench_with_input(BenchmarkId::new("decode_packed", dlc), &dlc, |b, _| {
-            b.iter(|| black_box(codec::decode_packed(black_box(&wire)).expect("valid")));
         });
     }
     group.finish();
@@ -56,9 +34,12 @@ fn bench_crc(c: &mut Criterion) {
     c.bench_function("can/crc15_87bits", |b| {
         b.iter(|| black_box(crc15(black_box(&bits))));
     });
-    let packed = PackedBits::from_bools(&bits);
+    let mut words = [0u64; 2];
+    for (i, _) in bits.iter().enumerate().filter(|(_, &b)| b) {
+        words[i / 64] |= 1 << (63 - i % 64);
+    }
     c.bench_function("can/crc15_words_87bits", |b| {
-        b.iter(|| black_box(crc15_words(black_box(packed.words()), packed.len())));
+        b.iter(|| black_box(crc15_words(black_box(&words), bits.len())));
     });
 }
 
@@ -91,5 +72,5 @@ criterion_group!(
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(2))
         .sample_size(30);
-    targets = bench_encode_decode, bench_packed_codec, bench_crc, bench_bus_round);
+    targets = bench_encode_decode, bench_crc, bench_bus_round);
 criterion_main!(benches);

@@ -13,7 +13,6 @@
 //! | `update_vs_redesign` | E3 — policy update vs redesign turnaround |
 //! | `throughput` | multi-threaded decision throughput + zero-allocation assertion |
 //! | `fleet` | fleet-scale scenario (DESIGN.md §7): deterministic replay + leak accounting + optional fps floor |
-//! | `codec` | packed wire codec (DESIGN.md §8): ns/frame, bits/s + zero-allocation assertion |
 //!
 //! Criterion benches (`cargo bench`) cover E2/E4/E5/E6: HPE lookup cost,
 //! policy-engine throughput (with the indexing ablation), MAC AVC hit/miss,

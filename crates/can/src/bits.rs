@@ -6,18 +6,16 @@
 //! length depends on its contents — the `polsec-bench` bus-overhead
 //! experiment measures exactly this.
 //!
-//! Two representations live here:
+//! Two forms live here:
 //!
-//! * the original `Vec<bool>` forms ([`BitWriter`], [`stuff`], [`destuff`],
-//!   [`stuff_count`]) — one byte per wire bit. They are the **reference
-//!   implementation**: simple, obviously correct, and pinned by known-answer
-//!   tests. Nothing on the simulation hot path uses them any more.
-//! * the packed forms ([`PackedBits`], [`PackedReader`], and the
-//!   `*_words` functions) — 64 wire bits per machine word, MSB-first within
-//!   each word, with run-length stuffing passes that advance up to a whole
-//!   run of equal bits per iteration instead of branching per bit. The bus,
-//!   codec and benches run on these; `tests/codec_equivalence.rs` proves
-//!   them bit-identical to the reference forms.
+//! * the `Vec<bool>` forms ([`BitWriter`], [`BitReader`], [`stuff`],
+//!   [`destuff`]) — one byte per wire bit, used by the codec's
+//!   [`encode`](crate::codec::encode)/[`decode`](crate::codec::decode) and
+//!   pinned by known-answer tests;
+//! * [`stuff_count_words`] — counts stuff bits over bits packed 64 per `u64`
+//!   word (MSB-first), advancing a whole run of equal bits per iteration.
+//!   The codec's `wire_info` fast path, and so the bus timing, runs on it;
+//!   `tests/codec_equivalence.rs` proves it equal to [`stuff`].
 
 use crate::error::ProtocolViolation;
 
@@ -192,248 +190,6 @@ pub fn destuff(bits: &[bool]) -> Result<Vec<bool>, ProtocolViolation> {
     Ok(out)
 }
 
-/// Counts how many stuff bits [`stuff`] would insert for `bits` without
-/// materialising the stuffed vector (used by the overhead bench).
-pub fn stuff_count(bits: &[bool]) -> usize {
-    let mut count = 0;
-    let mut run_bit = None;
-    let mut run_len = 0u32;
-    for &b in bits {
-        if Some(b) == run_bit {
-            run_len += 1;
-        } else {
-            run_bit = Some(b);
-            run_len = 1;
-        }
-        if run_len == 5 {
-            count += 1;
-            run_bit = Some(!b);
-            run_len = 1;
-        }
-    }
-    count
-}
-
-/// A bit buffer packed 64 bits per `u64` word.
-///
-/// Bit `i` of the stream lives in word `i / 64` at position `63 - (i % 64)`,
-/// i.e. the stream reads MSB-first through each word. Any bits of the last
-/// word beyond [`PackedBits::len`] are zero (an invariant every mutator
-/// maintains), which lets the run-length scans below use plain
-/// `leading_ones`/`leading_zeros` without masking.
-///
-/// # Example
-/// ```
-/// use polsec_can::bits::PackedBits;
-/// let mut b = PackedBits::new();
-/// b.push_bits(0b1011, 4);
-/// b.push(true);
-/// assert_eq!(b.len(), 5);
-/// assert_eq!(b.to_bools(), vec![true, false, true, true, true]);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PackedBits {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl PackedBits {
-    /// Creates an empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty buffer with room for `bits` bits pre-allocated.
-    pub fn with_capacity(bits: usize) -> Self {
-        PackedBits {
-            words: Vec::with_capacity(bits.div_ceil(64)),
-            len: 0,
-        }
-    }
-
-    /// Empties the buffer, keeping its allocation (the reuse hook that makes
-    /// the steady-state encode path allocation-free).
-    pub fn clear(&mut self) {
-        self.words.clear();
-        self.len = 0;
-    }
-
-    /// Number of bits stored.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the buffer holds no bits.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The backing words; bits beyond [`PackedBits::len`] are zero.
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// The bit at position `i`.
-    ///
-    /// # Panics
-    /// Panics if `i >= len()`.
-    pub fn bit(&self, i: usize) -> bool {
-        assert!(i < self.len, "bit index {i} out of range (len {})", self.len);
-        word_bit(&self.words, i)
-    }
-
-    /// The bit at position `i`, or `None` out of range.
-    pub fn get(&self, i: usize) -> Option<bool> {
-        (i < self.len).then(|| word_bit(&self.words, i))
-    }
-
-    /// Overwrites the bit at position `i` (used by corruption tests).
-    ///
-    /// # Panics
-    /// Panics if `i >= len()`.
-    pub fn set(&mut self, i: usize, bit: bool) {
-        assert!(i < self.len, "bit index {i} out of range (len {})", self.len);
-        let mask = 1u64 << (63 - (i & 63));
-        if bit {
-            self.words[i >> 6] |= mask;
-        } else {
-            self.words[i >> 6] &= !mask;
-        }
-    }
-
-    /// Appends one bit.
-    pub fn push(&mut self, bit: bool) {
-        self.push_bits(u64::from(bit), 1);
-    }
-
-    /// Appends the lowest `n` bits of `value`, most significant first.
-    ///
-    /// # Panics
-    /// Panics if `n > 64`.
-    pub fn push_bits(&mut self, value: u64, n: u32) {
-        assert!(n <= 64, "cannot push more than 64 bits at once");
-        if n == 0 {
-            return;
-        }
-        let v = if n == 64 { value } else { value & ((1u64 << n) - 1) };
-        let top = v << (64 - n); // left-align so the MSB is the first bit out
-        let off = (self.len & 63) as u32;
-        if off == 0 {
-            self.words.push(top);
-        } else {
-            *self.words.last_mut().expect("off != 0 implies a partial word") |= top >> off;
-            if n > 64 - off {
-                self.words.push(top << (64 - off));
-            }
-        }
-        self.len += n as usize;
-    }
-
-    /// Appends `n` copies of `bit` (the bulk move of the run-length stuffer).
-    pub fn push_run(&mut self, bit: bool, n: usize) {
-        if bit {
-            let mut left = n;
-            while left > 0 {
-                let k = left.min(64) as u32;
-                self.push_bits(u64::MAX, k);
-                left -= k as usize;
-            }
-        } else {
-            self.len += n;
-            let need = self.len.div_ceil(64);
-            while self.words.len() < need {
-                self.words.push(0);
-            }
-        }
-    }
-
-    /// Packs a bool slice (reference representation) into a new buffer.
-    pub fn from_bools(bits: &[bool]) -> Self {
-        let mut out = PackedBits::with_capacity(bits.len());
-        for &b in bits {
-            out.push(b);
-        }
-        out
-    }
-
-    /// Unpacks into the reference `Vec<bool>` representation (tests and
-    /// equivalence checks; never on a hot path).
-    pub fn to_bools(&self) -> Vec<bool> {
-        (0..self.len).map(|i| word_bit(&self.words, i)).collect()
-    }
-}
-
-/// A cursor over packed bits.
-#[derive(Debug, Clone)]
-pub struct PackedReader<'a> {
-    words: &'a [u64],
-    len: usize,
-    pos: usize,
-}
-
-impl<'a> PackedReader<'a> {
-    /// Creates a reader over `bits`.
-    pub fn new(bits: &'a PackedBits) -> Self {
-        PackedReader {
-            words: &bits.words,
-            len: bits.len,
-            pos: 0,
-        }
-    }
-
-    /// Creates a reader over raw words holding `len` bits.
-    pub fn over_words(words: &'a [u64], len: usize) -> Self {
-        debug_assert!(words.len() * 64 >= len);
-        PackedReader { words, len, pos: 0 }
-    }
-
-    /// Reads one bit.
-    ///
-    /// # Errors
-    /// [`ProtocolViolation::Truncated`] at end of stream.
-    pub fn read(&mut self) -> Result<bool, ProtocolViolation> {
-        if self.pos >= self.len {
-            return Err(ProtocolViolation::Truncated);
-        }
-        let b = word_bit(self.words, self.pos);
-        self.pos += 1;
-        Ok(b)
-    }
-
-    /// Reads `n` bits (≤ 64) as an unsigned value, most significant first.
-    /// Extracts from at most two words rather than looping per bit.
-    ///
-    /// # Errors
-    /// [`ProtocolViolation::Truncated`] if fewer than `n` bits remain.
-    pub fn read_bits(&mut self, n: u32) -> Result<u64, ProtocolViolation> {
-        debug_assert!(n <= 64);
-        if n == 0 {
-            return Ok(0);
-        }
-        if self.remaining() < n as usize {
-            return Err(ProtocolViolation::Truncated);
-        }
-        let off = (self.pos & 63) as u32;
-        let wi = self.pos >> 6;
-        let mut x = self.words[wi] << off;
-        if off > 0 && wi + 1 < self.words.len() {
-            x |= self.words[wi + 1] >> (64 - off);
-        }
-        self.pos += n as usize;
-        Ok(if n == 64 { x } else { x >> (64 - n) })
-    }
-
-    /// Current position in bits.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
-    /// Bits remaining.
-    pub fn remaining(&self) -> usize {
-        self.len - self.pos
-    }
-}
-
 #[inline]
 fn word_bit(words: &[u64], i: usize) -> bool {
     (words[i >> 6] >> (63 - (i & 63))) & 1 == 1
@@ -454,38 +210,9 @@ fn run_at(words: &[u64], len: usize, i: usize) -> usize {
     run.min(64 - off).min(len - i)
 }
 
-/// Applies CAN bit stuffing to `len` packed bits of `src`, appending the
-/// stuffed stream to `dst`. Returns the number of stuff bits inserted.
-///
-/// Bit-identical to [`stuff`] on the unpacked stream, but advances a whole
-/// run of equal bits (up to the 5-bit stuffing window) per iteration.
-pub fn stuff_words_into(src: &[u64], len: usize, dst: &mut PackedBits) -> usize {
-    let mut inserted = 0;
-    let mut i = 0;
-    let mut run_bit = false;
-    let mut run_len = 0usize;
-    while i < len {
-        let b = word_bit(src, i);
-        if run_len == 0 || b != run_bit {
-            run_bit = b;
-            run_len = 0;
-        }
-        let take = run_at(src, len, i).min(5 - run_len);
-        dst.push_run(b, take);
-        run_len += take;
-        i += take;
-        if run_len == 5 {
-            dst.push(!b); // the stuffed complement starts a new run
-            inserted += 1;
-            run_bit = !b;
-            run_len = 1;
-        }
-    }
-    inserted
-}
-
-/// Counts the stuff bits [`stuff_words_into`] would insert without writing
-/// the stuffed stream — the core of the codec's `wire_len` fast path.
+/// Counts the stuff bits [`stuff`] would insert into `len` bits packed
+/// MSB-first in `src`, without writing the stuffed stream — the core of the
+/// codec's `wire_len` fast path.
 pub fn stuff_count_words(src: &[u64], len: usize) -> usize {
     let mut inserted = 0;
     let mut i = 0;
@@ -509,50 +236,15 @@ pub fn stuff_count_words(src: &[u64], len: usize) -> usize {
     inserted
 }
 
-/// Removes CAN bit stuffing from `len` packed bits of `src`, appending the
-/// destuffed stream to `dst`. Returns the number of stuff bits removed.
-///
-/// Semantics match [`destuff`]: every run of five equal bits must be
-/// followed by its complement (which is consumed, not copied); a trailing
-/// run of exactly five at end-of-stream is allowed.
-///
-/// # Errors
-/// [`ProtocolViolation::Stuff`] when six equal consecutive bits appear.
-pub fn destuff_words_into(
-    src: &[u64],
-    len: usize,
-    dst: &mut PackedBits,
-) -> Result<usize, ProtocolViolation> {
-    let mut removed = 0;
-    let mut i = 0;
-    let mut run_bit = false;
-    let mut run_len = 0usize;
-    while i < len {
-        let b = word_bit(src, i);
-        if run_len == 0 || b != run_bit {
-            run_bit = b;
-            run_len = 0;
-        }
-        let take = run_at(src, len, i).min(5 - run_len);
-        dst.push_run(b, take);
-        run_len += take;
-        i += take;
-        if run_len == 5 {
-            if i >= len {
-                break; // caller delimits the stuffed region exactly
-            }
-            let s = word_bit(src, i);
-            if s == b {
-                return Err(ProtocolViolation::Stuff);
-            }
-            i += 1;
-            removed += 1;
-            // the consumed stuff bit seeds the next run but is not copied
-            run_bit = s;
-            run_len = 1;
-        }
+/// Packs bools MSB-first, 64 per word: the layout [`stuff_count_words`] and
+/// [`crc15_words`](crate::crc::crc15_words) read.
+#[cfg(test)]
+pub(crate) fn pack(bits: &[bool]) -> Vec<u64> {
+    let mut words = vec![0u64; bits.len().div_ceil(64)];
+    for (i, _) in bits.iter().enumerate().filter(|(_, &b)| b) {
+        words[i / 64] |= 1 << (63 - i % 64);
     }
-    Ok(removed)
+    words
 }
 
 #[cfg(test)]
@@ -622,18 +314,8 @@ mod tests {
         assert_eq!(destuff(&bad), Err(ProtocolViolation::Stuff));
     }
 
-    #[test]
-    fn stuff_count_matches_stuff() {
-        let raw: Vec<bool> = (0..200).map(|i| (i / 7) % 2 == 0).collect();
-        assert_eq!(stuff(&raw).len() - raw.len(), stuff_count(&raw));
-        let ones = vec![true; 25];
-        assert_eq!(stuff(&ones).len() - 25, stuff_count(&ones));
-    }
-
-    // ---- packed representation ----
-
-    /// Deterministic pseudo-random bit patterns for cross-checking the
-    /// packed forms against the bool reference forms.
+    /// Deterministic pseudo-random bit patterns, long enough to cross word
+    /// boundaries at every alignment.
     fn patterns() -> Vec<Vec<bool>> {
         let mut out: Vec<Vec<bool>> = vec![
             vec![],
@@ -659,137 +341,11 @@ mod tests {
     }
 
     #[test]
-    fn packed_round_trips_bools() {
+    fn stuff_count_words_matches_stuff() {
         for p in patterns() {
-            let packed = PackedBits::from_bools(&p);
-            assert_eq!(packed.len(), p.len());
-            assert_eq!(packed.to_bools(), p);
-            for (i, &b) in p.iter().enumerate() {
-                assert_eq!(packed.bit(i), b, "bit {i}");
-                assert_eq!(packed.get(i), Some(b));
-            }
-            assert_eq!(packed.get(p.len()), None);
+            let inserted = stuff(&p).len() - p.len();
+            assert_eq!(stuff_count_words(&pack(&p), p.len()), inserted, "for {p:?}");
         }
-    }
-
-    #[test]
-    fn packed_push_bits_matches_bitwriter() {
-        let mut packed = PackedBits::new();
-        let mut reference = BitWriter::new();
-        let values: [(u64, u32); 7] =
-            [(0b1011, 4), (1, 1), (0xFF, 8), (0, 0), (0x1FFF_FFFF, 29), (u64::MAX, 32), (0xABCD, 16)];
-        for (v, n) in values {
-            packed.push_bits(v, n);
-            if n > 0 {
-                reference.push_bits((v & 0xFFFF_FFFF) as u32, n.min(32));
-            }
-        }
-        assert_eq!(packed.to_bools(), reference.into_bits());
-        // the reference writer caps at 32 bits per push; check a full-width
-        // 64-bit push against two split reference pushes
-        let mut packed2 = PackedBits::new();
-        packed2.push_bits(0xDEAD_BEEF_CAFE_F00D, 64);
-        let mut ref2 = BitWriter::new();
-        ref2.push_bits(0xDEAD_BEEF, 32);
-        ref2.push_bits(0xCAFE_F00D, 32);
-        assert_eq!(packed2.to_bools(), ref2.into_bits());
-    }
-
-    #[test]
-    fn packed_push_run_and_set() {
-        let mut p = PackedBits::new();
-        p.push_run(true, 70);
-        p.push_run(false, 3);
-        p.push(true);
-        assert_eq!(p.len(), 74);
-        let mut expect = vec![true; 70];
-        expect.extend([false, false, false, true]);
-        assert_eq!(p.to_bools(), expect);
-        p.set(0, false);
-        p.set(73, false);
-        assert!(!p.bit(0));
-        assert!(!p.bit(73));
-        p.set(0, true);
-        assert!(p.bit(0));
-    }
-
-    #[test]
-    fn packed_reader_matches_bit_reader() {
-        for p in patterns() {
-            let packed = PackedBits::from_bools(&p);
-            let mut pr = PackedReader::new(&packed);
-            let mut br = BitReader::new(&p);
-            let widths = [1u32, 3, 7, 11, 15, 32, 1, 64];
-            let mut w = 0;
-            loop {
-                let n = widths[w % widths.len()].min(32); // BitReader caps at 32
-                w += 1;
-                if pr.remaining() < n as usize {
-                    break;
-                }
-                assert_eq!(pr.read_bits(n).unwrap(), u64::from(br.read_bits(n).unwrap()));
-            }
-            assert_eq!(pr.remaining(), br.remaining());
-            while pr.remaining() > 0 {
-                assert_eq!(pr.read().unwrap(), br.read().unwrap());
-            }
-            assert!(pr.read().is_err());
-            assert_eq!(
-                pr.read_bits(1),
-                Err(ProtocolViolation::Truncated),
-                "overread must be truncated"
-            );
-        }
-    }
-
-    #[test]
-    fn packed_stuff_matches_reference() {
-        for p in patterns() {
-            let packed = PackedBits::from_bools(&p);
-            let mut stuffed = PackedBits::new();
-            let inserted = stuff_words_into(packed.words(), packed.len(), &mut stuffed);
-            let reference = stuff(&p);
-            assert_eq!(stuffed.to_bools(), reference, "stuff mismatch for {p:?}");
-            assert_eq!(inserted, reference.len() - p.len());
-            assert_eq!(stuff_count_words(packed.words(), packed.len()), inserted);
-        }
-    }
-
-    #[test]
-    fn packed_destuff_matches_reference() {
-        for p in patterns() {
-            let stuffed_ref = stuff(&p);
-            let stuffed = PackedBits::from_bools(&stuffed_ref);
-            let mut back = PackedBits::new();
-            let removed =
-                destuff_words_into(stuffed.words(), stuffed.len(), &mut back).expect("destuffs");
-            assert_eq!(back.to_bools(), p, "destuff mismatch");
-            assert_eq!(removed, stuffed_ref.len() - p.len());
-        }
-    }
-
-    #[test]
-    fn packed_destuff_rejects_six_in_a_row() {
-        let bad = PackedBits::from_bools(&[true; 6]);
-        let mut out = PackedBits::new();
-        assert_eq!(
-            destuff_words_into(bad.words(), bad.len(), &mut out),
-            Err(ProtocolViolation::Stuff)
-        );
-        // and the reference agrees
-        assert_eq!(destuff(&[true; 6]), Err(ProtocolViolation::Stuff));
-    }
-
-    #[test]
-    fn packed_clear_reuses_allocation() {
-        let mut p = PackedBits::with_capacity(256);
-        p.push_bits(u64::MAX, 64);
-        p.push_bits(0, 64);
-        let cap = p.words.capacity();
-        p.clear();
-        assert!(p.is_empty());
-        p.push_bits(0xAA, 8);
-        assert_eq!(p.words.capacity(), cap, "clear must keep the allocation");
     }
 
     #[test]

@@ -13,20 +13,15 @@
 //! the *unstuffed* bits of the same region. Dominant = `false` (0),
 //! recessive = `true` (1).
 //!
-//! Two parallel implementations coexist deliberately:
-//!
-//! * [`encode`]/[`decode`] over `Vec<bool>` — the reference codec, kept
-//!   simple and unchanged so equivalence tests have a fixed point;
-//! * [`encode_into`]/[`decode_packed`]/[`wire_info`] over [`PackedBits`] —
-//!   the hot path: region built on the stack, word-level stuffing, table
-//!   CRC, reusable [`EncodeBuf`], zero steady-state allocations. The bus
-//!   derives frame timing from [`wire_info`] without materialising bits at
-//!   all.
+//! There is one codec, [`encode`]/[`decode`] over `Vec<bool>`: the Fig. 3
+//! harness drives it and the tests use it as their oracle. The bus needs
+//! only each frame's stuffed length, never its wire bits, so it derives frame
+//! timing from [`wire_info`] — the unstuffed region built in two stack words,
+//! a word-level stuff count and a table CRC, allocation-free — memoised by
+//! [`WireInfoCache`].
 
-use crate::bits::{
-    stuff, stuff_count_words, stuff_words_into, BitReader, BitWriter, PackedBits, PackedReader,
-};
-use crate::crc::{crc15, crc15_words, Crc15};
+use crate::bits::{stuff, stuff_count_words, BitReader, BitWriter};
+use crate::crc::{crc15, crc15_words};
 use crate::error::ProtocolViolation;
 use crate::frame::CanFrame;
 use crate::id::CanId;
@@ -140,7 +135,7 @@ impl RegionWords {
     }
 
     /// Appends the lowest `n` bits of `value`, most significant first
-    /// (the [`PackedBits`] layout, on a fixed two-word array).
+    /// (MSB-first within each word, on a fixed two-word array).
     #[inline]
     fn push_bits(&mut self, value: u64, n: u32) {
         debug_assert!(n <= 64 && self.len + n as usize <= 128);
@@ -160,8 +155,7 @@ impl RegionWords {
 }
 
 /// Builds the unstuffed SOF..CRC region (CRC included) entirely in
-/// registers/stack — the shared front half of [`encode_into`] and
-/// [`wire_info`].
+/// registers/stack — the front half of [`wire_info`].
 fn encode_region_words(frame: &CanFrame) -> RegionWords {
     let mut w = RegionWords::new();
     w.push(false); // SOF, dominant
@@ -275,64 +269,6 @@ impl Default for WireInfoCache {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// A reusable encode buffer. [`encode_into`] clears and refills it, so after
-/// the first use (which sizes the backing vector) the steady-state encode
-/// path performs **zero heap allocations** — asserted by the counting
-/// allocator in `polsec-bench`'s `codec` binary.
-#[derive(Debug, Clone, Default)]
-pub struct EncodeBuf {
-    wire: PackedBits,
-    stuff_bits: usize,
-}
-
-impl EncodeBuf {
-    /// Creates an empty buffer (sized lazily by the first encode).
-    pub fn new() -> Self {
-        EncodeBuf {
-            // max frame: 118-bit region + ≤29 stuff bits + 10 tail < 192
-            wire: PackedBits::with_capacity(192),
-            stuff_bits: 0,
-        }
-    }
-
-    /// The packed wire bits of the last encoded frame.
-    pub fn wire(&self) -> &PackedBits {
-        &self.wire
-    }
-
-    /// Mutable wire bits (corruption tests flip bits here).
-    pub fn wire_mut(&mut self) -> &mut PackedBits {
-        &mut self.wire
-    }
-
-    /// Stuff bits inserted by the last encode.
-    pub fn stuff_bits(&self) -> usize {
-        self.stuff_bits
-    }
-}
-
-/// Encodes a frame into `buf` (packed, reusable, allocation-free once the
-/// buffer is warm). Produces exactly the bit sequence of [`encode`].
-///
-/// # Example
-/// ```
-/// use polsec_can::{codec, CanFrame, CanId};
-/// let f = CanFrame::data(CanId::standard(0x100)?, &[1, 2])?;
-/// let mut buf = codec::EncodeBuf::new();
-/// codec::encode_into(&f, true, &mut buf);
-/// assert_eq!(codec::decode_packed(buf.wire())?, f);
-/// assert_eq!(buf.wire().len(), codec::wire_len(&f));
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn encode_into(frame: &CanFrame, acked: bool, buf: &mut EncodeBuf) {
-    let region = encode_region_words(frame);
-    buf.wire.clear();
-    buf.stuff_bits = stuff_words_into(&region.words, region.len, &mut buf.wire);
-    // CRC delimiter (1), ACK slot, ACK delimiter (1), EOF (7×1)
-    let tail = 0b10_1111_1111u64 | (u64::from(!acked) << 8);
-    buf.wire.push_bits(tail, TAIL_BITS as u32);
 }
 
 /// A reader over stuffed bits that transparently removes stuff bits and
@@ -453,150 +389,6 @@ pub fn decode(bits: &[bool]) -> Result<CanFrame, ProtocolViolation> {
     let crc_region_len = r.unstuffed().len();
     let received_crc = r.read_bits(15)? as u16;
     let computed = crc15(&r.unstuffed()[..crc_region_len]);
-    if received_crc != computed {
-        return Err(ProtocolViolation::Crc);
-    }
-
-    // Fixed-form tail is read raw (no stuffing).
-    let mut raw = r.into_inner();
-    let crc_del = raw.read()?;
-    if !crc_del {
-        return Err(ProtocolViolation::Form);
-    }
-    let _ack_slot = raw.read()?; // either level is legal at the decoder
-    let ack_del = raw.read()?;
-    if !ack_del {
-        return Err(ProtocolViolation::Form);
-    }
-    for _ in 0..7 {
-        if !raw.read()? {
-            return Err(ProtocolViolation::Form); // EOF must be recessive
-        }
-    }
-
-    let frame = if remote {
-        CanFrame::remote(id, dlc).map_err(|_| ProtocolViolation::Form)?
-    } else {
-        CanFrame::data(id, &data[..dlc as usize]).map_err(|_| ProtocolViolation::Form)?
-    };
-    Ok(frame)
-}
-
-/// [`DestuffingReader`]'s packed twin: removes and validates stuff bits over
-/// a [`PackedReader`] while feeding every destuffed bit to an incremental
-/// CRC — no per-bit buffer, so decoding allocates nothing.
-struct PackedDestuffReader<'a> {
-    inner: PackedReader<'a>,
-    run_bit: Option<bool>,
-    run_len: u32,
-    crc: Crc15,
-}
-
-impl<'a> PackedDestuffReader<'a> {
-    fn new(inner: PackedReader<'a>) -> Self {
-        PackedDestuffReader {
-            inner,
-            run_bit: None,
-            run_len: 0,
-            crc: Crc15::new(),
-        }
-    }
-
-    fn read(&mut self) -> Result<bool, ProtocolViolation> {
-        let b = self.inner.read()?;
-        if Some(b) == self.run_bit {
-            self.run_len += 1;
-        } else {
-            self.run_bit = Some(b);
-            self.run_len = 1;
-        }
-        if self.run_len > 5 {
-            return Err(ProtocolViolation::Stuff);
-        }
-        self.crc.push(b);
-        if self.run_len == 5 {
-            // consume and validate the stuff bit
-            let s = self.inner.read()?;
-            if s == b {
-                return Err(ProtocolViolation::Stuff);
-            }
-            self.run_bit = Some(s);
-            self.run_len = 1;
-        }
-        Ok(b)
-    }
-
-    fn read_bits(&mut self, n: u32) -> Result<u32, ProtocolViolation> {
-        let mut v = 0;
-        for _ in 0..n {
-            v = (v << 1) | u32::from(self.read()?);
-        }
-        Ok(v)
-    }
-
-    /// CRC over the destuffed bits consumed so far.
-    fn crc_value(&self) -> u16 {
-        self.crc.value()
-    }
-
-    fn into_inner(self) -> PackedReader<'a> {
-        self.inner
-    }
-}
-
-/// Decodes packed wire bits back into a frame — the same validation ladder
-/// as [`decode`] (stuffing, CRC, fixed-form bits) over the packed
-/// representation, returning identical results (including error variants)
-/// for identical bit sequences.
-///
-/// # Errors
-/// As [`decode`].
-pub fn decode_packed(bits: &PackedBits) -> Result<CanFrame, ProtocolViolation> {
-    let mut r = PackedDestuffReader::new(PackedReader::new(bits));
-
-    let sof = r.read()?;
-    if sof {
-        return Err(ProtocolViolation::Form); // SOF must be dominant
-    }
-    let base_id = r.read_bits(11)?;
-    let bit12 = r.read()?; // RTR (standard) or SRR (extended)
-    let ide = r.read()?;
-    let (id, remote) = if ide {
-        // extended: bit12 was SRR (must be recessive)
-        if !bit12 {
-            return Err(ProtocolViolation::Form);
-        }
-        let ext = r.read_bits(18)?;
-        let rtr = r.read()?;
-        let _r1 = r.read()?;
-        let _r0 = r.read()?;
-        let raw = (base_id << 18) | ext;
-        (
-            CanId::extended(raw).map_err(|_| ProtocolViolation::Form)?,
-            rtr,
-        )
-    } else {
-        let _r0 = r.read()?;
-        (
-            CanId::standard(base_id).map_err(|_| ProtocolViolation::Form)?,
-            bit12,
-        )
-    };
-    let dlc = r.read_bits(4)? as u8;
-    if dlc > 8 {
-        return Err(ProtocolViolation::Form);
-    }
-    let mut data = [0u8; 8];
-    if !remote {
-        for slot in data.iter_mut().take(dlc as usize) {
-            *slot = r.read_bits(8)? as u8;
-        }
-    }
-
-    // CRC covers everything consumed so far (destuffed); snapshot the
-    // incremental register before the CRC field itself streams through it.
-    let computed = r.crc_value();
-    let received_crc = r.read_bits(15)? as u16;
     if received_crc != computed {
         return Err(ProtocolViolation::Crc);
     }
@@ -803,8 +595,6 @@ mod tests {
         assert_ne!(a.bits(), b.bits());
     }
 
-    // ---- packed fast path vs the reference implementation ----
-
     fn sample_frames() -> Vec<CanFrame> {
         let mut out = Vec::new();
         for dlc in 0..=8usize {
@@ -821,23 +611,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_into_matches_reference_bit_for_bit() {
-        let mut buf = EncodeBuf::new();
-        for frame in sample_frames() {
-            for acked in [true, false] {
-                let reference = encode(&frame, acked);
-                encode_into(&frame, acked, &mut buf);
-                assert_eq!(
-                    buf.wire().to_bools(),
-                    reference.bits(),
-                    "wire bits diverge for {frame} acked={acked}"
-                );
-                assert_eq!(buf.stuff_bits(), reference.stuff_bits());
-            }
-        }
-    }
-
-    #[test]
     fn wire_info_matches_reference_lengths() {
         for frame in sample_frames() {
             let reference = encode(&frame, true);
@@ -846,71 +619,5 @@ mod tests {
             assert_eq!(info.stuff_bits, reference.stuff_bits(), "stuff_bits for {frame}");
             assert_eq!(wire_len(&frame), reference.len());
         }
-    }
-
-    #[test]
-    fn decode_packed_round_trips() {
-        let mut buf = EncodeBuf::new();
-        for frame in sample_frames() {
-            encode_into(&frame, true, &mut buf);
-            assert_eq!(decode_packed(buf.wire()).unwrap(), frame);
-        }
-    }
-
-    #[test]
-    fn decode_packed_agrees_with_reference_on_corrupted_streams() {
-        // Flip every single wire bit of a few frames: the packed decoder
-        // must return exactly the reference decoder's result — same frame or
-        // the same error variant.
-        for frame in [
-            CanFrame::data(sid(0x345), &[1, 2, 3, 4]).unwrap(),
-            CanFrame::data(eid(0x1ABC_D123), &[0xFF, 0x00]).unwrap(),
-            CanFrame::remote(sid(0x2A5), 5).unwrap(),
-        ] {
-            let reference = encode(&frame, true);
-            let mut packed = PackedBits::from_bools(reference.bits());
-            for i in 0..reference.len() {
-                let mut bools = reference.bits().to_vec();
-                bools[i] = !bools[i];
-                packed.set(i, bools[i]);
-                assert_eq!(
-                    decode_packed(&packed),
-                    decode(&bools),
-                    "decoder divergence with bit {i} flipped"
-                );
-                packed.set(i, !bools[i]); // restore
-            }
-        }
-    }
-
-    #[test]
-    fn decode_packed_detects_truncation() {
-        let frame = CanFrame::data(sid(0x77), &[5; 2]).unwrap();
-        let mut buf = EncodeBuf::new();
-        encode_into(&frame, true, &mut buf);
-        let bools = buf.wire().to_bools();
-        for cut in [1usize, 10, 20, bools.len() - 1] {
-            let partial = PackedBits::from_bools(&bools[..cut]);
-            assert!(
-                matches!(
-                    decode_packed(&partial),
-                    Err(PV::Truncated) | Err(PV::Form)
-                ),
-                "cut at {cut} not detected"
-            );
-        }
-    }
-
-    #[test]
-    fn encode_buf_is_reusable_across_frame_shapes() {
-        // A big frame then a small one: stale bits from the first encode
-        // must not bleed into the second.
-        let mut buf = EncodeBuf::new();
-        let big = CanFrame::data(eid(0x1FFF_FFFF), &[0xFF; 8]).unwrap();
-        let small = CanFrame::data(sid(0x1), &[]).unwrap();
-        encode_into(&big, true, &mut buf);
-        encode_into(&small, false, &mut buf);
-        let reference = encode(&small, false);
-        assert_eq!(buf.wire().to_bools(), reference.bits());
     }
 }

@@ -4,10 +4,10 @@
 //! generator polynomial `x^15 + x^14 + x^10 + x^8 + x^7 + x^4 + x^3 + 1`
 //! (0x4599). The CRC is computed over the *unstuffed* bit sequence.
 //!
-//! Two evaluation paths: the bit-serial reference ([`crc15`], [`Crc15`]) and
-//! a byte-table path over packed words ([`crc15_words`]) used by the packed
-//! codec — eight bits per table lookup instead of eight shift-register
-//! steps. `incremental_matches_batch`-style tests pin them equal.
+//! Two evaluation paths: the bit-serial reference ([`crc15`]) used by the
+//! codec's `encode`/`decode`, and a byte-table path over packed words
+//! ([`crc15_words`]) used by the `wire_info` fast path — eight bits per table
+//! lookup instead of eight shift-register steps. Tests pin them equal.
 
 /// The CAN CRC-15 generator polynomial (without the leading x^15 term).
 pub const POLY: u16 = 0x4599;
@@ -36,40 +36,6 @@ pub fn crc15(bits: &[bool]) -> u16 {
         }
     }
     crc & MASK
-}
-
-/// Incremental CRC-15 calculator for streaming use.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Crc15 {
-    state: u16,
-}
-
-impl Crc15 {
-    /// Creates a calculator with the all-zero initial state.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Feeds one bit.
-    pub fn push(&mut self, bit: bool) {
-        let crc_next = bit ^ ((self.state >> 14) & 1 == 1);
-        self.state = (self.state << 1) & MASK;
-        if crc_next {
-            self.state ^= POLY;
-        }
-    }
-
-    /// Feeds a slice of bits.
-    pub fn extend(&mut self, bits: &[bool]) {
-        for &b in bits {
-            self.push(b);
-        }
-    }
-
-    /// The current CRC value.
-    pub fn value(&self) -> u16 {
-        self.state & MASK
-    }
 }
 
 /// One table entry: the CRC register after feeding byte `b` (MSB first) into
@@ -111,10 +77,9 @@ fn step_byte(crc: u16, byte: u8) -> u16 {
     (((crc << 8) & MASK) ^ CRC_TABLE[(((crc >> 7) as u8) ^ byte) as usize]) & MASK
 }
 
-/// Computes the CRC-15 of `len` packed bits (MSB-first per `u64` word, the
-/// [`crate::bits::PackedBits`] layout) — byte-table for whole bytes, a short
-/// bit-serial tail for the remainder. Bit-identical to [`crc15`] on the
-/// unpacked stream.
+/// Computes the CRC-15 of `len` bits packed MSB-first, 64 per `u64` word —
+/// byte-table for whole bytes, a short bit-serial tail for the remainder.
+/// Bit-identical to [`crc15`] on the unpacked stream.
 pub fn crc15_words(words: &[u64], len: usize) -> u16 {
     let mut crc: u16 = 0;
     let full_words = len / 64;
@@ -169,23 +134,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_matches_batch() {
-        let data: Vec<bool> = [0xDEu8, 0xAD, 0xBE, 0xEF]
-            .iter()
-            .flat_map(|&b| bits_of(b))
-            .collect();
-        let batch = crc15(&data);
-        let mut inc = Crc15::new();
-        for &b in &data {
-            inc.push(b);
-        }
-        assert_eq!(batch, inc.value());
-        let mut ext = Crc15::new();
-        ext.extend(&data);
-        assert_eq!(batch, ext.value());
-    }
-
-    #[test]
     fn detects_single_bit_flip() {
         let data: Vec<bool> = (0..100).map(|i| i % 7 == 0).collect();
         let good = crc15(&data);
@@ -223,14 +171,13 @@ mod tests {
 
     #[test]
     fn table_path_matches_bit_serial_at_every_length() {
-        use crate::bits::PackedBits;
+        use crate::bits::pack;
         // Pseudo-random bit pattern long enough to exercise full words, the
         // byte tail and the bit tail at every alignment.
         let bits: Vec<bool> = (0..200u32).map(|i| (i.wrapping_mul(0x9E37) >> 7) & 1 == 1).collect();
         for end in 0..=bits.len() {
-            let packed = PackedBits::from_bools(&bits[..end]);
             assert_eq!(
-                crc15_words(packed.words(), packed.len()),
+                crc15_words(&pack(&bits[..end]), end),
                 crc15(&bits[..end]),
                 "divergence at length {end}"
             );
@@ -252,11 +199,7 @@ mod tests {
         let a: Vec<bool> = bits_of(0x01);
         let b: Vec<bool> = bits_of(0x02);
         assert_ne!(crc15(&a), crc15(&b));
-        assert_eq!(crc15(&bits_of(0x80)), {
-            // one '1' followed by seven zeros: POLY advanced 7 shifts
-            let mut c = Crc15::new();
-            c.extend(&bits_of(0x80));
-            c.value()
-        });
+        // one '1' followed by seven zeros: POLY advanced 7 shifts
+        assert_eq!(crc15(&bits_of(0x80)), 0x2213);
     }
 }

@@ -8,8 +8,7 @@
 //! * [`CanFrame`] — data/remote frames with 0–8 byte payloads,
 //! * [`codec`] — bit-level frame encoding: bit stuffing and the CRC-15
 //!   sequence, so bus-load and overhead numbers are protocol-accurate. The
-//!   hot path runs on [`PackedBits`] (64 wire bits per `u64` word) with a
-//!   reusable [`EncodeBuf`] and a `wire_len` fast path that computes exact
+//!   bus times frames with a `wire_info` fast path that computes exact
 //!   stuffed lengths without materialising bits,
 //! * [`fault`] — transmit/receive error counters and the error-active /
 //!   error-passive / bus-off fault-confinement state machine,
@@ -63,9 +62,8 @@ pub mod id;
 pub mod node;
 pub mod stats;
 
-pub use bits::{PackedBits, PackedReader};
 pub use bus::{BusEvent, CanBus, ErrorModel, NodeHandle};
-pub use codec::{EncodeBuf, WireInfo};
+pub use codec::WireInfo;
 pub use controller::CanController;
 pub use error::{CanError, ProtocolViolation};
 pub use fault::{ErrorCounters, ErrorState};

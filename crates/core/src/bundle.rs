@@ -260,6 +260,24 @@ mod tests {
     }
 
     #[test]
+    fn non_hex_signatures_rejected_without_panicking() {
+        let signed = bundle(1).sign(KEY);
+        // 'é' is two bytes, so byte-indexed pairs would split it
+        let split = SignedBundle::from_parts(signed.payload().to_vec(), "a\u{e9}a".into());
+        assert_eq!(split.verify(KEY).unwrap_err(), PolicyError::BadSignature);
+        // "+x" is not hex, although an integer parser reads it as 0x0x
+        let hex = signed.signature_hex();
+        let at = (0..hex.len())
+            .step_by(2)
+            .find(|&i| hex.as_bytes()[i] == b'0')
+            .expect("the signature has a 0x pair");
+        let mut plus = hex.to_string();
+        plus.replace_range(at..=at, "+");
+        let plus = SignedBundle::from_parts(signed.payload().to_vec(), plus);
+        assert_eq!(plus.verify(KEY).unwrap_err(), PolicyError::BadSignature);
+    }
+
+    #[test]
     fn malformed_payload_with_valid_tag_rejected_as_bundle() {
         // sign arbitrary junk so the signature verifies but decoding fails
         let junk = b"{\"not\": \"a bundle\"}".to_vec();

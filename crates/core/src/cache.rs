@@ -1,10 +1,10 @@
 //! A fixed-size, lock-free, generation-tagged decision cache.
 //!
-//! [`GenCache`] is the caching idiom shared by the policy engine's decision
-//! cache and `polsec-hpe`'s verdict cache (and mirrored, in map form, by
-//! `polsec-mac`'s AVC): entries are tagged with the policy **generation**
-//! they were computed under, and a reload invalidates by bumping the
-//! generation — stale entries can never answer, they are simply overwritten.
+//! [`GenCache`] backs the policy engine's decision cache (the idiom is
+//! mirrored, in map form, by `polsec-mac`'s AVC): entries are tagged with the
+//! policy **generation** they were computed under, and a reload invalidates
+//! by bumping the generation — stale entries can never answer, they are
+//! simply overwritten.
 //!
 //! The table is direct-mapped and every slot is a tiny seqlock built purely
 //! from atomics (no `unsafe`): a writer claims a slot by CAS-ing its
@@ -75,11 +75,6 @@ impl GenCache {
             slots: (0..n).map(|_| Slot::new()).collect(),
             mask: n - 1,
         }
-    }
-
-    /// Number of slots.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
     }
 
     /// Looks up a packed key; returns the cached value on an exact match.
@@ -202,8 +197,8 @@ mod tests {
 
     #[test]
     fn capacity_rounds_to_power_of_two() {
-        assert_eq!(GenCache::with_capacity(1000).capacity(), 1024);
-        assert_eq!(GenCache::with_capacity(1).capacity(), 64);
+        assert_eq!(GenCache::with_capacity(1000).slots.len(), 1024);
+        assert_eq!(GenCache::with_capacity(1).slots.len(), 64);
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //!   (a rate-dependency map computed at load time);
 //! * the audit trail is a set of sharded, pre-allocated rings picked by
 //!   thread, merged only when read;
-//! * decisions themselves are cached in a generation-tagged
-//!   [`crate::cache::GenCache`] keyed by
+//! * decisions themselves are cached in a generation-tagged lock-free
+//!   `GenCache` keyed by
 //!   `(subject, object, action, mode)`; [`PolicyEngine::reload`] bumps the
 //!   generation so stale entries can never answer. Rules whose conditions
 //!   read state or rates are excluded from caching by construction.

@@ -27,9 +27,10 @@
 //!   definition update" of §IV),
 //! * [`sign`] — a self-contained SHA-256/HMAC implementation (simulation-
 //!   grade, test-vector checked; **not** production crypto),
-//! * [`intern`] / [`cache`] — the decision fast path's substrate: global
-//!   string interning ([`Symbol`]) and the generation-tagged lock-free
-//!   cache shared with the enforcement crates (DESIGN.md §6).
+//! * [`intern`] — global string interning ([`Symbol`]), the substrate of
+//!   the decision fast path; the engine's generation-tagged lock-free
+//!   decision cache lives in the crate-private `cache` module (DESIGN.md
+//!   §6).
 //!
 //! # Example
 //!
@@ -62,7 +63,7 @@
 pub mod action;
 pub mod audit;
 pub mod bundle;
-pub mod cache;
+pub(crate) mod cache;
 pub mod compiler;
 pub mod condition;
 pub mod dsl;
@@ -79,7 +80,6 @@ pub use action::{Action, ActionSet};
 pub use audit::{AuditLog, AuditRecord};
 pub use bundle::{PolicyBundle, SignedBundle};
 pub use compiler::compile_security_model;
-pub use cache::GenCache;
 pub use condition::{Condition, RateSource};
 pub use engine::{
     CombiningStrategy, Decision, EngineStats, LoadMode, PolicyEngine, RuleCacheability,

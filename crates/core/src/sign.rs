@@ -141,14 +141,19 @@ pub fn to_hex(bytes: &[u8]) -> String {
 }
 
 /// Decodes lowercase/uppercase hex into bytes. Returns `None` on odd length
-/// or non-hex characters.
+/// or any character outside `[0-9a-fA-F]` (signs and non-ASCII included:
+/// signature strings arrive from outside the device).
 pub fn from_hex(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
+    fn nibble(c: u8) -> Option<u8> {
+        (c as char).to_digit(16).map(|d| d as u8)
+    }
+    let bytes = s.as_bytes();
+    if !bytes.len().is_multiple_of(2) {
         return None;
     }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).ok())
+    bytes
+        .chunks_exact(2)
+        .map(|pair| Some((nibble(pair[0])? << 4) | nibble(pair[1])?))
         .collect()
 }
 
@@ -263,6 +268,15 @@ mod tests {
         assert_eq!(from_hex("abc"), None, "odd length");
         assert_eq!(from_hex("zz"), None, "non-hex");
         assert_eq!(from_hex("").unwrap(), Vec::<u8>::new());
+        assert_eq!(from_hex("AbCd").unwrap(), vec![0xAB, 0xCD], "either case");
+    }
+
+    #[test]
+    fn from_hex_rejects_signs_and_non_ascii() {
+        assert_eq!(from_hex("+f"), None, "a sign is not a hex digit");
+        assert_eq!(from_hex("-f"), None);
+        // four bytes, even length, but 'é' straddles the pair boundary
+        assert_eq!(from_hex("a\u{e9}a"), None);
     }
 
     #[test]

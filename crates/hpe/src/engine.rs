@@ -15,13 +15,13 @@
 //! # The lookup fast path (DESIGN.md §6)
 //!
 //! The per-frame path is lock-light: telemetry counters are atomics, the
-//! engine label is a pre-shared `Arc<str>`, and verdicts are cached in a
-//! generation-tagged [`GenCache`] keyed by `(can id, direction)` — the same
-//! idiom as `polsec-core`'s decision cache. A signed configuration update
-//! (or a decision-block swap) bumps the generation, so stale verdicts can
-//! never answer; only a cache miss takes the configuration read lock. Cycle
-//! accounting is preserved on hits: the cached verdict carries the cycle
-//! cost the hardware comparator bank spends on every frame.
+//! engine label is a pre-shared `Arc<str>`, and each handle caches verdicts
+//! in plain memory keyed by `(can id, direction)`. A signed configuration
+//! update (or a decision-block swap) bumps a generation counter, so stale
+//! verdicts can never answer; only a cache miss takes the configuration read
+//! lock and runs the decision block. Cycle accounting is preserved on hits:
+//! the cached verdict carries the cycle cost the hardware comparator bank
+//! spends on every frame.
 
 use crate::config::compile_policy_to_lists;
 use crate::decision::DecisionBlock;
@@ -30,7 +30,6 @@ use crate::lists::ApprovedLists;
 use crate::telemetry::HpeTelemetry;
 use polsec_can::node::{InterposeVerdict, Interposer};
 use polsec_can::{CanFrame, CanId};
-use polsec_core::cache::{GenCache, KEY_VALID};
 use polsec_core::SignedBundle;
 use polsec_sim::SimTime;
 use std::collections::BTreeMap;
@@ -189,13 +188,8 @@ struct Shared {
     config: RwLock<HpeConfig>,
     config_version: AtomicU64,
     telemetry: TelemetryCounters,
-    cache: GenCache,
     generation: AtomicU32,
 }
-
-/// Verdict-cache slots; CAN id spaces are small, so a modest table hits
-/// almost always.
-const VERDICT_CACHE_SLOTS: usize = 2_048;
 
 const DIR_READ: u64 = 0;
 const DIR_WRITE: u64 = 1;
@@ -208,7 +202,7 @@ const LOCAL_VERDICT_SLOTS: usize = 64;
 /// hands each node exclusive `&mut` access to its boxed engine handle, so
 /// the handle may keep plain memory: one generation check (a single atomic
 /// load) validates the whole cache, and a config update wipes it on the
-/// next use. Misses fall through to the shared [`GenCache`] path.
+/// next use. Misses fall through to the decision block.
 #[derive(Debug, Clone)]
 struct LocalVerdicts {
     /// `(packed key + 1, packed verdict)`; key 0 marks an empty slot.
@@ -246,7 +240,6 @@ impl HardwarePolicyEngine {
                 }),
                 config_version: AtomicU64::new(0),
                 telemetry: TelemetryCounters::default(),
-                cache: GenCache::with_capacity(VERDICT_CACHE_SLOTS),
                 generation: AtomicU32::new(0),
             }),
             local: LocalVerdicts::new(),
@@ -275,10 +268,10 @@ impl HardwarePolicyEngine {
         self.shared.config.write().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Bumps the verdict-cache generation and erases the slots.
+    /// Bumps the verdict-cache generation, so every handle drops its cached
+    /// verdicts before its next lookup.
     fn invalidate(&self) {
         self.shared.generation.fetch_add(1, Ordering::AcqRel);
-        self.shared.cache.clear();
     }
 
     /// The engine's label, pre-shared so reads take no lock and clone no
@@ -309,7 +302,7 @@ impl HardwarePolicyEngine {
 
     /// Looks up the read-path (ingress) verdict for `id` without recording
     /// telemetry: `(granted, cycles)` exactly as the inline engine would
-    /// decide, through the same verdict cache.
+    /// decide, straight from the decision block.
     ///
     /// A maintenance-port diagnostic — the fleet engine samples
     /// deterministic verdict costs with it without perturbing the counters
@@ -387,8 +380,8 @@ impl HardwarePolicyEngine {
         Ok(())
     }
 
-    /// The `&mut` fast path: per-handle plain-memory cache first, shared
-    /// seqlock cache on a miss. One atomic load (the generation) validates
+    /// The `&mut` fast path: per-handle plain-memory cache first, the
+    /// decision block on a miss. One atomic load (the generation) validates
     /// the local entries; a configuration update bumps the generation, which
     /// wipes the local cache here before any stale verdict can answer.
     fn filter_local(&mut self, direction: u64, id: CanId) -> (bool, u32) {
@@ -412,25 +405,14 @@ impl HardwarePolicyEngine {
         (granted, cycles)
     }
 
-    /// One filtered lookup: cache first, decision block on a miss.
+    /// One uncached lookup: the decision block under the config read lock.
     fn filter(&self, direction: u64, id: CanId) -> (bool, u32) {
-        let generation = u64::from(self.shared.generation.load(Ordering::Acquire)) & 0xF_FFFF;
-        let packed_id = (u64::from(id.raw()) << 2)
-            | (u64::from(id.is_extended()) << 1)
-            | direction;
-        let key = [packed_id, 0, KEY_VALID | generation];
-        if let Some(v) = self.shared.cache.lookup(key) {
-            return (v & 1 == 1, (v >> 1) as u32);
-        }
         let config = self.read_config();
         let list = match direction {
             DIR_READ => config.lists.read(),
             _ => config.lists.write(),
         };
         let verdict = config.block.decide(list, id);
-        self.shared
-            .cache
-            .insert(key, (u64::from(verdict.cycles) << 1) | u64::from(verdict.granted));
         (verdict.granted, verdict.cycles)
     }
 
@@ -551,7 +533,7 @@ mod tests {
             (0, 0, 0, 0, 0),
             "probing must not perturb telemetry"
         );
-        // Probe verdicts agree with the inline path and share its cache.
+        // Probe verdicts agree with the inline path.
         let mut inline = hpe.clone();
         assert_eq!(inline.on_ingress(SimTime::ZERO, &frame(0x100)), InterposeVerdict::Grant);
         assert_eq!(inline.on_ingress(SimTime::ZERO, &frame(0x200)), InterposeVerdict::Block);

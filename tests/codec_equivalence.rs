@@ -1,20 +1,30 @@
-//! Equivalence proofs for the packed CAN codec (DESIGN.md §8).
+//! Equivalence proofs for the bus's wire-length fast path (DESIGN.md §8).
 //!
-//! The packed `u64`-word fast path (`encode_into` / `decode_packed` /
-//! `wire_info` / the `*_words` stuffing passes) must be bit-identical to the
-//! `Vec<bool>` reference implementation. Two layers of pinning:
+//! [`codec::wire_info`] computes a frame's stuffed wire length from the
+//! unstuffed region packed into `u64` words (`stuff_count_words`,
+//! `crc15_words`), without materialising a wire bit. It must agree exactly
+//! with the `Vec<bool>` codec. Two layers of pinning:
 //!
 //! * **Property tests** — random frames and random bit streams, cross-checked
-//!   between both implementations (including error variants on corrupted
-//!   wire streams).
-//! * **Known-answer vectors** — wire images captured from the reference
-//!   implementation (hex, MSB-first), locking *both* paths against silent
-//!   drift: if either codec changes its output, these fail.
+//!   against the `Vec<bool>` forms.
+//! * **Known-answer vectors** — wire images captured from
+//!   `codec::encode(frame, true)` (hex, MSB-first), locking both the codec and
+//!   the fast path against silent drift: if either changes its output, these
+//!   fail.
 
-use polsec::can::bits::{destuff, destuff_words_into, stuff, stuff_count_words, stuff_words_into, PackedBits};
+use polsec::can::bits::{stuff, stuff_count_words};
 use polsec::can::crc::{crc15, crc15_words};
 use polsec::can::{codec, CanFrame, CanId};
 use proptest::prelude::*;
+
+/// Packs bools MSB-first, 64 per word: the layout the `*_words` functions read.
+fn pack(bits: &[bool]) -> Vec<u64> {
+    let mut words = vec![0u64; bits.len().div_ceil(64)];
+    for (i, _) in bits.iter().enumerate().filter(|(_, &b)| b) {
+        words[i / 64] |= 1 << (63 - i % 64);
+    }
+    words
+}
 
 fn arb_standard_id() -> impl Strategy<Value = CanId> {
     (0u32..=0x7FF).prop_map(|v| CanId::standard(v).expect("in range"))
@@ -42,15 +52,6 @@ fn arb_frame() -> impl Strategy<Value = CanFrame> {
 
 proptest! {
     #[test]
-    fn packed_encode_matches_reference(frame in arb_frame(), acked in any::<bool>()) {
-        let reference = codec::encode(&frame, acked);
-        let mut buf = codec::EncodeBuf::new();
-        codec::encode_into(&frame, acked, &mut buf);
-        prop_assert_eq!(buf.wire().to_bools(), reference.bits());
-        prop_assert_eq!(buf.stuff_bits(), reference.stuff_bits());
-    }
-
-    #[test]
     fn wire_info_matches_reference_without_materialising(frame in arb_frame()) {
         let reference = codec::encode(&frame, true);
         let info = codec::wire_info(&frame);
@@ -60,48 +61,14 @@ proptest! {
     }
 
     #[test]
-    fn packed_decode_round_trips(frame in arb_frame()) {
-        let mut buf = codec::EncodeBuf::new();
-        codec::encode_into(&frame, true, &mut buf);
-        prop_assert_eq!(codec::decode_packed(buf.wire()).expect("own encoding decodes"), frame);
-    }
-
-    #[test]
-    fn decoders_agree_on_corrupted_streams(frame in arb_frame(), idx in any::<prop::sample::Index>()) {
-        // Flip one wire bit: both decoders must agree exactly — same frame
-        // or the same ProtocolViolation variant.
-        let reference = codec::encode(&frame, true);
-        let mut bools = reference.bits().to_vec();
-        let i = idx.index(bools.len());
-        bools[i] = !bools[i];
-        let packed = PackedBits::from_bools(&bools);
-        prop_assert_eq!(codec::decode_packed(&packed), codec::decode(&bools));
-    }
-
-    #[test]
     fn packed_stuffing_matches_reference(bits in prop::collection::vec(any::<bool>(), 0..300)) {
-        let packed = PackedBits::from_bools(&bits);
-        let mut stuffed = PackedBits::new();
-        let inserted = stuff_words_into(packed.words(), packed.len(), &mut stuffed);
-        let reference = stuff(&bits);
-        prop_assert_eq!(stuffed.to_bools(), reference.clone());
-        prop_assert_eq!(inserted, reference.len() - bits.len());
-        prop_assert_eq!(stuff_count_words(packed.words(), packed.len()), inserted);
-
-        // and the packed destuffer inverts it, like the reference one
-        let stuffed_packed = PackedBits::from_bools(&reference);
-        let mut back = PackedBits::new();
-        let removed = destuff_words_into(stuffed_packed.words(), stuffed_packed.len(), &mut back)
-            .expect("stuffed stream destuffs");
-        prop_assert_eq!(back.to_bools(), bits);
-        prop_assert_eq!(removed, inserted);
-        prop_assert_eq!(destuff(&reference).expect("reference destuffs"), back.to_bools());
+        let inserted = stuff(&bits).len() - bits.len();
+        prop_assert_eq!(stuff_count_words(&pack(&bits), bits.len()), inserted);
     }
 
     #[test]
     fn packed_crc_matches_reference(bits in prop::collection::vec(any::<bool>(), 0..300)) {
-        let packed = PackedBits::from_bools(&bits);
-        prop_assert_eq!(crc15_words(packed.words(), packed.len()), crc15(&bits));
+        prop_assert_eq!(crc15_words(&pack(&bits), bits.len()), crc15(&bits));
     }
 }
 
@@ -149,26 +116,20 @@ fn hex_of(bits: &[bool]) -> String {
 
 #[test]
 fn known_answer_vectors_pin_both_codecs() {
-    let mut buf = codec::EncodeBuf::new();
     for &(name, wire_len, stuff_bits, hex) in KNOWN_ANSWERS {
         let frame = known_answer_frame(name);
 
-        // reference path
         let reference = codec::encode(&frame, true);
         assert_eq!(reference.len(), wire_len, "{name}: reference wire length drifted");
         assert_eq!(reference.stuff_bits(), stuff_bits, "{name}: reference stuff count drifted");
         assert_eq!(hex_of(reference.bits()), hex, "{name}: reference wire image drifted");
-
-        // packed path, against the same pinned vector
-        codec::encode_into(&frame, true, &mut buf);
-        assert_eq!(buf.wire().len(), wire_len, "{name}: packed wire length drifted");
-        assert_eq!(buf.stuff_bits(), stuff_bits, "{name}: packed stuff count drifted");
-        assert_eq!(hex_of(&buf.wire().to_bools()), hex, "{name}: packed wire image drifted");
-
-        // fast length path and both decoders agree with the vector too
-        assert_eq!(codec::wire_len(&frame), wire_len, "{name}: wire_len drifted");
-        assert_eq!(codec::decode_packed(buf.wire()).unwrap(), frame, "{name}: packed decode");
         assert_eq!(codec::decode(reference.bits()).unwrap(), frame, "{name}: reference decode");
+
+        // the fast length path agrees with the same pinned vector
+        let info = codec::wire_info(&frame);
+        assert_eq!(info.wire_bits, wire_len, "{name}: wire_info length drifted");
+        assert_eq!(info.stuff_bits, stuff_bits, "{name}: wire_info stuff count drifted");
+        assert_eq!(codec::wire_len(&frame), wire_len, "{name}: wire_len drifted");
     }
 }
 
@@ -177,7 +138,6 @@ fn known_answer_crc_anchors() {
     // CRC-15 anchors pinning polynomial and bit order for both paths.
     assert_eq!(crc15(&[]), 0x0000);
     assert_eq!(crc15(&[true]), 0x4599);
-    let packed_one = PackedBits::from_bools(&[true]);
-    assert_eq!(crc15_words(packed_one.words(), 1), 0x4599);
+    assert_eq!(crc15_words(&pack(&[true]), 1), 0x4599);
     assert_eq!(crc15_words(&[], 0), 0x0000);
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for the CAN substrate.
 
-use polsec::can::bits::{destuff, stuff, stuff_count};
+use polsec::can::bits::{destuff, stuff};
 use polsec::can::crc::crc15;
 use polsec::can::{codec, CanFrame, CanId};
 use proptest::prelude::*;
@@ -61,11 +61,6 @@ proptest! {
             if Some(b) == last { run += 1; } else { run = 1; last = Some(b); }
             prop_assert!(run <= 5, "six equal consecutive bits after stuffing");
         }
-    }
-
-    #[test]
-    fn stuff_count_matches_materialised_stuffing(bits in prop::collection::vec(any::<bool>(), 0..256)) {
-        prop_assert_eq!(stuff(&bits).len() - bits.len(), stuff_count(&bits));
     }
 
     #[test]
