@@ -15,9 +15,13 @@
 //! function of the seed, its index, and the configuration. Vehicles run in
 //! parallel on [`run_sharded`], which merges per-vehicle [`MetricSet`]s in
 //! index order; the merged metrics of a fleet run are therefore
-//! byte-reproducible at any thread count. Wall-clock measurements (shared
-//! policy-engine decide latency) are recorded under the `wall.` prefix and
-//! split out of the deterministic section by [`run_fleet`].
+//! byte-reproducible at any thread count. Wall-clock measurements (the
+//! latency of one shared-engine decide in 32, picked by the deterministic
+//! [`polsec_sim::sampled`] rule) are recorded under the `wall.` prefix and
+//! split out of the deterministic section by [`run_fleet`]. Per-event
+//! counters are plain fields on the frame path, folded into the vehicle's
+//! [`MetricSet`] when it finishes; the crossing check's request entities
+//! are interned once per process.
 //!
 //! # Determinism contract
 //!
@@ -48,9 +52,9 @@ use polsec_can::{
 };
 use polsec_core::{AccessRequest, Action, EntityId, EvalContext, PolicyEngine};
 use polsec_hpe::{ApprovedLists, HardwarePolicyEngine};
-use polsec_sim::{run_sharded, DetRng, MetricSet, Scheduler, SimDuration};
+use polsec_sim::{run_sharded, sampled, DetRng, MetricSet, Scheduler, SimDuration};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Powertrain-segment nodes (segment A).
@@ -91,6 +95,12 @@ const CROSS_B_TO_A: [u16; 3] = [
 /// draw from the vehicle's RNG stream — so enabling or tuning sampling can
 /// never perturb jitter, attack profiles or any deterministic metric.
 const TRACE_SAMPLE_EVERY: u64 = 256;
+
+/// One shared-engine decide in this many is timed into `wall.decide_ns`;
+/// the others read no clock. The selector is the trace sampler's rule over
+/// the vehicle's decide count, seeded like the traces, so it too draws
+/// nothing from the vehicle's RNG stream.
+const DECIDE_SAMPLE_EVERY: u64 = 32;
 
 /// Identifiers no node legitimately transmits — any frame carrying one is
 /// attack traffic, which makes leak accounting unambiguous.
@@ -327,6 +337,24 @@ enum VehicleEvent {
     Compromise,
 }
 
+/// Per-event counters of one vehicle: plain fields on the frame path,
+/// folded into its [`MetricSet`] by [`Vehicle::finish`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    attack_injected: u64,
+    attack_wire: u64,
+    attack_victim_wire: u64,
+    attack_crossed_gateway: u64,
+    attack_leaked: u64,
+    attack_leaked_frames: u64,
+    attack_compromises: u64,
+    gateway_crossed: u64,
+    policy_checked: u64,
+    policy_denied: u64,
+    frames_consumed: u64,
+    ticks: u64,
+}
+
 /// One vehicle of the fleet: two CAN segments, a gateway, per-node and
 /// per-segment HPEs, and a handle on the fleet-shared policy engine.
 pub struct Vehicle {
@@ -353,6 +381,9 @@ pub struct Vehicle {
     compromised: bool,
     inject_seq: u32,
     frames_quota: u64,
+    tally: Tally,
+    /// Seeds the [`DECIDE_SAMPLE_EVERY`] selector over `tally.policy_checked`.
+    decide_sample_seed: u64,
     metrics: MetricSet,
     /// Reused across ticks by [`Vehicle::observe_bus_events`] so the event
     /// accounting loop allocates nothing once warm.
@@ -416,22 +447,58 @@ pub fn is_command_id(id: u16) -> bool {
     )
 }
 
-/// The policy asset a crossing frame concerns, if the identifier maps onto
-/// one the fleet policy knows about.
-pub fn asset_for_id(id: u16) -> Option<&'static str> {
+/// The policy assets crossing frames concern, indexed by [`asset_index`].
+const ASSETS: [&str; 7] = [
+    "ev-ecu",
+    "eps",
+    "engine",
+    "door-locks",
+    "3g-4g-wifi",
+    "safety-critical",
+    "v2x-platoon",
+];
+
+/// The [`ASSETS`] slot of the asset a crossing frame concerns.
+fn asset_index(id: u16) -> Option<usize> {
     match id {
-        messages::ECU_COMMAND | messages::ECU_STATUS => Some("ev-ecu"),
-        messages::EPS_COMMAND | messages::EPS_STATUS => Some("eps"),
-        messages::ENGINE_COMMAND | messages::ENGINE_STATUS => Some("engine"),
-        messages::DOOR_LOCK_COMMAND | messages::DOOR_LOCK_STATUS => Some("door-locks"),
-        messages::MODEM_CONTROL => Some("3g-4g-wifi"),
+        messages::ECU_COMMAND | messages::ECU_STATUS => Some(0),
+        messages::EPS_COMMAND | messages::EPS_STATUS => Some(1),
+        messages::ENGINE_COMMAND | messages::ENGINE_STATUS => Some(2),
+        messages::DOOR_LOCK_COMMAND | messages::DOOR_LOCK_STATUS => Some(3),
+        messages::MODEM_CONTROL => Some(4),
         messages::ALARM_CONTROL
         | messages::SAFETY_EVENT
         | messages::FAILSAFE_TRIGGER
-        | messages::MODE_CHANGE => Some("safety-critical"),
-        messages::V2X_LEAD | messages::V2X_HEALTH => Some("v2x-platoon"),
+        | messages::MODE_CHANGE => Some(5),
+        messages::V2X_LEAD | messages::V2X_HEALTH => Some(6),
         _ => None,
     }
+}
+
+/// The policy asset a crossing frame concerns, if the identifier maps onto
+/// one the fleet policy knows about.
+pub fn asset_for_id(id: u16) -> Option<&'static str> {
+    asset_index(id).map(|i| ASSETS[i])
+}
+
+/// The crossing check's request entities, interned once per process so
+/// the per-frame check never takes the interner's lock.
+struct CrossingEntities {
+    /// `entry:` per claimed origin, indexed like [`Origin::ALL`].
+    origins: [EntityId; Origin::ALL.len()],
+    /// `entry:unknown`, for a command whose payload claims no origin.
+    unknown: EntityId,
+    /// `asset:` per [`ASSETS`] slot.
+    assets: [EntityId; ASSETS.len()],
+}
+
+fn crossing_entities() -> &'static CrossingEntities {
+    static TABLE: OnceLock<CrossingEntities> = OnceLock::new();
+    TABLE.get_or_init(|| CrossingEntities {
+        origins: Origin::ALL.map(|o| EntityId::new("entry", o.entry_point_id())),
+        unknown: EntityId::new("entry", "unknown"),
+        assets: ASSETS.map(|a| EntityId::new("asset", a)),
+    })
 }
 
 fn is_attack_id(id: CanId) -> bool {
@@ -512,6 +579,7 @@ impl Vehicle {
         }
         // Deterministic 1-in-N trace sampling per segment; the detail
         // strings of surviving records are still built lazily by the bus.
+        // The decide-timing sampler takes the next seed, `trace_seed ^ 2`.
         let trace_seed = cfg.seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         powertrain
             .trace_mut()
@@ -713,6 +781,8 @@ impl Vehicle {
             compromised: false,
             inject_seq: 0,
             frames_quota: cfg.frames_per_vehicle,
+            tally: Tally::default(),
+            decide_sample_seed: trace_seed ^ 2,
             metrics,
             event_buf: Vec::new(),
         }
@@ -809,7 +879,7 @@ impl Vehicle {
         self.comfort.tick_all();
         if self.compromised {
             // the implant emits one spoof frame per tick
-            self.metrics.count("attack.injected", 1);
+            self.tally.attack_injected += 1;
         }
         self.powertrain.run_until_idle();
         self.comfort.run_until_idle();
@@ -820,7 +890,7 @@ impl Vehicle {
         self.comfort.run_until_idle();
         self.observe_bus_events();
         self.drain_rx_queues();
-        self.metrics.count("sim.ticks", 1);
+        self.tally.ticks += 1;
         let next = self.jittered(cfg.tick_period, cfg.tick_jitter);
         self.scheduler.schedule_in(next, VehicleEvent::Tick);
     }
@@ -829,7 +899,7 @@ impl Vehicle {
         self.inject_seq += 1;
         let frame = self.outside.frame(self.inject_seq);
         let _ = self.comfort.send_from(self.attacker, frame);
-        self.metrics.count("attack.injected", 1);
+        self.tally.attack_injected += 1;
         let next = self.jittered(cfg.inject_period, cfg.inject_jitter);
         self.scheduler.schedule_in(next, VehicleEvent::Inject);
     }
@@ -846,7 +916,7 @@ impl Vehicle {
             let _ = hpe.firmware_attempt_reconfigure();
         }
         self.compromised = true;
-        self.metrics.count("attack.compromises", 1);
+        self.tally.attack_compromises += 1;
     }
 
     /// Accounts bus events since the last tick: wire-level attack frames and
@@ -869,17 +939,17 @@ impl Vehicle {
                 };
                 let attack = is_attack_id(frame.id());
                 if attack {
-                    self.metrics.count("attack.wire", 1);
+                    self.tally.attack_wire += 1;
                     if victim_segment {
                         // on the powertrain wire, whether it got there via
                         // the gateway or from an inside implant
-                        self.metrics.count("attack.victim_wire", 1);
+                        self.tally.attack_victim_wire += 1;
                     }
                 }
                 if *from == endpoint {
-                    self.metrics.count("gateway.crossed", 1);
+                    self.tally.gateway_crossed += 1;
                     if attack {
-                        self.metrics.count("attack.crossed_gateway", 1);
+                        self.tally.attack_crossed_gateway += 1;
                     }
                     self.check_crossing(frame, victim_segment);
                 }
@@ -906,7 +976,7 @@ impl Vehicle {
         let CanId::Standard(id) = frame.id() else {
             return;
         };
-        let Some(asset) = asset_for_id(id) else {
+        let Some(asset) = asset_index(id) else {
             return;
         };
         // Commands are judged as a write from their claimed origin — a
@@ -914,28 +984,33 @@ impl Vehicle {
         // judged as a write from an unrecognised entry, which the
         // default-deny policy flags. Status broadcasts are judged as the
         // consuming segment boundary reading the asset.
+        let entities = crossing_entities();
+        let origins = &entities.origins;
         let (entry, action) = if is_command_id(id) {
             match parse_command(frame) {
-                Some((_, origin)) => (origin.entry_point_id(), Action::Write),
-                None => ("unknown", Action::Write),
+                Some((_, origin)) => (origins[origin as usize], Action::Write),
+                None => (entities.unknown, Action::Write),
             }
         } else if into_powertrain {
-            ("telematics", Action::Read)
+            (origins[Origin::Telematics as usize], Action::Read)
         } else {
-            ("infotainment-ui", Action::Read)
+            (origins[Origin::Infotainment as usize], Action::Read)
         };
-        let request = AccessRequest::new(
-            EntityId::new("entry", entry),
-            EntityId::new("asset", asset),
-            action,
+        let request = AccessRequest::new(entry, entities.assets[asset], action);
+        let timed = sampled(
+            self.decide_sample_seed,
+            self.tally.policy_checked,
+            DECIDE_SAMPLE_EVERY,
         );
-        let started = Instant::now();
+        let started = timed.then(Instant::now);
         let decision = self.engine.decide(&request, &self.ctx);
-        let elapsed = started.elapsed().as_nanos() as u64;
-        self.metrics.observe("wall.decide_ns", elapsed);
-        self.metrics.count("policy.checked", 1);
+        if let Some(started) = started {
+            let elapsed = started.elapsed().as_nanos() as u64;
+            self.metrics.observe("wall.decide_ns", elapsed);
+        }
+        self.tally.policy_checked += 1;
         if !decision.is_allow() {
-            self.metrics.count("policy.denied", 1);
+            self.tally.policy_denied += 1;
         }
     }
 
@@ -971,30 +1046,39 @@ impl Vehicle {
         if let Some(node) = self.comfort.node_mut(self.attacker) {
             while node.receive().is_some() {}
         }
-        self.metrics.count("attack.leaked", leaked);
-        self.metrics
-            .count("attack.leaked_frames", leaked_frames.len() as u64);
-        self.metrics.count("frames.consumed", consumed);
+        self.tally.attack_leaked += leaked;
+        self.tally.attack_leaked_frames += leaked_frames.len() as u64;
+        self.tally.frames_consumed += consumed;
     }
 
-    /// Folds final bus statistics, gateway counters and HPE telemetry into
-    /// the metric set.
+    /// Folds the per-event counters, final bus statistics, gateway counters
+    /// and HPE telemetry into the metric set.
     pub fn finish(mut self) -> MetricSet {
+        let t = self.tally;
+        for (key, n) in [
+            ("attack.injected", t.attack_injected),
+            ("attack.wire", t.attack_wire),
+            ("attack.victim_wire", t.attack_victim_wire),
+            ("attack.crossed_gateway", t.attack_crossed_gateway),
+            ("attack.leaked", t.attack_leaked),
+            ("attack.leaked_frames", t.attack_leaked_frames),
+            ("attack.compromises", t.attack_compromises),
+            ("gateway.crossed", t.gateway_crossed),
+            ("policy.checked", t.policy_checked),
+            ("policy.denied", t.policy_denied),
+        ] {
+            self.metrics.count(key, n);
+        }
+        // Per-tick counters: a vehicle that never ticked carries neither.
+        if t.ticks > 0 {
+            self.metrics.count("frames.consumed", t.frames_consumed);
+            self.metrics.count("sim.ticks", t.ticks);
+        }
         // Zero-initialise conditionally-counted metrics so the *counter*
         // shape is identical across enforcement configurations (histograms
         // like verdict.cycles still only exist where their source layer is
         // enabled).
         for key in [
-            "attack.injected",
-            "attack.wire",
-            "attack.victim_wire",
-            "attack.crossed_gateway",
-            "attack.leaked",
-            "attack.leaked_frames",
-            "attack.compromises",
-            "gateway.crossed",
-            "policy.checked",
-            "policy.denied",
             "hpe.granted",
             "hpe.read_blocked",
             "hpe.write_blocked",
@@ -1016,15 +1100,7 @@ impl Vehicle {
             self.metrics.count(key, 0);
         }
         if let Some(monitor) = &self.monitor {
-            let c = lock(monitor).counters;
-            self.metrics.count("anomaly.checked", u64::from(c.checked));
-            self.metrics.count("anomaly.flagged", u64::from(c.flagged));
-            self.metrics.count("anomaly.rate_jump", u64::from(c.rate_jump));
-            self.metrics
-                .count("anomaly.out_of_range", u64::from(c.out_of_range));
-            self.metrics.count("anomaly.stuck", u64::from(c.stuck));
-            self.metrics
-                .count("anomaly.inconsistent", u64::from(c.inconsistent));
+            lock(monitor).counters.fold_into(&mut self.metrics);
             self.metrics.count(
                 "anomaly.implausible_crashes",
                 u64::from(lock(&self.states.ecu).implausible_crashes),
@@ -1319,6 +1395,28 @@ mod tests {
         let mut c = run_fleet(&serial);
         assert_eq!(a.metrics.to_json(), c.metrics.to_json());
         assert_eq!(a.leaked(), 0, "the extra rung must not weaken the ladder");
+    }
+
+    #[test]
+    fn counter_key_set_is_identical_across_ladder_presets() {
+        // The seed-drawn attack profile is the one intended difference.
+        let keys = |enforcement: FleetEnforcement| -> Vec<String> {
+            let report = run_fleet(&tiny(enforcement));
+            report
+                .metrics
+                .counters()
+                .map(|(k, _)| k.to_string())
+                .filter(|k| !k.starts_with("attack.profile."))
+                .collect()
+        };
+        let shipped = keys(FleetEnforcement::shipped());
+        for enforcement in [
+            FleetEnforcement::none(),
+            FleetEnforcement::baseline(),
+            FleetEnforcement::full_with_app(),
+        ] {
+            assert_eq!(keys(enforcement), shipped, "{}", enforcement.label());
+        }
     }
 
     #[test]

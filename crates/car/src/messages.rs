@@ -123,6 +123,16 @@ pub enum Origin {
 }
 
 impl Origin {
+    /// Every origin, in declaration order (so `ALL[o as usize] == o`).
+    pub const ALL: [Origin; 6] = [
+        Origin::Manual,
+        Origin::Telematics,
+        Origin::SafetyCritical,
+        Origin::Infotainment,
+        Origin::Sensors,
+        Origin::Diagnostics,
+    ];
+
     /// Wire encoding.
     pub fn code(self) -> u8 {
         match self {
@@ -341,19 +351,12 @@ mod tests {
 
     #[test]
     fn origin_entry_points_are_distinct() {
-        let mut names: Vec<&str> = [
-            Origin::Manual,
-            Origin::Telematics,
-            Origin::SafetyCritical,
-            Origin::Infotainment,
-            Origin::Sensors,
-            Origin::Diagnostics,
-        ]
-        .iter()
-        .map(|o| o.entry_point_id())
-        .collect();
+        let mut names: Vec<&str> = Origin::ALL.iter().map(|o| o.entry_point_id()).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 6);
+        for (i, o) in Origin::ALL.into_iter().enumerate() {
+            assert_eq!(o as usize, i, "ALL is in declaration order");
+        }
     }
 }

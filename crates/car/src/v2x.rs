@@ -72,12 +72,12 @@
 //!   under heavy loss while version monotonicity keeps re-deliveries from
 //!   double-applying.
 
-use crate::anomaly::{PlatoonMonitor, IMPLAUSIBLE_SPEED_KMH};
+use crate::anomaly::{AnomalyCounters, PlatoonMonitor, IMPLAUSIBLE_SPEED_KMH};
 use crate::fleet::{FleetConfig, Vehicle};
 use crate::modes::{LimpTransition, PlatoonHealth};
 use crate::security_model::car_policy;
 use polsec_core::dsl::parse_policy;
-use polsec_core::sign::hmac_sha256;
+use polsec_core::sign::HmacKey;
 use polsec_core::{
     AccessRequest, Action, DevicePolicyStore, EntityId, EvalContext, Policy, PolicyBundle,
     PolicyEngine, PolicyError, PolicySet, SignedBundle,
@@ -85,7 +85,7 @@ use polsec_core::{
 use polsec_sim::plane::{Envelope, EpochCtx, GroupId, Outbox};
 use polsec_sim::{run_epochs_faulted, DetRng, FaultPlan, MessagePlane, MetricSet};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// The broadcast group every vehicle of the run belongs to.
@@ -153,20 +153,32 @@ pub struct PlatoonMsg {
 
 /// Computes the authentication tag of a platoon message: the first eight
 /// bytes of HMAC-SHA-256 over the canonical field encoding.
-pub fn platoon_tag(key: &[u8], lead: u32, seq: u32, speed: u8, brake: bool, claimed: u8) -> u64 {
+pub fn platoon_tag(key: &HmacKey, lead: u32, seq: u32, speed: u8, brake: bool, claimed: u8) -> u64 {
     let mut buf = [0u8; 11];
     buf[..4].copy_from_slice(&lead.to_le_bytes());
     buf[4..8].copy_from_slice(&seq.to_le_bytes());
     buf[8] = speed;
     buf[9] = u8::from(brake);
     buf[10] = claimed;
-    let digest = hmac_sha256(key, &buf);
+    let digest = key.mac(&buf);
     u64::from_le_bytes(digest[..8].try_into().expect("digest is 32 bytes"))
 }
 
 impl PlatoonMsg {
     /// Builds an authentic message under `key`.
     pub fn signed(key: &[u8], lead: u32, seq: u32, speed: u8, brake: bool, claimed: u8) -> Self {
+        Self::signed_with(&HmacKey::new(key), lead, seq, speed, brake, claimed)
+    }
+
+    /// Builds an authentic message under a precomputed key schedule.
+    pub fn signed_with(
+        key: &HmacKey,
+        lead: u32,
+        seq: u32,
+        speed: u8,
+        brake: bool,
+        claimed: u8,
+    ) -> Self {
         PlatoonMsg {
             lead,
             seq,
@@ -179,8 +191,31 @@ impl PlatoonMsg {
 
     /// Whether the tag verifies under `key`.
     pub fn verify(&self, key: &[u8]) -> bool {
+        self.verify_with(&HmacKey::new(key))
+    }
+
+    /// Whether the tag verifies under a precomputed key schedule.
+    pub fn verify_with(&self, key: &HmacKey) -> bool {
         self.tag == platoon_tag(key, self.lead, self.seq, self.speed, self.brake, self.claimed)
     }
+}
+
+/// The policy rung's request entities, interned once per process so the
+/// per-message check never takes the interner's lock.
+struct PlatoonEntities {
+    /// `entry:` per claim code: [`claimed_entry`] of `0..=3`, where slot
+    /// 3 (`entry:unknown`) stands for every code above it.
+    claims: [EntityId; 4],
+    /// `asset:v2x-platoon`.
+    asset: EntityId,
+}
+
+fn platoon_entities() -> &'static PlatoonEntities {
+    static TABLE: OnceLock<PlatoonEntities> = OnceLock::new();
+    TABLE.get_or_init(|| PlatoonEntities {
+        claims: [0, 1, 2, 3].map(|code| EntityId::new("entry", claimed_entry(code))),
+        asset: EntityId::new("asset", "v2x-platoon"),
+    })
 }
 
 /// A message on the V2X plane.
@@ -484,6 +519,24 @@ impl EnvelopeWindow {
     }
 }
 
+/// Per-message ladder counters of one follower: plain fields on the
+/// message path, folded into the metric set by `V2xVehicle::finish`.
+#[derive(Debug, Clone, Copy, Default)]
+struct LadderTally {
+    /// Platoon messages that reached the lead itself (not judged).
+    lead_ignored: u64,
+    received: u64,
+    accepted: u64,
+    leaked: u64,
+    rejected_auth: u64,
+    rejected_replay: u64,
+    rejected_policy: u64,
+    rejected_anomaly: u64,
+    blocked_attacks: u64,
+    dedup_dropped: u64,
+    dedup_stale: u64,
+}
+
 /// One vehicle of the V2X run: the fleet vehicle plus the V2X state —
 /// policy store, ingestion engine, replay window, and (on the compromised
 /// member) captured attack material.
@@ -492,6 +545,12 @@ struct V2xVehicle {
     /// Whether this shard is the compromised member.
     is_attacker: bool,
     car: Vehicle,
+    /// [`FLEET_V2X_KEY`]'s schedule: verifies every judged message and
+    /// signs the lead's and the attacker's own broadcasts.
+    v2x_key: HmacKey,
+    ladder: LadderTally,
+    /// The anomaly rung's tally (`anomaly.*`, shared with the fleet keys).
+    anomaly: AnomalyCounters,
     store: DevicePolicyStore,
     /// Judges platoon ingestion against the store's *active* set; rebuilt
     /// after every applied update.
@@ -559,6 +618,9 @@ impl V2xVehicle {
             shard,
             is_attacker: Some(shard) == cfg.attacker(),
             car,
+            v2x_key: HmacKey::new(FLEET_V2X_KEY),
+            ladder: LadderTally::default(),
+            anomaly: AnomalyCounters::default(),
             store,
             ingest,
             ctx: EvalContext::new().with_mode("normal"),
@@ -598,11 +660,11 @@ impl V2xVehicle {
             if cfg.defenses.replay_window {
                 match self.windows.entry(env.from).or_default().check(env.seq) {
                     SeqVerdict::Duplicate => {
-                        self.count("v2x.dedup_dropped", 1);
+                        self.ladder.dedup_dropped += 1;
                         continue;
                     }
                     SeqVerdict::Stale => {
-                        self.count("v2x.dedup_stale", 1);
+                        self.ladder.dedup_stale += 1;
                         continue;
                     }
                     SeqVerdict::Fresh => {}
@@ -650,25 +712,22 @@ impl V2xVehicle {
             self.captured_platoon = Some(*msg);
         }
         if self.shard == cfg.lead() {
-            self.count("v2x.lead_ignored", 1);
+            self.ladder.lead_ignored += 1;
             return;
         }
-        self.count("v2x.received", 1);
+        let attack = u64::from(is_attack);
+        self.ladder.received += 1;
 
-        let authentic = msg.verify(FLEET_V2X_KEY);
+        let authentic = msg.verify_with(&self.v2x_key);
         if cfg.defenses.auth && !authentic {
-            self.count("v2x.rejected_auth", 1);
-            if is_attack {
-                self.count("v2x.blocked_attacks", 1);
-            }
+            self.ladder.rejected_auth += 1;
+            self.ladder.blocked_attacks += attack;
             return;
         }
         if cfg.defenses.replay_window {
             if msg.seq <= self.lead_window(msg.lead) {
-                self.count("v2x.rejected_replay", 1);
-                if is_attack {
-                    self.count("v2x.blocked_attacks", 1);
-                }
+                self.ladder.rejected_replay += 1;
+                self.ladder.blocked_attacks += attack;
                 return;
             }
             // The window tracks the *authenticated* stream only: advance on
@@ -684,17 +743,13 @@ impl V2xVehicle {
             }
         }
         if cfg.defenses.policy_check {
-            let request = AccessRequest::new(
-                EntityId::new("entry", claimed_entry(msg.claimed)),
-                EntityId::new("asset", "v2x-platoon"),
-                Action::Write,
-            );
+            let entities = platoon_entities();
+            let claim = entities.claims[usize::from(msg.claimed.min(3))];
+            let request = AccessRequest::new(claim, entities.asset, Action::Write);
             let now_us = self.car.now().as_micros();
             if !self.ingest.decide_at(&request, &self.ctx, now_us).is_allow() {
-                self.count("v2x.rejected_policy", 1);
-                if is_attack {
-                    self.count("v2x.blocked_attacks", 1);
-                }
+                self.ladder.rejected_policy += 1;
+                self.ladder.blocked_attacks += attack;
                 return;
             }
         }
@@ -704,25 +759,17 @@ impl V2xVehicle {
             // brake/speed consistency). Flagged samples never advance the
             // monitor baseline, so an attacker cannot walk the reference
             // point toward an implausible value.
-            self.count("anomaly.checked", 1);
             let verdict = self.platoon.judge(msg.speed, msg.brake);
+            self.anomaly.tally(verdict);
             if verdict.flagged() {
-                self.count("anomaly.flagged", 1);
-                if let Some(metric) = verdict.metric() {
-                    self.count(metric, 1);
-                }
-                self.count("v2x.rejected_anomaly", 1);
-                if is_attack {
-                    self.count("v2x.blocked_attacks", 1);
-                }
+                self.ladder.rejected_anomaly += 1;
+                self.ladder.blocked_attacks += attack;
                 return;
             }
         }
-        self.count("v2x.accepted", 1);
-        if is_attack {
-            // ground truth: an attacker-originated message made it through
-            self.count("v2x.leaked", 1);
-        }
+        self.ladder.accepted += 1;
+        // ground truth: an attacker-originated message made it through
+        self.ladder.leaked += attack;
         // Heartbeat liveness is keyed on the *transport* sender shard, not
         // message content: only the real lead's accepted broadcasts feed
         // the limp-home machine, so an accepted attacker message under a
@@ -834,8 +881,8 @@ impl V2xVehicle {
             self.lead_seq += 1;
             let speed = 60 + self.rng.next_below(21) as u8; // 60..=80 km/h
             let brake = self.rng.chance(0.2);
-            let msg = PlatoonMsg::signed(
-                FLEET_V2X_KEY,
+            let msg = PlatoonMsg::signed_with(
+                &self.v2x_key,
                 self.shard as u32,
                 self.lead_seq,
                 speed,
@@ -979,8 +1026,8 @@ impl V2xVehicle {
                 // not a plausible platoon speed (Table I row 2 lifted onto
                 // the V2X plane).
                 self.value_spoof_seq += 1;
-                let msg = PlatoonMsg::signed(
-                    FLEET_V2X_KEY,
+                let msg = PlatoonMsg::signed_with(
+                    &self.v2x_key,
                     self.shard as u32,
                     self.value_spoof_seq,
                     IMPLAUSIBLE_SPEED_KMH,
@@ -1028,17 +1075,36 @@ impl V2xVehicle {
         }
     }
 
-    /// Seals the vehicle: its store version lands in the metrics (so the
-    /// replay checks also pin the rollout outcome per vehicle), then the
-    /// fleet vehicle folds its final statistics.
+    /// Seals the vehicle: its ladder and anomaly tallies and its store
+    /// version land in the metrics (so the replay checks also pin the
+    /// rollout outcome per vehicle), then the fleet vehicle folds its final
+    /// statistics.
     fn finish(mut self) -> MetricSet {
+        let l = self.ladder;
+        // Only an attacker's broadcasts reach the lead, so the key exists
+        // only in runs with one.
+        if l.lead_ignored > 0 {
+            self.car.metrics_mut().count("v2x.lead_ignored", l.lead_ignored);
+        }
+        for (key, n) in [
+            ("v2x.received", l.received),
+            ("v2x.accepted", l.accepted),
+            ("v2x.leaked", l.leaked),
+            ("v2x.rejected_auth", l.rejected_auth),
+            ("v2x.rejected_replay", l.rejected_replay),
+            ("v2x.rejected_policy", l.rejected_policy),
+            ("v2x.rejected_anomaly", l.rejected_anomaly),
+            ("v2x.blocked_attacks", l.blocked_attacks),
+            ("v2x.dedup_dropped", l.dedup_dropped),
+            ("v2x.dedup_stale", l.dedup_stale),
+        ] {
+            self.car.metrics_mut().count(key, n);
+        }
+        self.anomaly.fold_into(self.car.metrics_mut());
         // Zero-initialise conditionally-counted V2X/OTA metrics so the
         // counter shape is identical across defence configurations, fault
         // plans and outage windows.
         for key in [
-            "v2x.leaked",
-            "v2x.dedup_dropped",
-            "v2x.dedup_stale",
             "v2x.heartbeat_misses",
             "v2x.degraded_entries",
             "v2x.degraded_exits",
@@ -1046,7 +1112,6 @@ impl V2xVehicle {
             "v2x.lead_outage_epochs",
             "v2x.attack.spoof_resume",
             "v2x.attack.value_spoof",
-            "v2x.rejected_anomaly",
             "ota.acks",
             "ota.acks_sent",
             "ota.ack_ignored",
@@ -1394,6 +1459,33 @@ mod tests {
         assert_eq!(m.counter("ota.acks"), 5, "every delivery acked first try");
         assert_eq!(m.counter("plane.dropped"), 0);
         assert_eq!(m.counter("v2x.degraded_entries"), 0);
+    }
+
+    #[test]
+    fn counter_key_set_is_identical_across_every_defence_subset() {
+        // The seed-drawn attack profile is the one intended difference.
+        let keys = |defenses: V2xDefenses| -> Vec<String> {
+            let mut cfg = V2xConfig::new(6, 10, 100);
+            cfg.fleet.threads = 2;
+            cfg.defenses = defenses;
+            let report = run_v2x(&cfg);
+            report
+                .metrics
+                .counters()
+                .map(|(k, _)| k.to_string())
+                .filter(|k| !k.starts_with("attack.profile."))
+                .collect()
+        };
+        let full = keys(V2xDefenses::full());
+        for bits in 0..16u8 {
+            let defenses = V2xDefenses {
+                auth: bits & 1 != 0,
+                replay_window: bits & 2 != 0,
+                policy_check: bits & 4 != 0,
+                anomaly: bits & 8 != 0,
+            };
+            assert_eq!(keys(defenses), full, "{}", defenses.label());
+        }
     }
 
     #[test]

@@ -3,14 +3,19 @@
 //! [`DevicePolicyStore`] models the on-device half of the paper's update
 //! mechanism: it holds the active [`PolicySet`] and its version, accepts
 //! [`SignedBundle`]s (verifying authenticity and version monotonicity),
-//! keeps the previous set for one-step rollback, and records an update
-//! history for audit.
+//! keeps the previous set for one-step rollback, and records a bounded
+//! update history for audit.
 
 use crate::bundle::SignedBundle;
 use crate::error::PolicyError;
 use crate::policy::PolicySet;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+
+/// Update records a [`DevicePolicyStore`] keeps: the newest this many.
+/// Every rejected bundle is recorded too, so without a bound a peer
+/// replaying garbage over the air would grow device memory linearly.
+pub const HISTORY_LIMIT: usize = 64;
 
 /// One entry in the device's update history.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -96,9 +101,21 @@ impl DevicePolicyStore {
         self.version
     }
 
-    /// The update history, oldest first.
+    /// The update history, oldest first: the newest [`HISTORY_LIMIT`]
+    /// records.
     pub fn history(&self) -> &[UpdateRecord] {
         &self.history
+    }
+
+    fn record(&mut self, version: u64, outcome: UpdateOutcome, rationale: String) {
+        if self.history.len() == HISTORY_LIMIT {
+            self.history.remove(0);
+        }
+        self.history.push(UpdateRecord {
+            version,
+            outcome,
+            rationale,
+        });
     }
 
     /// Applies a signed bundle: verifies the signature, requires the version
@@ -117,20 +134,12 @@ impl DevicePolicyStore {
                     PolicyError::MalformedBundle { .. } => UpdateOutcome::RejectedMalformed,
                     _ => UpdateOutcome::RejectedMalformed,
                 };
-                self.history.push(UpdateRecord {
-                    version: self.version,
-                    outcome,
-                    rationale: String::new(),
-                });
+                self.record(self.version, outcome, String::new());
                 return Err(e);
             }
         };
         if bundle.version <= self.version {
-            self.history.push(UpdateRecord {
-                version: self.version,
-                outcome: UpdateOutcome::RejectedStale,
-                rationale: bundle.rationale.clone(),
-            });
+            self.record(self.version, UpdateOutcome::RejectedStale, bundle.rationale);
             return Err(PolicyError::StaleVersion {
                 current: self.version,
                 offered: bundle.version,
@@ -140,11 +149,7 @@ impl DevicePolicyStore {
         let outgoing = std::mem::replace(&mut self.active, incoming);
         self.previous = Some((outgoing, self.version));
         self.version = bundle.version;
-        self.history.push(UpdateRecord {
-            version: bundle.version,
-            outcome: UpdateOutcome::Applied,
-            rationale: bundle.rationale,
-        });
+        self.record(bundle.version, UpdateOutcome::Applied, bundle.rationale);
         Ok(())
     }
 
@@ -156,11 +161,7 @@ impl DevicePolicyStore {
         let (prev_set, prev_version) = self.previous.take().ok_or(PolicyError::NothingToRollBack)?;
         self.active = prev_set;
         self.version = prev_version;
-        self.history.push(UpdateRecord {
-            version: prev_version,
-            outcome: UpdateOutcome::RolledBack,
-            rationale: String::new(),
-        });
+        self.record(prev_version, UpdateOutcome::RolledBack, String::new());
         Ok(())
     }
 
@@ -261,6 +262,22 @@ mod tests {
                 UpdateOutcome::RolledBack,
             ]
         );
+    }
+
+    #[test]
+    fn history_keeps_only_the_newest_records_under_ota_garbage() {
+        let mut s = store();
+        s.apply(&bundle(1, "a").sign(KEY)).unwrap();
+        let tampered = bundle(2, "b").sign(KEY).tampered();
+        for _ in 0..10_000 {
+            assert_eq!(s.apply(&tampered).unwrap_err(), PolicyError::BadSignature);
+        }
+        assert_eq!(s.history().len(), HISTORY_LIMIT);
+        assert_eq!(
+            s.history().last().unwrap().outcome,
+            UpdateOutcome::RejectedSignature
+        );
+        assert_eq!(s.version(), 1);
     }
 
     #[test]

@@ -54,4 +54,4 @@ pub use plane::{
 pub use rng::DetRng;
 pub use shard::{resolve_threads, run_sharded};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceRecord};
+pub use trace::{sampled, Trace, TraceRecord};

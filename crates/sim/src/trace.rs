@@ -25,6 +25,16 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
+/// The deterministic 1-in-`every` sampling rule: whether item `seq` of the
+/// stream seeded `seed` is kept, `splitmix64(seed ^ seq) % every == 0`.
+/// A pure function of its arguments, so the kept subset is identical on
+/// every replay and at any thread count; `every <= 1` keeps everything.
+/// [`Trace`] samples its records with it, and the fleet engine its timed
+/// decides.
+pub fn sampled(seed: u64, seq: u64, every: u64) -> bool {
+    every <= 1 || splitmix64_mix(seed ^ seq).is_multiple_of(every)
+}
+
 /// One record in a simulation trace: a timestamp, a category tag and a
 /// human-readable message.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -108,8 +118,7 @@ impl Trace {
 
     /// Whether the record with sequence number `seq` survives the sampler.
     fn keeps(&self, seq: u64) -> bool {
-        self.sample_every <= 1
-            || splitmix64_mix(self.sample_seed ^ seq).is_multiple_of(self.sample_every)
+        sampled(self.sample_seed, seq, self.sample_every)
     }
 
     /// Offers a record with a lazily-built detail string. The closure runs
