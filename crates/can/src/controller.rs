@@ -14,7 +14,6 @@ use crate::error::CanError;
 use crate::fault::ErrorCounters;
 use crate::filter::FilterBank;
 use crate::frame::CanFrame;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Default bound on the transmit queue.
@@ -24,7 +23,7 @@ pub const DEFAULT_RX_CAPACITY: usize = 256;
 
 /// A CAN controller: TX priority queue, RX FIFO, acceptance filters and
 /// error counters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CanController {
     tx: Vec<(u64, CanFrame)>, // (enqueue seq, frame); kept sorted on pop
     tx_seq: u64,

@@ -1,10 +1,9 @@
 //! Error types for the CAN substrate.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors returned by CAN construction and codec APIs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CanError {
     /// An identifier did not fit its format's bit width.
     IdOutOfRange {
@@ -42,7 +41,7 @@ pub enum CanError {
 /// Bit-level protocol violations detected while decoding a frame.
 ///
 /// These map onto the CAN error types of ISO 11898-1 §10.11.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProtocolViolation {
     /// More than five equal consecutive bits where stuffing was required.
     Stuff,

@@ -15,11 +15,10 @@
 //! attack the E1 experiment exercises), and a compromised node flooding
 //! garbage will eventually silence itself.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Fault-confinement state of a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ErrorState {
     /// Normal participation.
     #[default]
@@ -56,7 +55,7 @@ impl fmt::Display for ErrorState {
 /// }
 /// assert_eq!(c.state(), ErrorState::BusOff);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ErrorCounters {
     tec: u16,
     rec: u16,

@@ -8,7 +8,6 @@
 //! engine addresses.
 
 use crate::id::CanId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single id/mask acceptance filter.
@@ -26,7 +25,7 @@ use std::fmt;
 /// assert!(!f.accepts(CanId::standard(0x104)?));
 /// # Ok::<(), polsec_can::CanError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AcceptanceFilter {
     id: u32,
     mask: u32,
@@ -114,7 +113,7 @@ impl fmt::Display for AcceptanceFilter {
 ///
 /// An empty bank accepts everything (matching common controller semantics
 /// where filtering is opt-in).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FilterBank {
     filters: Vec<AcceptanceFilter>,
 }

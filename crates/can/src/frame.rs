@@ -2,7 +2,6 @@
 
 use crate::error::CanError;
 use crate::id::CanId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A CAN data or remote frame.
@@ -20,7 +19,7 @@ use std::fmt;
 /// assert!(!f.is_remote());
 /// # Ok::<(), polsec_can::CanError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CanFrame {
     id: CanId,
     remote: bool,

@@ -11,11 +11,10 @@ use crate::error::CanError;
 use crate::filter::AcceptanceFilter;
 use crate::frame::CanFrame;
 use crate::node::CanNode;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which side of the gateway a rule applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Segment {
     /// The first segment (e.g. powertrain).
     A,
@@ -34,7 +33,7 @@ impl fmt::Display for Segment {
 
 /// A forwarding rule: frames arriving on `from` whose identifier matches
 /// `filter` are forwarded to the opposite segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ForwardRule {
     /// Source segment.
     pub from: Segment,

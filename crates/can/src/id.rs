@@ -8,7 +8,6 @@
 //! wins (its SRR/IDE bits are dominant earlier).
 
 use crate::error::CanError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum value of an 11-bit standard identifier (`0x7FF`).
@@ -29,7 +28,7 @@ pub const MAX_EXTENDED: u32 = 0x1FFF_FFFF;
 /// assert!(brake < radio, "lower id wins arbitration");
 /// # Ok::<(), polsec_can::CanError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CanId {
     /// 11-bit base-format identifier.
     Standard(u16),

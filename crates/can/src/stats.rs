@@ -1,11 +1,10 @@
 //! Bus statistics.
 
 use polsec_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Aggregate statistics for a [`crate::CanBus`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BusStats {
     /// Frames that completed transmission on the wire.
     pub frames_transmitted: u64,

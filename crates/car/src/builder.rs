@@ -8,7 +8,7 @@ use crate::components::{
     InfotainmentState, SafetyState, SensorState, Shared, TelematicsState,
 };
 use crate::components::infotainment::SharedEnforcer;
-use crate::messages::{legitimate_reads, legitimate_writes};
+use crate::messages::{legitimate_reads, legitimate_writes, NODE_NAMES};
 use crate::modes::CarMode;
 use crate::security_model::car_policy;
 use polsec_can::{AcceptanceFilter, CanBus, CanFrame, CanId, CanNode, Firmware, NodeHandle};
@@ -136,6 +136,57 @@ pub struct CarStates {
     pub sensors: Shared<SensorState>,
 }
 
+/// The eight Fig. 2 component firmwares in [`NODE_NAMES`] order, with
+/// their state handles: the one assembly both [`CarBuilder::build`] and the
+/// fleet's `Vehicle::build` wire onto their buses. Every component shares
+/// the application policy point `app`; the head unit gets the MAC enforcer
+/// and the EV-ECU the anomaly monitor.
+pub(crate) fn components(
+    app: Option<&AppPolicy>,
+    mac: Option<SharedEnforcer>,
+    monitor: Option<Shared<EcuMonitor>>,
+) -> ([Box<dyn Firmware>; 8], CarStates) {
+    let (ecu_fw, ecu) = ecu_firmware_monitored(app.cloned(), monitor);
+    let (eps_fw, eps) = eps_firmware(app.cloned());
+    let (engine_fw, engine) = engine_firmware(app.cloned());
+    let (tel_fw, telematics) = telematics_firmware(app.cloned());
+    let (info_fw, infotainment) = infotainment_firmware(app.cloned(), mac);
+    let (locks_fw, door_locks) = door_locks_firmware(app.cloned());
+    let (safety_fw, safety) = safety_firmware(app.cloned());
+    let (sensors_fw, sensors) = sensors_firmware();
+    let firmwares = [
+        ecu_fw, eps_fw, engine_fw, tel_fw, info_fw, locks_fw, safety_fw, sensors_fw,
+    ];
+    let states = CarStates {
+        ecu,
+        eps,
+        engine,
+        telematics,
+        infotainment,
+        door_locks,
+        safety,
+        sensors,
+    };
+    (firmwares, states)
+}
+
+/// A node's hardware policy engine lists: its read and write sets from the
+/// communication matrix, nothing else.
+pub(crate) fn hpe_lists_for(node: &str) -> ApprovedLists {
+    let mut lists = ApprovedLists::with_capacity(16);
+    for id in legitimate_reads(node) {
+        lists
+            .allow_read(CanId::Standard(id))
+            .expect("communication matrix fits hpe capacity");
+    }
+    for id in legitimate_writes(node) {
+        lists
+            .allow_write(CanId::Standard(id))
+            .expect("communication matrix fits hpe capacity");
+    }
+    lists
+}
+
 /// The assembled connected car.
 pub struct Car {
     bus: CanBus,
@@ -215,40 +266,11 @@ impl CarBuilder {
         let mac = config.mac.then(head_unit_mac);
         let monitor = config.anomaly.then(|| shared(EcuMonitor::default()));
 
-        let (ecu_fw, ecu) = ecu_firmware_monitored(app.clone(), monitor.clone());
-        let (eps_fw, eps) = eps_firmware(app.clone());
-        let (engine_fw, engine) = engine_firmware(app.clone());
-        let (tel_fw, telematics) = telematics_firmware(app.clone());
-        let (info_fw, infotainment) = infotainment_firmware(app.clone(), mac.clone());
-        let (locks_fw, door_locks) = door_locks_firmware(app.clone());
-        let (safety_fw, safety) = safety_firmware(app.clone());
-        let (sensors_fw, sensors) = sensors_firmware();
-
-        let states = CarStates {
-            ecu,
-            eps,
-            engine,
-            telematics,
-            infotainment,
-            door_locks,
-            safety,
-            sensors,
-        };
-
-        let firmwares: Vec<(&str, Box<dyn Firmware>)> = vec![
-            ("ev-ecu", ecu_fw),
-            ("eps", eps_fw),
-            ("engine", engine_fw),
-            ("telematics", tel_fw),
-            ("infotainment", info_fw),
-            ("door-locks", locks_fw),
-            ("safety-critical", safety_fw),
-            ("sensors", sensors_fw),
-        ];
+        let (firmwares, states) = components(app.as_ref(), mac.clone(), monitor.clone());
 
         let mut nodes = BTreeMap::new();
         let mut hpes = BTreeMap::new();
-        for (name, fw) in firmwares {
+        for (name, fw) in NODE_NAMES.into_iter().zip(firmwares) {
             let mut node = CanNode::with_firmware(name, fw);
             if config.software_filters {
                 let bank = node.controller_mut().filters_mut();
@@ -257,18 +279,7 @@ impl CarBuilder {
                 }
             }
             if config.hpe {
-                let mut lists = ApprovedLists::with_capacity(16);
-                for id in legitimate_reads(name) {
-                    lists
-                        .allow_read(CanId::Standard(id))
-                        .expect("communication matrix fits hpe capacity");
-                }
-                for id in legitimate_writes(name) {
-                    lists
-                        .allow_write(CanId::Standard(id))
-                        .expect("communication matrix fits hpe capacity");
-                }
-                let hpe = HardwarePolicyEngine::new(format!("{name}-hpe"), lists)
+                let hpe = HardwarePolicyEngine::new(format!("{name}-hpe"), hpe_lists_for(name))
                     .with_oem_key(OEM_KEY.to_vec());
                 node.install_interposer(Box::new(hpe.clone()));
                 hpes.insert(name.to_string(), hpe);
@@ -458,7 +469,6 @@ impl Car {
 mod tests {
     use super::*;
     use crate::messages;
-    use crate::messages::NODE_NAMES;
 
     #[test]
     fn builds_all_eight_nodes() {

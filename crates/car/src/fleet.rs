@@ -36,15 +36,9 @@
 
 use crate::anomaly::EcuMonitor;
 use crate::attacks::SpoofFirmware;
-use crate::builder::CarStates;
-use crate::components::{
-    door_locks_firmware, ecu_firmware_monitored, engine_firmware, eps_firmware,
-    infotainment_firmware, lock, safety_firmware, sensors_firmware, shared,
-    telematics_firmware, AppPolicy, Shared,
-};
-use crate::messages::{
-    self, command_frame, legitimate_reads, legitimate_writes, parse_command, Origin,
-};
+use crate::builder::{components, hpe_lists_for, CarStates};
+use crate::components::{lock, shared, AppPolicy, Shared};
+use crate::messages::{self, command_frame, parse_command, Origin, NODE_NAMES};
 use crate::security_model::car_policy;
 use polsec_can::gateway::Segment;
 use polsec_can::{
@@ -401,21 +395,6 @@ impl std::fmt::Debug for Vehicle {
     }
 }
 
-fn hpe_lists_for(node: &str) -> ApprovedLists {
-    let mut lists = ApprovedLists::with_capacity(16);
-    for id in legitimate_reads(node) {
-        lists
-            .allow_read(CanId::Standard(id))
-            .expect("communication matrix fits hpe capacity");
-    }
-    for id in legitimate_writes(node) {
-        lists
-            .allow_write(CanId::Standard(id))
-            .expect("communication matrix fits hpe capacity");
-    }
-    lists
-}
-
 fn segment_hpe_lists(ingress: &[u16], egress: &[u16]) -> ApprovedLists {
     let mut lists = ApprovedLists::with_capacity(16);
     for &id in ingress {
@@ -508,11 +487,12 @@ fn is_attack_id(id: CanId) -> bool {
 }
 
 /// A static description of one vehicle's enforcement ladder: every
-/// per-layer artifact `polsec-analyze`'s Layer-2 coverage analysis needs,
-/// extracted from the same constants and communication matrix that
-/// [`Vehicle::build`] programs into hardware. Nothing here is simulated —
-/// the description is pure data, so a coverage hole found in it is a
-/// property of the configuration, not of any particular run.
+/// per-layer artifact `polsec-analyze`'s Layer-2 coverage analysis needs.
+/// [`Vehicle::build`] programs its node HPEs, gateway whitelist and segment
+/// HPEs from this same value, so the analyzer reads exactly what runs.
+/// Nothing here is simulated — the description is pure data, so a coverage
+/// hole found in it is a property of the configuration, not of any
+/// particular run.
 #[derive(Debug, Clone)]
 pub struct LadderDescription {
     /// The enforcement flags a fleet run would activate.
@@ -525,8 +505,8 @@ pub struct LadderDescription {
     pub cross_a_to_b: Vec<u16>,
     /// Gateway whitelist: identifiers forwarded comfort → powertrain.
     pub cross_b_to_a: Vec<u16>,
-    /// Per-node HPE approved lists, exactly as [`Vehicle::build`] programs
-    /// them from the communication matrix.
+    /// Per-node HPE approved lists, derived from the communication matrix,
+    /// powertrain nodes first.
     pub node_lists: Vec<(&'static str, ApprovedLists)>,
     /// Segment HPE lists on gateway endpoint A (powertrain side): reads
     /// gate what leaves the segment, writes gate what enters it.
@@ -610,82 +590,56 @@ impl Vehicle {
             .anomaly
             .then(|| shared(EcuMonitor::default()));
 
-        let (ecu_fw, ecu) = ecu_firmware_monitored(app.clone(), monitor.clone());
-        let (eps_fw, eps) = eps_firmware(app.clone());
-        let (engine_fw, engine_state) = engine_firmware(app.clone());
-        let (tel_fw, telematics) = telematics_firmware(app.clone());
-        let (info_fw, infotainment) = infotainment_firmware(app.clone(), None);
-        let (locks_fw, door_locks_state) = door_locks_firmware(app.clone());
-        let (safety_fw, safety) = safety_firmware(app.clone());
-        let (sensors_fw, sensors) = sensors_firmware();
+        let (firmwares, states) = components(app.as_ref(), None, monitor.clone());
+        let mut firmwares: BTreeMap<_, _> = NODE_NAMES.into_iter().zip(firmwares).collect();
 
-        let states = CarStates {
-            ecu,
-            eps,
-            engine: engine_state,
-            telematics,
-            infotainment,
-            door_locks: door_locks_state,
-            safety,
-            sensors,
-        };
-
-        let mut firmwares: BTreeMap<&str, Box<dyn polsec_can::Firmware>> = BTreeMap::new();
-        firmwares.insert("ev-ecu", ecu_fw);
-        firmwares.insert("eps", eps_fw);
-        firmwares.insert("engine", engine_fw);
-        firmwares.insert("telematics", tel_fw);
-        firmwares.insert("infotainment", info_fw);
-        firmwares.insert("door-locks", locks_fw);
-        firmwares.insert("safety-critical", safety_fw);
-        firmwares.insert("sensors", sensors_fw);
+        // Wired from the ladder the analyzer checks: the lists are moved
+        // out of the description, not re-derived.
+        let LadderDescription {
+            powertrain_nodes,
+            node_lists,
+            cross_a_to_b,
+            cross_b_to_a,
+            segment_lists_a,
+            segment_lists_b,
+            ..
+        } = ladder_description(cfg);
 
         let mut node_hpes = BTreeMap::new();
-        let mut attach = |bus: &mut CanBus, name: &str, fw: Box<dyn polsec_can::Firmware>| {
+        let (mut nodes_a, mut nodes_b) = (Vec::new(), Vec::new());
+        let (mut door_locks, mut telematics_node) = (None, None);
+        for (name, lists) in node_lists {
+            let fw = firmwares.remove(name).expect("every ladder node has firmware");
             let mut node = CanNode::with_firmware(name, fw);
             if cfg.enforcement.node_hpe {
-                let hpe = HardwarePolicyEngine::new(format!("{name}-hpe"), hpe_lists_for(name));
+                let hpe = HardwarePolicyEngine::new(format!("{name}-hpe"), lists);
                 node.install_interposer(Box::new(hpe.clone()));
                 node_hpes.insert(name.to_string(), hpe);
             }
-            bus.attach(node)
-        };
-
-        let mut nodes_a = Vec::new();
-        let mut door_locks = None;
-        for name in POWERTRAIN_NODES {
-            let fw = firmwares.remove(name).expect("every powertrain node has firmware");
-            let h = attach(&mut powertrain, name, fw);
-            if name == "door-locks" {
-                door_locks = Some(h);
+            let (bus, handles) = if powertrain_nodes.contains(&name) {
+                (&mut powertrain, &mut nodes_a)
+            } else {
+                (&mut comfort, &mut nodes_b)
+            };
+            let h = bus.attach(node);
+            handles.push(h);
+            match name {
+                "door-locks" => door_locks = Some(h),
+                "telematics" => telematics_node = Some(h),
+                _ => {}
             }
-            nodes_a.push(h);
-        }
-        let mut nodes_b = Vec::new();
-        let mut telematics_node = None;
-        for name in COMFORT_NODES {
-            let fw = firmwares.remove(name).expect("every comfort node has firmware");
-            let h = attach(&mut comfort, name, fw);
-            if name == "telematics" {
-                telematics_node = Some(h);
-            }
-            nodes_b.push(h);
         }
         let attacker = comfort.attach(CanNode::new("obd-dongle"));
 
         let mut gateway = Gateway::bridge(&mut powertrain, &mut comfort, "gw");
         if cfg.enforcement.gateway_whitelist {
-            for id in CROSS_A_TO_B {
-                gateway.allow(ForwardRule {
-                    from: Segment::A,
-                    filter: AcceptanceFilter::standard(u32::from(id), 0x7FF),
-                });
-            }
-            for id in CROSS_B_TO_A {
-                gateway.allow(ForwardRule {
-                    from: Segment::B,
-                    filter: AcceptanceFilter::standard(u32::from(id), 0x7FF),
-                });
+            for (from, ids) in [(Segment::A, cross_a_to_b), (Segment::B, cross_b_to_a)] {
+                for id in ids {
+                    gateway.allow(ForwardRule {
+                        from,
+                        filter: AcceptanceFilter::standard(u32::from(id), 0x7FF),
+                    });
+                }
             }
         } else {
             gateway
@@ -701,14 +655,8 @@ impl Vehicle {
 
         let (mut seg_hpe_a, mut seg_hpe_b) = (None, None);
         if cfg.enforcement.segment_hpe {
-            let a = HardwarePolicyEngine::new(
-                "gw-hpe-a",
-                segment_hpe_lists(&CROSS_A_TO_B, &CROSS_B_TO_A),
-            );
-            let b = HardwarePolicyEngine::new(
-                "gw-hpe-b",
-                segment_hpe_lists(&CROSS_B_TO_A, &CROSS_A_TO_B),
-            );
+            let a = HardwarePolicyEngine::new("gw-hpe-a", segment_lists_a);
+            let b = HardwarePolicyEngine::new("gw-hpe-b", segment_lists_b);
             powertrain
                 .node_mut(gateway.endpoint_a())
                 .expect("endpoint a is on the powertrain bus")
@@ -1272,6 +1220,26 @@ mod tests {
         assert!(metrics.counter("gateway.crossed") > 0);
         assert!(metrics.counter("frames.transmitted") >= 300);
         assert!(metrics.histogram_mut("verdict.cycles").is_some());
+    }
+
+    #[test]
+    fn built_vehicle_carries_the_analyzers_lists() {
+        // Runtime and analyzer agree: every HPE the vehicle programs holds
+        // exactly the lists Layer 2 reads from the ladder description.
+        let mut cfg = FleetConfig::new(1, 100);
+        cfg.enforcement = FleetEnforcement::shipped();
+        let ladder = ladder_description(&cfg);
+        let engine = Arc::new(PolicyEngine::from_policy(car_policy()));
+        let vehicle = Vehicle::build(&cfg, 0, engine);
+        assert_eq!(vehicle.node_hpes.len(), ladder.node_lists.len());
+        for (name, lists) in &ladder.node_lists {
+            assert_eq!(&vehicle.node_hpes[*name].lists(), lists, "{name}");
+        }
+        let segment = |hpe: &Option<HardwarePolicyEngine>| {
+            hpe.as_ref().expect("the shipped ladder has segment hpes").lists()
+        };
+        assert_eq!(segment(&vehicle.seg_hpe_a), ladder.segment_lists_a);
+        assert_eq!(segment(&vehicle.seg_hpe_b), ladder.segment_lists_b);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! * [`components`] — firmware state machines for EV-ECU, EPS, engine,
 //!   telematics, infotainment, door locks, safety-critical system, sensors,
 //! * [`builder`] — assembles a [`Car`] under an [`EnforcementConfig`]
-//!   (software filters / application policy checks / HPE),
+//!   (software filters / application policy checks / HPE) from the one
+//!   component assembly the fleet [`Vehicle`] also uses,
 //! * [`threats`] — Table I transcribed: all sixteen threats with the
 //!   paper's exact STRIDE strings, DREAD vectors and R/W policies,
 //! * [`security_model`] — the car use case → threat-model pipeline →

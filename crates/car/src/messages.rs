@@ -12,7 +12,6 @@
 //! underneath.
 
 use polsec_can::{CanError, CanFrame, CanId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Safety-critical event broadcast (crash detected, airbags fired).
@@ -106,7 +105,7 @@ pub const ALL_IDS: [u16; 26] = [
 ];
 
 /// The claimed origin of a command frame (`payload[1]`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Origin {
     /// A physical control (key, handle, button).
     Manual,

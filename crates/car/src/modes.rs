@@ -5,11 +5,10 @@
 //! Normal, Remote Diagnostic and Fail-safe.
 
 use polsec_model::OperatingMode;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One of the paper's three car modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CarMode {
     /// Standard vehicle functionality (driving, parked).
     #[default]

@@ -3,11 +3,10 @@
 use crate::attacks::AttackId;
 use crate::builder::{CarBuilder, EnforcementConfig};
 use crate::modes::CarMode;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The judged outcome of one attack run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttackOutcome {
     /// The attack achieved its objective.
     Succeeded,
@@ -42,7 +41,7 @@ impl fmt::Display for AttackOutcome {
 }
 
 /// The record of one attack run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttackReport {
     /// The Table I threat id.
     pub threat_id: String,

@@ -4,12 +4,11 @@
 //! supports execute (for the infotainment privilege-escalation scenarios)
 //! and configure (for filter/policy reconfiguration attempts).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// One access verb.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Action {
     /// Read data from the object.
     Read,
@@ -66,7 +65,7 @@ impl FromStr for Action {
 /// assert!(!rw.contains(Action::Execute));
 /// assert_eq!(rw.to_string(), "read, write");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ActionSet {
     bits: u8,
 }

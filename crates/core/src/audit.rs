@@ -6,12 +6,11 @@
 
 use crate::policy::Effect;
 use crate::request::AccessRequest;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
 /// One audited decision.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuditRecord {
     /// Monotonic sequence number.
     pub seq: u64,
@@ -41,7 +40,7 @@ impl fmt::Display for AuditRecord {
 }
 
 /// A bounded ring buffer of [`AuditRecord`]s with aggregate counters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AuditLog {
     records: VecDeque<AuditRecord>,
     capacity: usize,

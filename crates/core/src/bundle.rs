@@ -12,7 +12,6 @@ use crate::dsl::{parse_policies, print_policy};
 use crate::error::PolicyError;
 use crate::policy::Policy;
 use crate::sign::{digests_equal, from_hex, hmac_sha256, to_hex};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Magic first line of the canonical payload.
@@ -51,7 +50,7 @@ fn unescape_line(s: &str) -> String {
 }
 
 /// An unsigned policy update bundle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicyBundle {
     /// Monotonically increasing bundle version.
     pub version: u64,
@@ -155,7 +154,7 @@ impl fmt::Display for PolicyBundle {
 }
 
 /// A signed bundle as distributed to devices.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignedBundle {
     payload: Vec<u8>,
     signature_hex: String,

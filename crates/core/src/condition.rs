@@ -7,7 +7,6 @@
 //! composable with boolean operators.
 
 use crate::request::EvalContext;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A provider of live event rates, consulted by
@@ -23,8 +22,7 @@ pub trait RateSource {
 }
 
 /// A predicate over the evaluation context.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[derive(Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub enum Condition {
     /// Always true (the default for unconditional rules).
     #[default]

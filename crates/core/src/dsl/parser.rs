@@ -7,10 +7,17 @@ use crate::entity::{EntityMatcher, Pattern};
 use crate::error::PolicyError;
 use crate::policy::{Effect, Policy, Rule};
 
+/// Deepest nesting of `!` and `(` a condition may use. The parser recurses
+/// once per level, so without a bound a hostile file of nested parentheses
+/// overflows the stack; shipped policies nest a few levels at most.
+const MAX_CONDITION_DEPTH: u32 = 64;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     auto_rule_id: u32,
+    /// Current `!`/`(` nesting inside a condition.
+    depth: u32,
 }
 
 impl Parser {
@@ -19,6 +26,7 @@ impl Parser {
             tokens,
             pos: 0,
             auto_rule_id: 0,
+            depth: 0,
         }
     }
 
@@ -277,17 +285,26 @@ impl Parser {
     }
 
     fn cond_not(&mut self) -> Result<Condition, PolicyError> {
-        if self.peek() == Some(&TokenKind::Bang) {
-            self.pos += 1;
-            return Ok(Condition::Not(Box::new(self.cond_not()?)));
+        let negated = match self.peek() {
+            Some(TokenKind::Bang) => true,
+            Some(TokenKind::LParen) => false,
+            _ => return self.cond_atom(),
+        };
+        if self.depth == MAX_CONDITION_DEPTH {
+            return Err(self.err(&format!(
+                "a condition nested at most {MAX_CONDITION_DEPTH} deep"
+            )));
         }
-        if self.peek() == Some(&TokenKind::LParen) {
-            self.pos += 1;
-            let inner = self.cond_or()?;
-            self.expect(&TokenKind::RParen, "')'")?;
-            return Ok(inner);
-        }
-        self.cond_atom()
+        self.pos += 1;
+        self.depth += 1;
+        let cond = if negated {
+            self.cond_not().map(|c| Condition::Not(Box::new(c)))
+        } else {
+            self.cond_or()
+                .and_then(|inner| self.expect(&TokenKind::RParen, "')'").map(|()| inner))
+        };
+        self.depth -= 1;
+        cond
     }
 
     fn cond_atom(&mut self) -> Result<Condition, PolicyError> {
@@ -338,7 +355,8 @@ impl Parser {
 /// Parses a single `policy` block.
 ///
 /// # Errors
-/// [`PolicyError::Lex`] / [`PolicyError::Parse`] with 1-based line numbers;
+/// [`PolicyError::Lex`] / [`PolicyError::Parse`] with 1-based line numbers
+/// (also for a condition nested more than 64 `!`/`(` levels deep);
 /// [`PolicyError::DuplicateRule`] for repeated `as` ids.
 pub fn parse_policy(src: &str) -> Result<Policy, PolicyError> {
     let mut p = Parser::new(tokenize(src)?);
@@ -588,5 +606,48 @@ mod tests {
                 max_per_sec: 100
             }))
         );
+    }
+
+    fn nested_rule(open: &str, close: &str, depth: usize) -> String {
+        format!(
+            "policy \"p\" version 1 {{\n  allow read on a:b from c:d when {}true{};\n}}",
+            open.repeat(depth),
+            close.repeat(depth)
+        )
+    }
+
+    #[test]
+    fn deep_condition_nesting_is_a_parse_error_not_a_crash() {
+        // Each level is one parser frame: 10 000 of them would overflow the
+        // 2 MB test-thread stack if the depth were unbounded.
+        for (open, close) in [("!", ""), ("(", ")")] {
+            match parse_policy(&nested_rule(open, close, 10_000)) {
+                Err(PolicyError::Parse { line, expected, .. }) => {
+                    assert_eq!(line, 2, "{open}");
+                    assert!(expected.contains("nested at most 64"), "{expected}");
+                }
+                other => panic!("{open} x 10000: {other:?}"),
+            }
+            assert!(parse_policies(&nested_rule(open, close, 10_000)).is_err());
+            assert!(parse_policy(&nested_rule(open, close, 65)).is_err());
+        }
+    }
+
+    #[test]
+    fn condition_nesting_at_the_limit_parses() {
+        let p = parse_policy(&nested_rule("(", ")", 64)).unwrap();
+        assert_eq!(p.rules()[0].condition(), &Condition::Always);
+        let p = parse_policy(&nested_rule("!", "", 64)).unwrap();
+        let mut cond = p.rules()[0].condition();
+        for _ in 0..64 {
+            let Condition::Not(inner) = cond else {
+                panic!("expected 64 negations, got {cond:?}");
+            };
+            cond = inner;
+        }
+        assert_eq!(cond, &Condition::Always);
+        // `!` and `(` levels share one budget
+        assert!(parse_policy(&nested_rule("!(", ")", 32)).is_ok());
+        assert!(parse_policy(&nested_rule("!(", ")", 32).replacen("when ", "when !", 1)).is_err());
     }
 }

@@ -41,14 +41,13 @@ use crate::error::PolicyError;
 use crate::intern::Symbol;
 use crate::policy::{Effect, PolicySet, Rule};
 use crate::request::{AccessRequest, EvalContext};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
 
 /// How applying rules combine into one decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CombiningStrategy {
     /// Deny if any applying rule denies (least privilege). The default.
     #[default]
@@ -71,7 +70,7 @@ impl fmt::Display for CombiningStrategy {
 }
 
 /// Why a decision came out the way it did (reason text is derived lazily).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ReasonKind {
     Default,
     FirstMatch,
@@ -85,14 +84,14 @@ enum ReasonKind {
 /// Decisions are `Copy`: the determining rule is referenced by its interned
 /// `policy.rule` name and the explanation string is built on demand by
 /// [`Decision::reason`], not allocated per decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Decision {
     effect: Effect,
     rule: Option<RuleTag>,
     kind: ReasonKind,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct RuleTag {
     qualified: &'static str,
     id: &'static str,
@@ -389,7 +388,7 @@ fn write<T>(l: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
 }
 
 /// Evaluation statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Total decisions taken.
     pub decisions: u64,

@@ -14,7 +14,6 @@
 
 use crate::error::PolicyError;
 use crate::intern::Symbol;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A concrete namespaced entity name.
@@ -28,7 +27,7 @@ use std::fmt;
 /// assert_eq!(e.numeric_name(), Some(0x1A0));
 /// # Ok::<(), polsec_core::PolicyError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EntityId {
     namespace: Symbol,
     name: Symbol,
@@ -114,7 +113,7 @@ fn parse_number(s: &str) -> Option<u32> {
 }
 
 /// How a rule matches an entity's name within a namespace.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Pattern {
     /// Matches any name (`*`).
     Any,
@@ -190,7 +189,7 @@ impl fmt::Display for Pattern {
 ///
 /// The namespace constraint is stored interned, so the namespace test on
 /// the match path is a single integer comparison.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EntityMatcher {
     namespace: Option<Symbol>,
     pattern: Pattern,

@@ -1,10 +1,9 @@
 //! Error type for the policy crate.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors produced by policy construction, parsing, compilation and updates.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PolicyError {
     /// An entity string was not of the form `namespace:name`.
     MalformedEntity {

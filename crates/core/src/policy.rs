@@ -6,12 +6,11 @@ use crate::entity::EntityMatcher;
 use crate::error::PolicyError;
 use crate::intern::Symbol;
 use crate::request::{AccessRequest, EvalContext};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// The outcome a rule (or the engine) prescribes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Effect {
     /// Access granted.
     Allow,
@@ -50,7 +49,7 @@ impl fmt::Display for Effect {
 /// applying rule contributes its [`Effect`] under the engine's combining
 /// strategy. Priority orders rules under the priority-order strategy
 /// (higher wins).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rule {
     id: Symbol,
     effect: Effect,
@@ -177,7 +176,7 @@ impl fmt::Display for Rule {
 }
 
 /// A named, versioned collection of rules with a default effect.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Policy {
     name: String,
     version: u64,
@@ -266,7 +265,7 @@ impl fmt::Display for Policy {
 ///
 /// The set's default effect is deny if *any* member policy defaults to deny
 /// (least privilege wins); rules keep their owning policy's name for audit.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PolicySet {
     policies: Vec<Policy>,
 }

@@ -3,7 +3,6 @@
 use crate::action::Action;
 use crate::entity::EntityId;
 use crate::intern::Symbol;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -22,7 +21,7 @@ use std::fmt;
 /// );
 /// assert_eq!(r.to_string(), "entry:telematics --write--> asset:door-locks");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AccessRequest {
     subject: EntityId,
     object: EntityId,
@@ -65,7 +64,7 @@ impl fmt::Display for AccessRequest {
 /// per-key counters during rule evaluation and falls back to the rates set
 /// here. The operating mode is interned so the engine's decision-cache key
 /// can include it without touching strings.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct EvalContext {
     mode: Option<Symbol>,
     state: BTreeMap<String, String>,

@@ -9,7 +9,6 @@
 use crate::bundle::SignedBundle;
 use crate::error::PolicyError;
 use crate::policy::PolicySet;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Update records a [`DevicePolicyStore`] keeps: the newest this many.
@@ -18,7 +17,7 @@ use std::fmt;
 pub const HISTORY_LIMIT: usize = 64;
 
 /// One entry in the device's update history.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UpdateRecord {
     /// Version installed by this event.
     pub version: u64,
@@ -29,7 +28,7 @@ pub struct UpdateRecord {
 }
 
 /// Result classification for an update attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UpdateOutcome {
     /// The bundle verified and was installed.
     Applied,

@@ -9,11 +9,10 @@
 //! * **parallel** — all entries compared in one cycle (TCAM-style): constant
 //!   cost regardless of bank size.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A lookup cost model in clock cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CostModel {
     /// Serial comparator: `base + per_entry × entries_examined`.
     Serial {

@@ -7,11 +7,10 @@
 use crate::cost::CostModel;
 use crate::lists::ApprovedList;
 use polsec_can::CanId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The outcome of one decision-block comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Verdict {
     /// Whether access was granted.
     pub granted: bool,
@@ -37,7 +36,7 @@ impl fmt::Display for Verdict {
 }
 
 /// A decision block bound to a cost model.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecisionBlock {
     cost: CostModel,
 }

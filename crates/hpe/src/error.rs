@@ -1,10 +1,9 @@
 //! Error type for the HPE crate.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors produced by HPE configuration and operation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HpeError {
     /// An approved list is at hardware capacity.
     ListFull {

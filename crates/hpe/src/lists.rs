@@ -8,7 +8,6 @@
 
 use crate::error::HpeError;
 use polsec_can::{AcceptanceFilter, CanId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Default hardware capacity per list (entries).
@@ -19,7 +18,7 @@ pub const DEFAULT_CAPACITY: usize = 16;
 /// Unlike the controller's [`FilterBank`](polsec_can::FilterBank), an empty
 /// approved list **blocks everything** — the HPE is deny-by-default, the
 /// least-privilege stance of the paper.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ApprovedList {
     entries: Vec<AcceptanceFilter>,
     capacity: usize,
@@ -116,7 +115,7 @@ impl fmt::Display for ApprovedList {
 /// "The HPE consists of a separate hardware-based reading filter and writing
 /// filter, which facilitates curtailment of both inside … and outside …
 /// attacks."
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ApprovedLists {
     read: ApprovedList,
     write: ApprovedList,

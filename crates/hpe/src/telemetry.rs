@@ -1,11 +1,10 @@
 //! HPE telemetry counters.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Counters the HPE exposes for monitoring and for the experiments.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HpeTelemetry {
     /// Frames granted on the read path.
     pub read_granted: u64,

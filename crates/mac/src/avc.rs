@@ -10,7 +10,6 @@
 //! verdict cache (DESIGN.md §6).
 
 use polsec_core::Symbol;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -55,7 +54,7 @@ impl Hasher for AvcKeyHasher {
 type AvcBuildHasher = BuildHasherDefault<AvcKeyHasher>;
 
 /// Cache statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AvcStats {
     /// Lookups answered from cache.
     pub hits: u64,

@@ -2,7 +2,6 @@
 
 use crate::error::MacError;
 use polsec_core::Symbol;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A `user:role:type` security label, as carried by every subject and
@@ -17,7 +16,7 @@ use std::fmt;
 /// assert_eq!(c.type_(), "telematics_t");
 /// # Ok::<(), polsec_mac::MacError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SecurityContext {
     user: String,
     role: String,

@@ -9,11 +9,10 @@ use crate::avc::{AccessVector, Avc, AvcStats};
 use crate::context::SecurityContext;
 use crate::policy::MacPolicy;
 use polsec_core::Symbol;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Enforcing vs permissive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EnforcementMode {
     /// Denials are enforced.
     #[default]
@@ -32,7 +31,7 @@ impl fmt::Display for EnforcementMode {
 }
 
 /// The outcome of one check.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckResult {
     permitted: bool,
     policy_allowed: bool,
@@ -58,7 +57,7 @@ impl CheckResult {
 }
 
 /// One audit log line (an `avc: denied`/`granted` message).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AvcMessage {
     /// `true` for grants (auditallow), `false` for denials.
     pub granted: bool,

@@ -1,10 +1,9 @@
 //! Error type for the MAC crate.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors produced by MAC policy construction and loading.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MacError {
     /// A security context string was not `user:role:type`.
     MalformedContext {

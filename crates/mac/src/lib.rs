@@ -15,8 +15,6 @@
 //!   invalidation (benched in E5),
 //! * [`Enforcer`] — enforcing/permissive check entry point with AVC audit
 //!   messages,
-//! * [`anomaly`] — the "identifying anomalous behaviour" hook: rate and
-//!   n-gram sequence detectors over the event stream,
 //! * [`adapter`] — compiles `polsec-core` process-facing policies into a
 //!   [`PolicyModule`], so one threat model drives both enforcement points.
 //!
@@ -45,7 +43,6 @@
 #![warn(missing_docs)]
 
 pub mod adapter;
-pub mod anomaly;
 pub mod avc;
 pub mod context;
 pub mod enforcer;
@@ -54,7 +51,6 @@ pub mod policy;
 pub mod te;
 
 pub use adapter::module_from_core_policy;
-pub use anomaly::{AnomalyDetector, NGramDetector, RateDetector};
 pub use avc::{AccessVector, Avc, AvcExportEntry, AvcStats};
 pub use context::SecurityContext;
 pub use enforcer::{CheckResult, Enforcer, EnforcementMode};

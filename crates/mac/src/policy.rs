@@ -9,12 +9,11 @@
 
 use crate::error::MacError;
 use crate::te::{TeKind, TeRule, TypeTransition};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// A loadable policy module.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PolicyModule {
     name: String,
     version: u64,
@@ -100,7 +99,7 @@ impl fmt::Display for PolicyModule {
 }
 
 /// The linked policy: all loaded modules.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MacPolicy {
     modules: Vec<PolicyModule>,
     /// Monotonic counter bumped on every load/unload; the AVC uses it to

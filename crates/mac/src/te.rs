@@ -1,11 +1,10 @@
 //! Type-enforcement rules.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// The kind of a TE rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TeKind {
     /// Grants the permissions.
     Allow,
@@ -31,7 +30,7 @@ impl fmt::Display for TeKind {
 
 /// One type-enforcement rule:
 /// `<kind> source_t target_t : class { perm… };`
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TeRule {
     kind: TeKind,
     source: String,
@@ -138,7 +137,7 @@ impl fmt::Display for TeRule {
 
 /// A `type_transition` rule: executing a file of `entry_type` from domain
 /// `source` lands the new process in `new_type`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TypeTransition {
     /// The executing domain.
     pub source: String,

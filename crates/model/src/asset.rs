@@ -4,11 +4,10 @@
 //! value an adversary may target. Each asset carries a criticality grade
 //! that drives countermeasure prioritisation.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A stable identifier for an asset (kebab-case by convention).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AssetId(String);
 
 impl AssetId {
@@ -36,7 +35,7 @@ impl From<&str> for AssetId {
 }
 
 /// How severe the consequences of compromising an asset are.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Criticality {
     /// Inconvenience only (e.g. media playback).
     Low,
@@ -70,7 +69,7 @@ impl fmt::Display for Criticality {
 /// assert_eq!(a.id().as_str(), "ev-ecu");
 /// assert_eq!(a.criticality(), Criticality::SafetyCritical);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Asset {
     id: AssetId,
     name: String,

@@ -6,10 +6,9 @@
 //! mapping and answers queries threats use to propose countermeasures.
 
 use crate::stride::{StrideCategory, StrideSet};
-use serde::{Deserialize, Serialize};
 
 /// A canonical mitigation suggestion for a STRIDE category.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mitigation {
     /// The STRIDE category addressed.
     pub category: StrideCategory,
@@ -20,7 +19,7 @@ pub struct Mitigation {
 }
 
 /// A queryable catalog of standard mitigations per STRIDE category.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ThreatCatalog {
     mitigations: Vec<Mitigation>,
 }

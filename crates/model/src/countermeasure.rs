@@ -14,12 +14,11 @@
 use crate::asset::AssetId;
 use crate::entry_point::EntryPointId;
 use crate::mode::OperatingMode;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The access the derived policy permits at an entry point — the "Policy"
 /// column of Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PermissionHint {
     /// `R` — reads of the asset are permitted; writes are denied.
     Read,
@@ -64,7 +63,7 @@ impl fmt::Display for PermissionHint {
 
 /// A machine-readable policy specification derived from a threat — the
 /// bridge between the threat model and `polsec-core`'s compiler.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PolicySpec {
     /// The asset the policy protects.
     pub asset: AssetId,
@@ -97,7 +96,7 @@ impl fmt::Display for PolicySpec {
 }
 
 /// A countermeasure against a threat.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Countermeasure {
     /// A design-time guideline (the traditional approach of §V.A.1).
     Guideline {
@@ -145,7 +144,7 @@ impl fmt::Display for Countermeasure {
 /// experiment is the *ratio* between the two paths, which the paper claims
 /// is large ("significantly faster and easier … than a software redesign or
 /// product recall").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RemediationCost {
     /// Re-running threat/security modelling.
     pub analysis_days: u32,

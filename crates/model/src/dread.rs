@@ -7,7 +7,6 @@
 //! [`DreadScore`] reproduces that exact notation and arithmetic.
 
 use crate::error::ModelError;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::str::FromStr;
@@ -25,7 +24,7 @@ pub const MAX_COMPONENT: u8 = 10;
 /// assert_eq!(d.to_string(), "8,6,7,8,5 (6.8)");
 /// # Ok::<(), polsec_model::ModelError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DreadScore {
     damage: u8,
     reproducibility: u8,
@@ -187,7 +186,7 @@ impl FromStr for DreadScore {
 }
 
 /// Qualitative risk bands over the DREAD average.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RiskRating {
     /// Average below 3.
     Low,

@@ -5,11 +5,10 @@
 //! (paper §II). Each entry point names the interface class it belongs to so
 //! policies can be scoped per interface kind.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A stable identifier for an entry point.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EntryPointId(String);
 
 impl EntryPointId {
@@ -37,7 +36,7 @@ impl From<&str> for EntryPointId {
 }
 
 /// The class of interface an entry point belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InterfaceKind {
     /// Wide-area network access (3G/4G/WiFi in the case study).
     Network,
@@ -75,7 +74,7 @@ impl fmt::Display for InterfaceKind {
 /// let ep = EntryPoint::new("telematics", "3G/4G/WiFi", InterfaceKind::Network);
 /// assert_eq!(ep.kind(), InterfaceKind::Network);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EntryPoint {
     id: EntryPointId,
     name: String,

@@ -1,10 +1,9 @@
 //! Error type for the threat-modelling crate.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors produced while building or validating threat models.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ModelError {
     /// A DREAD component score exceeded the 0–10 scale.
     ScoreOutOfRange {

@@ -6,7 +6,6 @@
 //! (which modes a threat applies in) and policies (mode-conditional rules),
 //! so the model keeps them generic: any string-named mode works.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A named operating mode of the system under analysis.
@@ -17,7 +16,7 @@ use std::fmt;
 /// let normal = OperatingMode::new("normal");
 /// assert_eq!(normal.name(), "normal");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OperatingMode(String);
 
 impl OperatingMode {

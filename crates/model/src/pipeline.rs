@@ -14,11 +14,10 @@ use crate::countermeasure::{Countermeasure, PolicySpec};
 use crate::risk::{RiskMatrix, RiskQuadrant};
 use crate::threat::ThreatId;
 use crate::usecase::UseCase;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A report from one pipeline stage.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageReport {
     /// The stage name as in Fig. 1.
     pub stage: String,
@@ -40,7 +39,7 @@ impl fmt::Display for StageReport {
 }
 
 /// The pipeline's output: the device security model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SecurityModel {
     use_case: UseCase,
     stages: Vec<StageReport>,

@@ -8,12 +8,11 @@
 
 use crate::dread::DreadScore;
 use crate::threat::Threat;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Qualitative likelihood derived from DREAD's reproducibility,
 /// exploitability and discoverability components.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Likelihood {
     /// Mean of the three likelihood components below 3.
     Rare,
@@ -54,7 +53,7 @@ impl fmt::Display for Likelihood {
 }
 
 /// Position in the 2×2 risk matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RiskQuadrant {
     /// Low likelihood, low impact — accept / best practices.
     Monitor,
@@ -79,7 +78,7 @@ impl fmt::Display for RiskQuadrant {
 }
 
 /// A likelihood×impact classifier with configurable thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RiskMatrix {
     /// Likelihood proxy at or above this value counts as "high likelihood".
     pub likelihood_threshold: f64,

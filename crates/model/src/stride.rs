@@ -9,12 +9,11 @@
 //! `"STIDE"`; [`StrideSet`] parses and prints exactly that notation.
 
 use crate::error::ModelError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// One STRIDE category.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum StrideCategory {
     /// Illegitimately assuming another identity (violates authentication).
     Spoofing,
@@ -108,7 +107,7 @@ impl fmt::Display for StrideCategory {
 /// assert!(s.contains(StrideCategory::DenialOfService));
 /// # Ok::<(), polsec_model::ModelError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct StrideSet {
     bits: u8,
 }

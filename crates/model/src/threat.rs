@@ -11,11 +11,10 @@ use crate::dread::DreadScore;
 use crate::entry_point::EntryPointId;
 use crate::mode::OperatingMode;
 use crate::stride::StrideSet;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A stable identifier for a threat.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ThreatId(String);
 
 impl ThreatId {
@@ -59,7 +58,7 @@ impl From<&str> for ThreatId {
 /// assert_eq!(t.dread().average_1dp(), 5.4);
 /// # Ok::<(), polsec_model::ModelError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Threat {
     id: ThreatId,
     description: String,

@@ -11,11 +11,10 @@ use crate::entry_point::{EntryPoint, EntryPointId};
 use crate::error::ModelError;
 use crate::mode::OperatingMode;
 use crate::threat::{Threat, ThreatId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A validated application use case.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UseCase {
     name: String,
     description: String,

@@ -47,7 +47,7 @@ pub mod time;
 pub mod trace;
 
 pub use event::{EventQueue, Scheduler};
-pub use metrics::{json_quote, Counter, Histogram, MetricSet};
+pub use metrics::{json_quote, Histogram, MetricSet};
 pub use plane::{
     run_epochs, run_epochs_faulted, Address, Envelope, EpochCtx, FaultPlan, MessagePlane, Outbox,
 };

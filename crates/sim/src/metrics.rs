@@ -4,9 +4,7 @@
 //! output tables are produced uniformly. Histograms store raw samples (the
 //! experiments here are small enough that exact percentiles beat bucketing).
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::fmt;
 
 /// Renders `s` as a JSON string literal (quoted, `"`/`\` and control
 /// characters escaped). Shared by [`MetricSet::to_json`] and every other
@@ -24,63 +22,11 @@ pub fn json_quote(s: &str) -> String {
     format!("\"{escaped}\"")
 }
 
-/// A monotonically increasing named counter.
-///
-/// # Example
-/// ```
-/// use polsec_sim::Counter;
-/// let mut blocked = Counter::new("blocked");
-/// blocked.incr();
-/// blocked.add(4);
-/// assert_eq!(blocked.value(), 5);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counter {
-    name: String,
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter with the given name.
-    pub fn new(name: impl Into<String>) -> Self {
-        Counter {
-            name: name.into(),
-            value: 0,
-        }
-    }
-
-    /// Increments by one.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current value.
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-
-    /// The counter's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}={}", self.name, self.value)
-    }
-}
-
 /// An exact-sample histogram of `u64` observations.
 ///
 /// Keeps every sample; suited to the 1e3–1e6-sample scale of the experiments
 /// in this workspace.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Histogram {
     samples: Vec<u64>,
     sorted: bool,
@@ -187,7 +133,7 @@ impl Histogram {
 
 /// A named collection of counters and histograms, the standard report shape
 /// for harness binaries.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricSet {
     counters: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Histogram>,
@@ -424,16 +370,6 @@ impl MetricSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new("x");
-        c.incr();
-        c.add(9);
-        assert_eq!(c.value(), 10);
-        assert_eq!(c.to_string(), "x=10");
-        assert_eq!(c.name(), "x");
-    }
 
     #[test]
     fn histogram_empty_behaviour() {

@@ -5,7 +5,6 @@
 //! accumulation error) and is fine-grained enough for CAN bit times: at
 //! 500 kbit/s one bit is 2 µs.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -20,11 +19,11 @@ use std::ops::{Add, AddAssign, Sub};
 /// let t = SimTime::ZERO + SimDuration::millis(3);
 /// assert_eq!(t.as_micros(), 3_000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in microseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

@@ -21,7 +21,6 @@
 
 use crate::rng::splitmix64_mix;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -37,7 +36,7 @@ pub fn sampled(seed: u64, seq: u64, every: u64) -> bool {
 
 /// One record in a simulation trace: a timestamp, a category tag and a
 /// human-readable message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceRecord {
     /// When the event happened in simulated time.
     pub time: SimTime,
@@ -67,7 +66,7 @@ impl fmt::Display for TraceRecord {
 /// assert!(tr.find("a").is_some());
 /// assert!(tr.find("c").is_none());
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Trace {
     records: VecDeque<TraceRecord>,
     capacity: usize,

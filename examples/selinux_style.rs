@@ -6,8 +6,7 @@
 //! Run with: `cargo run --example selinux_style`
 
 use polsec::mac::{
-    AnomalyDetector, EnforcementMode, Enforcer, MacPolicy, NGramDetector, PolicyModule,
-    SecurityContext, TeRule, TypeTransition,
+    EnforcementMode, Enforcer, MacPolicy, PolicyModule, SecurityContext, TeRule, TypeTransition,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -62,21 +61,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // into the confined updater domain.
     let updater = enforcer.exec_transition(&browser, "updater_exec_t");
     println!("exec transition: {browser} -> {updater}");
-
-    // Anomaly hook: learn the browser's benign syscall-like sequence, then
-    // flag the exploit's novel one.
-    let mut detector = NGramDetector::new(3);
-    for _ in 0..10 {
-        for ev in ["open", "read", "render", "close"] {
-            detector.observe("browser", ev, 0);
-        }
-    }
-    detector.finish_training();
-    let exploit_seq = ["open", "read", "mmap-exec"];
-    let flagged = exploit_seq
-        .iter()
-        .any(|ev| detector.observe("browser", ev, 0));
-    println!("exploit sequence flagged by n-gram detector: {flagged}");
     println!("avc stats: {:?}", enforcer.avc_stats());
     Ok(())
 }

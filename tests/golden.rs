@@ -6,14 +6,18 @@
 //! adds up to, wire corruption, the gateway and per-rung counters, and the
 //! V2X plane, ladder and OTA counters, so a refactor that claims "no
 //! behaviour change" is checked against recorded output rather than
-//! against itself.
+//! against itself. `tests/golden/e1_matrix.txt` pins the single-bus car's
+//! E1 attack matrix the same way: every cell's outcome and enforcement
+//! evidence, not only whether the attack was blocked.
 //!
 //! A fixture may only be regenerated for an intended behaviour change, and
 //! the reason goes into CHANGES.md. The new content is the `left` side of a
-//! failing assertion, written as one line plus a trailing newline.
+//! failing assertion plus a trailing newline: one line for a JSON section,
+//! one line per cell for the E1 matrix.
 
 use polsec::car::fleet::{run_fleet, FleetConfig, FleetEnforcement, FleetErrorModel};
 use polsec::car::v2x::{run_v2x, V2xConfig};
+use polsec::car::{AttackId, EnforcementConfig, ScenarioRunner};
 use polsec::sim::FaultPlan;
 
 fn fleet(enforcement: FleetEnforcement, error_model: Option<FleetErrorModel>) -> String {
@@ -60,20 +64,50 @@ fn v2x_chaos() -> String {
     run_v2x(&cfg).metrics.to_json()
 }
 
-fn assert_golden(name: &str, actual: String) {
-    let path = format!("{}/tests/golden/{name}.json", env!("CARGO_MANIFEST_DIR"));
+/// Every Table I attack in its natural mode under the six standard
+/// configurations plus `full+anomaly`, one cell per line.
+fn e1_matrix() -> String {
+    let runner = ScenarioRunner::new(42);
+    let mut configs = ScenarioRunner::standard_configs().to_vec();
+    configs.push(EnforcementConfig::full_with_anomaly());
+    let mut out = String::new();
+    for attack in AttackId::ALL {
+        for &config in &configs {
+            let r = runner.run(attack, attack.natural_mode(), config);
+            out.push_str(&format!(
+                "{} {} {} {} hpe_blocked={} policy_rejections={} tamper_attempts={}\n",
+                r.threat_id,
+                r.mode,
+                r.config,
+                r.outcome,
+                r.hpe_blocked,
+                r.policy_rejections,
+                r.tamper_attempts
+            ));
+        }
+    }
+    out
+}
+
+fn assert_golden(file: &str, actual: String) {
+    let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
     let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
     assert_eq!(
-        actual,
+        actual.trim_end(),
         expected.trim_end(),
-        "{name}: deterministic section drifted from {path}"
+        "{file}: deterministic section drifted from {path}"
     );
 }
 
 #[test]
 fn deterministic_sections_match_the_golden_fixtures() {
-    assert_golden("fleet_shipped", fleet_shipped());
-    assert_golden("fleet_baseline_errors", fleet_baseline_errors());
-    assert_golden("v2x_full", v2x_full());
-    assert_golden("v2x_chaos", v2x_chaos());
+    assert_golden("fleet_shipped.json", fleet_shipped());
+    assert_golden("fleet_baseline_errors.json", fleet_baseline_errors());
+    assert_golden("v2x_full.json", v2x_full());
+    assert_golden("v2x_chaos.json", v2x_chaos());
+}
+
+#[test]
+fn e1_attack_matrix_matches_the_golden_fixture() {
+    assert_golden("e1_matrix.txt", e1_matrix());
 }
