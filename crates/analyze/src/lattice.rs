@@ -47,8 +47,21 @@ pub fn actions_overlap(a: ActionSet, b: ActionSet) -> bool {
 /// Conservative condition implication: `true` means every context
 /// satisfying `c1` satisfies `c2`. `false` means "could not prove it" —
 /// the relation is sound for shadowing (a missed implication only
-/// suppresses a finding).
+/// suppresses a finding). The search takes at most [`crate::SEARCH_STEPS`]
+/// steps and answers `false` when it runs out.
 pub fn condition_implies(c1: &Condition, c2: &Condition) -> bool {
+    let mut steps = crate::SEARCH_STEPS;
+    implies(c1, c2, &mut steps)
+}
+
+/// [`condition_implies`] with a shared step budget. The rules only combine
+/// sub-answers with "any" and "all", so a sub-search cut short (`false`)
+/// can turn a proof into "could not prove it", never the reverse.
+fn implies(c1: &Condition, c2: &Condition, steps: &mut u32) -> bool {
+    if *steps == 0 {
+        return false;
+    }
+    *steps -= 1;
     if matches!(c2, Condition::Always) || c1 == c2 {
         return true;
     }
@@ -61,17 +74,17 @@ pub fn condition_implies(c1: &Condition, c2: &Condition) -> bool {
     }
     // A conjunction implies anything one of its conjuncts implies.
     if let Condition::All(xs) = c1 {
-        if xs.iter().any(|x| condition_implies(x, c2)) {
+        if xs.iter().any(|x| implies(x, c2, steps)) {
             return true;
         }
     }
     // A disjunction implies c2 iff every arm does.
     if let Condition::AnyOf(xs) = c1 {
-        return !xs.is_empty() && xs.iter().all(|x| condition_implies(x, c2));
+        return !xs.is_empty() && xs.iter().all(|x| implies(x, c2, steps));
     }
     match c2 {
-        Condition::AnyOf(ys) => ys.iter().any(|y| condition_implies(c1, y)),
-        Condition::All(ys) => !ys.is_empty() && ys.iter().all(|y| condition_implies(c1, y)),
+        Condition::AnyOf(ys) => ys.iter().any(|y| implies(c1, y, steps)),
+        Condition::All(ys) => !ys.is_empty() && ys.iter().all(|y| implies(c1, y, steps)),
         _ => false,
     }
 }

@@ -7,7 +7,7 @@
 //!   [`polsec_core::PolicySet`]: rule shadowing and contradictions under
 //!   the active combining strategy (via the subsumption lattice in
 //!   [`lattice`]), dead conditions and mode-unreachable rules (via the
-//!   exact small-formula solver in [`sat`] and the [`ModeGraph`]), and an
+//!   bounded small-formula solver in [`sat`] and the [`ModeGraph`]), and an
 //!   independent cacheability computation cross-checked against the
 //!   engine's load-time analysis.
 //! * **Layer 2** ([`analyze_ladder`]) works over the fleet's enforcement
@@ -46,3 +46,10 @@ pub use layer2::{
 };
 pub use modes::ModeGraph;
 pub use sat::{mentioned_modes, satisfiable};
+
+/// The most steps either exponential search over a condition may take:
+/// branches in [`satisfiable`], pairwise comparisons in
+/// [`lattice::condition_implies`]. A search that runs out answers the side
+/// that only suppresses a finding, so hostile input costs bounded time and
+/// can never produce a false report.
+pub const SEARCH_STEPS: u32 = 10_000;

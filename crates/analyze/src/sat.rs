@@ -14,9 +14,12 @@
 //! * rate keys carry an integer interval `[lo, hi]` that `RateAtMost`
 //!   shrinks from above and its negation from below.
 //!
-//! Exhaustive branch exploration is exponential in the number of nested
-//! disjunctions; policy conditions are tiny (the deepest shipped condition
-//! has three conjuncts), so this is exact rather than approximate.
+//! Each branch folds every literal of its conjunction before it splits a
+//! disjunction, so contradictory conjuncts end the search at once however
+//! many disjunctions sit beside them. The branch search is still
+//! exponential in the worst case, so it stops after a fixed number of
+//! branches and then answers "satisfiable": the safe answer, which only
+//! suppresses a finding. No shipped condition comes near the budget.
 
 use polsec_core::Condition;
 use std::collections::{BTreeMap, BTreeSet};
@@ -142,9 +145,16 @@ impl Assign {
     }
 }
 
-/// Depth-first exploration: conjuncts are folded into the assignment;
-/// the first disjunction found branches the search.
-fn sat_rec(queue: &mut Vec<&Nnf>, mut assign: Assign, modes: Option<&BTreeSet<String>>) -> bool {
+/// Depth-first exploration: every conjunct is folded into the assignment
+/// first, then the last disjunction found branches the search. `steps`
+/// counts down one per branch; an exhausted budget reads as satisfiable.
+fn sat_rec(
+    mut queue: Vec<&Nnf>,
+    mut assign: Assign,
+    modes: Option<&BTreeSet<String>>,
+    steps: &mut u32,
+) -> bool {
+    let mut disjunctions = Vec::new();
     while let Some(n) = queue.pop() {
         match n {
             Nnf::True => {}
@@ -155,25 +165,32 @@ fn sat_rec(queue: &mut Vec<&Nnf>, mut assign: Assign, modes: Option<&BTreeSet<St
                     return false;
                 }
             }
-            Nnf::Any(kids) => {
-                return kids.iter().any(|k| {
-                    let mut branch = queue.clone();
-                    branch.push(k);
-                    sat_rec(&mut branch, assign.clone(), modes)
-                });
-            }
+            any @ Nnf::Any(_) => disjunctions.push(any),
         }
     }
-    true
+    let Some(Nnf::Any(kids)) = disjunctions.pop() else {
+        return true;
+    };
+    kids.iter().any(|k| {
+        if *steps == 0 {
+            return true;
+        }
+        *steps -= 1;
+        let mut branch = disjunctions.clone();
+        branch.push(k);
+        sat_rec(branch, assign.clone(), modes, steps)
+    })
 }
 
 /// Whether any evaluation context satisfies the condition. With
 /// `reachable_modes = Some(universe)`, positive mode requirements must name
 /// a mode in the universe (negated modes are unrestricted: a context may
-/// also carry no mode at all).
+/// also carry no mode at all). A condition too large to decide within
+/// [`crate::SEARCH_STEPS`] branches is reported satisfiable.
 pub fn satisfiable(c: &Condition, reachable_modes: Option<&BTreeSet<String>>) -> bool {
     let root = nnf(c, false);
-    sat_rec(&mut vec![&root], Assign::default(), reachable_modes)
+    let mut steps = crate::SEARCH_STEPS;
+    sat_rec(vec![&root], Assign::default(), reachable_modes, &mut steps)
 }
 
 /// Every mode name the condition mentions (positively or under negation).
@@ -284,6 +301,25 @@ mod tests {
             not(mode("normal")),
         ]);
         assert!(satisfiable(&c, None));
+    }
+
+    #[test]
+    fn an_exhausted_budget_answers_satisfiable() {
+        // Twenty free two-way choices, then a disjunction whose every arm
+        // contradicts one of them: unsatisfiable, but only after all 2^20
+        // assignments. The budget stops the search first, on the safe side.
+        let eq = |k: &str, v: &str| Condition::StateEquals { key: k.into(), value: v.into() };
+        let keys: Vec<String> = (0..20).map(|i| format!("k{i}")).collect();
+        let mut conjuncts: Vec<Condition> = keys
+            .iter()
+            .map(|k| Condition::AnyOf(vec![eq(k, "a"), eq(k, "b")]))
+            .collect();
+        conjuncts.push(Condition::AnyOf(
+            keys.iter()
+                .map(|k| Condition::All(vec![not(eq(k, "a")), not(eq(k, "b"))]))
+                .collect(),
+        ));
+        assert!(satisfiable(&Condition::All(conjuncts), None));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Layer-1 integration tests: fixture KATs, shipped-bundle regressions,
-//! strict OTA load gating, and a solver soundness property.
+//! strict OTA load gating, a solver soundness property, and bounded search
+//! time on conditions built to make the searches exponential.
 
 use polsec_analyze::{
     analyze_set, analyze_with_engine, satisfiable, strict_validator, AnalysisOptions,
@@ -14,6 +15,7 @@ use polsec_core::{
     RateSource,
 };
 use proptest::prelude::*;
+use std::time::{Duration, Instant};
 
 fn analyze_fixture(src: &str) -> polsec_analyze::Report {
     let set: PolicySet = parse_policies(src)
@@ -69,6 +71,46 @@ fn kat_dead_rate() {
 #[test]
 fn kat_clean() {
     let report = analyze_fixture(include_str!("../fixtures/clean.polsec"));
+    assert!(report.is_clean(), "{}", report.to_text());
+}
+
+// --- Hostile conditions: each search answers in bounded time. ---
+
+/// Analyzes a fixture on its own thread, so a search that runs away fails
+/// the test instead of hanging it.
+fn analyze_fixture_within(src: &'static str, limit: Duration) -> polsec_analyze::Report {
+    let worker = std::thread::spawn(move || analyze_fixture(src));
+    let deadline = Instant::now() + limit;
+    while !worker.is_finished() {
+        assert!(
+            Instant::now() < deadline,
+            "the analysis took longer than {limit:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    worker
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+}
+
+#[test]
+fn kat_deep_disjunction_folds_conjuncts_before_branching() {
+    let report = analyze_fixture_within(
+        include_str!("../fixtures/deep_disjunction.polsec"),
+        Duration::from_secs(30),
+    );
+    let unsat = report.of_kind(FindingKind::UnsatisfiableCondition);
+    assert_eq!(unsat.len(), 1, "{}", report.to_text());
+    assert_eq!(unsat[0].rule_ids, vec!["p.two-modes"]);
+    assert_eq!(report.findings.len(), 1, "{}", report.to_text());
+}
+
+#[test]
+fn kat_deep_nesting_stays_clean_within_the_step_budget() {
+    let report = analyze_fixture_within(
+        include_str!("../fixtures/deep_nesting.polsec"),
+        Duration::from_secs(30),
+    );
     assert!(report.is_clean(), "{}", report.to_text());
 }
 

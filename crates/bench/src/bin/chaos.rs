@@ -55,7 +55,7 @@ fn dup_reorder_plan(seed: u64) -> FaultPlan {
 }
 
 fn run(cfg: &V2xConfig) -> (V2xReport, String) {
-    let mut report = run_v2x(cfg);
+    let report = run_v2x(cfg);
     let json = report.metrics.to_json();
     (report, json)
 }
@@ -163,7 +163,7 @@ fn main() {
     outage_cfg.faults = Some(dup_reorder_plan(seed ^ 0x0D0_D0D0));
     outage_cfg.lead_outage = Some(outage);
 
-    let (mut outage_report, _) = run(&outage_cfg);
+    let (outage_report, _) = run(&outage_cfg);
     eprintln!(
         "outage run: {} frames in {:.2}s",
         outage_report.frames(),

@@ -62,7 +62,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 fn run(cfg: &FleetConfig) -> (FleetReport, String) {
-    let mut report = run_fleet(cfg);
+    let report = run_fleet(cfg);
     let json = report.metrics.to_json();
     (report, json)
 }
@@ -119,7 +119,7 @@ fn main() {
         timed[1].0.elapsed_sec,
         timed[2].0.elapsed_sec,
     ]);
-    let (mut second, second_json) = timed.pop().expect("three timed passes");
+    let (second, second_json) = timed.pop().expect("three timed passes");
 
     let frames = second.frames();
     let leaked = second.leaked();

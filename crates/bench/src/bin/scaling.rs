@@ -143,7 +143,7 @@ fn main() {
         let mut frames = 0u64;
         let mut elapsed = Vec::with_capacity(4);
         for pass in 0..4u32 {
-            let mut report = run_v2x(&cfg);
+            let report = run_v2x(&cfg);
             let json = report.metrics.to_json();
             match &reference_json {
                 None => reference_json = Some(json),

@@ -32,7 +32,7 @@ use polsec_car::v2x::{run_v2x, V2xConfig, V2xReport};
 use polsec_sim::resolve_threads;
 
 fn run(cfg: &V2xConfig) -> (V2xReport, String) {
-    let mut report = run_v2x(cfg);
+    let report = run_v2x(cfg);
     let json = report.metrics.to_json();
     (report, json)
 }

@@ -13,8 +13,8 @@
 //! events, and all jitter comes from a [`DetRng`] stream derived from
 //! `(master seed, vehicle index)` — so a vehicle's entire run is a pure
 //! function of the seed, its index, and the configuration. Vehicles run in
-//! parallel on [`run_sharded`], which merges per-vehicle [`MetricSet`]s in
-//! index order; the merged metrics of a fleet run are therefore
+//! parallel on [`run_sharded`], whose merge of per-vehicle [`MetricSet`]s
+//! is order-free; the merged metrics of a fleet run are therefore
 //! byte-reproducible at any thread count. Wall-clock measurements (the
 //! latency of one shared-engine decide in 32, picked by the deterministic
 //! [`polsec_sim::sampled`] rule) are recorded under the `wall.` prefix and
@@ -1131,8 +1131,8 @@ impl FleetReport {
 }
 
 /// Runs a whole fleet: builds the shared policy engine, shards vehicles over
-/// the worker pool, merges per-vehicle metrics in index order and splits the
-/// wall-clock section out of the deterministic one.
+/// the worker pool, merges per-vehicle metrics and splits the wall-clock
+/// section out of the deterministic one.
 pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     let engine = Arc::new(PolicyEngine::from_policy(car_policy()));
     let started = Instant::now();
@@ -1183,13 +1183,13 @@ mod tests {
     #[test]
     fn fleet_metrics_replay_byte_identically() {
         let cfg = tiny(FleetEnforcement::baseline());
-        let mut a = run_fleet(&cfg);
-        let mut b = run_fleet(&cfg);
+        let a = run_fleet(&cfg);
+        let b = run_fleet(&cfg);
         assert_eq!(a.metrics.to_json(), b.metrics.to_json());
         // and across thread counts
         let mut serial = cfg.clone();
         serial.threads = 1;
-        let mut c = run_fleet(&serial);
+        let c = run_fleet(&serial);
         assert_eq!(a.metrics.to_json(), c.metrics.to_json());
     }
 
@@ -1198,8 +1198,8 @@ mod tests {
         let cfg = tiny(FleetEnforcement::baseline());
         let mut other = cfg.clone();
         other.seed = cfg.seed + 1;
-        let mut a = run_fleet(&cfg);
-        let mut b = run_fleet(&other);
+        let a = run_fleet(&cfg);
+        let b = run_fleet(&other);
         assert_ne!(
             a.metrics.to_json(),
             b.metrics.to_json(),
@@ -1213,13 +1213,13 @@ mod tests {
         let engine = Arc::new(PolicyEngine::from_policy(car_policy()));
         let vehicle = Vehicle::build(&cfg, 0, Arc::clone(&engine));
         let states = vehicle.states().clone();
-        let mut metrics = vehicle.run(&cfg);
+        let metrics = vehicle.run(&cfg);
         // wheel-speed broadcasts crossed into the comfort segment and
         // reached the head unit's display state
         assert_eq!(lock(&states.infotainment).displayed_speed, 60);
         assert!(metrics.counter("gateway.crossed") > 0);
         assert!(metrics.counter("frames.transmitted") >= 300);
-        assert!(metrics.histogram_mut("verdict.cycles").is_some());
+        assert!(metrics.histogram("verdict.cycles").is_some());
     }
 
     #[test]
@@ -1286,18 +1286,18 @@ mod tests {
             probability: 0.02,
             target_ids: Vec::new(),
         });
-        let mut a = run_fleet(&cfg);
-        let mut b = run_fleet(&cfg);
+        let a = run_fleet(&cfg);
+        let b = run_fleet(&cfg);
         assert_eq!(a.metrics.to_json(), b.metrics.to_json());
         let mut serial = cfg.clone();
         serial.threads = 1;
-        let mut c = run_fleet(&serial);
+        let c = run_fleet(&serial);
         assert_eq!(a.metrics.to_json(), c.metrics.to_json());
         assert!(a.metrics.counter("frames.corrupted") > 0, "errors must occur");
         // and the model changes the run relative to a clean one
         let mut clean = tiny(FleetEnforcement::baseline());
         clean.error_model = None;
-        let mut d = run_fleet(&clean);
+        let d = run_fleet(&clean);
         assert_eq!(d.metrics.counter("frames.corrupted"), 0);
         assert_ne!(a.metrics.to_json(), d.metrics.to_json());
     }
@@ -1355,12 +1355,12 @@ mod tests {
         // trackers from coupling vehicles: merged metrics stay a pure
         // function of (config, seed) at any thread count.
         let cfg = tiny(FleetEnforcement::full_with_app());
-        let mut a = run_fleet(&cfg);
-        let mut b = run_fleet(&cfg);
+        let a = run_fleet(&cfg);
+        let b = run_fleet(&cfg);
         assert_eq!(a.metrics.to_json(), b.metrics.to_json());
         let mut serial = cfg.clone();
         serial.threads = 1;
-        let mut c = run_fleet(&serial);
+        let c = run_fleet(&serial);
         assert_eq!(a.metrics.to_json(), c.metrics.to_json());
         assert_eq!(a.leaked(), 0, "the extra rung must not weaken the ladder");
     }
@@ -1425,7 +1425,7 @@ mod tests {
         for threads in [1, 4, 8] {
             let mut run_cfg = cfg.clone();
             run_cfg.threads = threads;
-            let mut report = run_fleet(&run_cfg);
+            let report = run_fleet(&run_cfg);
             let json = report.metrics.to_json();
             match &baseline {
                 None => baseline = Some(json),

@@ -679,7 +679,8 @@ impl V2xVehicle {
             }
         }
         // Pin this vehicle's inbox (content and order) into the
-        // deterministic metrics; masked so histogram sums cannot overflow.
+        // deterministic metrics; masked to 32 bits, which bounds the digest
+        // histogram's bucket array to the buckets below 2^32.
         self.car
             .metrics_mut()
             .observe("v2x.inbox_digest", digest & 0xFFFF_FFFF);
@@ -1318,11 +1319,11 @@ mod tests {
     #[test]
     fn replay_is_thread_count_invariant() {
         let cfg = tiny(6);
-        let mut a = run_v2x(&cfg);
+        let a = run_v2x(&cfg);
         for threads in [1, 4] {
             let mut variant = cfg.clone();
             variant.fleet.threads = threads;
-            let mut b = run_v2x(&variant);
+            let b = run_v2x(&variant);
             assert_eq!(
                 a.metrics.to_json(),
                 b.metrics.to_json(),
@@ -1370,7 +1371,7 @@ mod tests {
         cfg.ota_retry_limit = 10;
         cfg.inbox_capacity = Some(64);
         cfg.faults = Some(chaos_plan(0xC405));
-        let mut a = run_v2x(&cfg);
+        let a = run_v2x(&cfg);
         let m = &a.metrics;
         assert!(m.counter("plane.dropped") > 0, "the plan must actually drop");
         assert!(m.counter("plane.duplicated") > 0);
@@ -1389,7 +1390,7 @@ mod tests {
         for threads in [1, 4] {
             let mut variant = cfg.clone();
             variant.fleet.threads = threads;
-            let mut b = run_v2x(&variant);
+            let b = run_v2x(&variant);
             assert_eq!(
                 a.metrics.to_json(),
                 b.metrics.to_json(),

@@ -9,10 +9,10 @@
 //!   stable tie-breaking,
 //! * [`DetRng`] — a seedable, dependency-free xorshift RNG so every
 //!   experiment is reproducible from a single `u64` seed,
-//! * [`metrics`] — counters and histograms used by benches and reports,
+//! * [`metrics`] — counters and bounded, order-free histograms used by
+//!   benches and reports,
 //! * [`shard`] — a deterministic sharded runner that fans independent
-//!   simulations over a thread pool and merges their [`MetricSet`]s in
-//!   shard order,
+//!   simulations over a thread pool and merges their [`MetricSet`]s,
 //! * [`plane`] — an epoch-barriered variant of the sharded runner with a
 //!   deterministic cross-shard message plane (broadcast groups, unicast
 //!   mail, `(sender, seq)`-ordered inboxes),

@@ -14,7 +14,9 @@
 //! Because outboxes are drained in shard order and a shard assigns its
 //! envelopes strictly increasing sequence numbers, every inbox is sorted by
 //! `(sender_shard, seq)` — a pure function of the per-shard work, never of
-//! thread scheduling.
+//! thread scheduling. After the last epoch each shard's final state is
+//! added straight into the run's one [`MetricSet`]; no per-shard result
+//! table is kept.
 //!
 //! # The overlapped barrier
 //!
@@ -509,13 +511,14 @@ pub struct EpochCtx<'a, M> {
 
 /// Runs `shards` stateful shard tasks for `epochs` epochs with a message
 /// barrier between epochs, on up to `threads` workers (0 = available
-/// parallelism), and merges the per-shard metric sets in shard order.
+/// parallelism), and returns the run's metric set.
 ///
 /// * `init(shard)` builds shard state before epoch 0;
 /// * `step(state, ctx)` runs one epoch — it reads `ctx.inbox` and writes
 ///   `ctx.outbox`;
-/// * `finish(state, metrics)` folds the final state into the shard's
-///   metric set after the last epoch.
+/// * `finish(state, metrics)` adds the final state to the run's metric set
+///   after the last epoch, on the calling thread, one shard after another
+///   in index order.
 ///
 /// Mail sent during the final epoch has no consuming epoch; it is still
 /// routed (so `plane.delivered` counts it) but recorded under
@@ -606,17 +609,14 @@ where
     let parked = router.parked();
     let stats = router.stats;
 
-    let mut sets: Vec<MetricSet> = Vec::with_capacity(shards);
+    let mut merged = MetricSet::new();
     for (i, state) in states.into_iter().enumerate() {
         if let Some(state) = state {
-            let mut m = MetricSet::new();
-            finish(state, &mut m);
-            sets.push(m);
+            finish(state, &mut merged);
         } else {
             debug_assert!(epochs == 0, "shard {i} never ran");
         }
     }
-    let mut merged = MetricSet::merge_tree(sets, threads);
     merged.count("plane.sent", stats.sent);
     merged.count("plane.delivered", stats.delivered);
     merged.count("plane.unroutable", stats.unroutable);
@@ -873,14 +873,20 @@ mod tests {
 
     /// Every shard logs its inbox as (from, seq) pairs into a histogram
     /// digest and broadcasts one message per epoch.
-    fn digest_run(shards: usize, threads: usize, epochs: u64) -> String {
+    fn digest_run(
+        shards: usize,
+        threads: usize,
+        epochs: u64,
+        faults: Option<&FaultPlan>,
+    ) -> String {
         let mut plane = MessagePlane::new();
         plane.group(7, 0..shards);
-        let mut merged = run_epochs(
+        let merged = run_epochs_faulted(
             shards,
             threads,
             epochs,
             &plane,
+            faults,
             |shard| (shard, 0u64),
             |state, ctx| {
                 for env in ctx.inbox {
@@ -897,8 +903,8 @@ mod tests {
                 }
             },
             |state, m| {
-                // mask so Histogram::sum (used by the JSON mean) cannot
-                // overflow when samples accumulate
+                // 32 bits pin the inbox order just as well and keep the
+                // histogram within the buckets below 2^32
                 m.observe("digest", state.1 & 0xFFFF_FFFF);
                 m.count("shards", 1);
             },
@@ -908,9 +914,9 @@ mod tests {
 
     #[test]
     fn merged_metrics_and_inboxes_are_thread_count_invariant() {
-        let reference = digest_run(9, 1, 5);
+        let reference = digest_run(9, 1, 5, None);
         for threads in [2, 4, 16] {
-            assert_eq!(digest_run(9, threads, 5), reference, "threads={threads}");
+            assert_eq!(digest_run(9, threads, 5, None), reference, "threads={threads}");
         }
     }
 
@@ -1040,8 +1046,8 @@ mod tests {
         assert_eq!(b.counter("plane.epochs"), 3);
     }
 
-    /// Digest run with a chaotic fault plan: ≥30% drop, duplication,
-    /// 2-epoch delays and reordering all at once.
+    /// A chaotic fault plan: ≥30% drop, duplication, 2-epoch delays and
+    /// reordering all at once.
     fn chaotic_plan() -> FaultPlan {
         let mut plan = FaultPlan::new(0xFA_117);
         plan.drop = 0.35;
@@ -1052,45 +1058,18 @@ mod tests {
         plan
     }
 
-    fn faulted_digest_run(shards: usize, threads: usize, epochs: u64) -> String {
-        let mut plane = MessagePlane::new();
-        plane.group(7, 0..shards);
-        let mut merged = run_epochs_faulted(
-            shards,
-            threads,
-            epochs,
-            &plane,
-            Some(&chaotic_plan()),
-            |shard| (shard, 0u64),
-            |state, ctx| {
-                for env in ctx.inbox {
-                    state.1 = state
-                        .1
-                        .wrapping_mul(0x100000001B3)
-                        .wrapping_add((env.from as u64) << 32 | u64::from(env.seq))
-                        .wrapping_add(u64::from(env.msg));
-                }
-                ctx.outbox.broadcast(7, ctx.shard as u32);
-                ctx.outbox.unicast((ctx.shard + 1) % shards.max(1), 777);
-            },
-            |state, m| {
-                m.observe("digest", state.1 & 0xFFFF_FFFF);
-            },
-        );
-        merged.to_json()
-    }
-
     #[test]
     fn faulted_runs_are_thread_count_invariant() {
-        let reference = faulted_digest_run(9, 1, 6);
+        let plan = chaotic_plan();
+        let reference = digest_run(9, 1, 6, Some(&plan));
         for threads in [2, 4, 16] {
-            assert_eq!(faulted_digest_run(9, threads, 6), reference, "threads={threads}");
+            assert_eq!(digest_run(9, threads, 6, Some(&plan)), reference, "threads={threads}");
         }
     }
 
     #[test]
     fn faulted_run_actually_faults_and_accounts_for_every_delivery() {
-        let json = faulted_digest_run(9, 2, 6);
+        let json = digest_run(9, 2, 6, Some(&chaotic_plan()));
         // Re-run to a MetricSet for counter access (same pure function).
         let mut plane = MessagePlane::new();
         plane.group(7, 0..9);
@@ -1120,37 +1099,13 @@ mod tests {
 
     #[test]
     fn inactive_fault_plan_matches_fault_free_run() {
-        let clean = digest_run(6, 2, 4);
-        let mut plane = MessagePlane::new();
-        plane.group(7, 0..6);
         let inert = FaultPlan::new(123);
         assert!(!inert.is_active());
-        let mut merged = run_epochs_faulted(
-            6,
-            2,
-            4,
-            &plane,
-            Some(&inert),
-            |shard| (shard, 0u64),
-            |state, ctx| {
-                for env in ctx.inbox {
-                    state.1 = state
-                        .1
-                        .wrapping_mul(0x100000001B3)
-                        .wrapping_add((env.from as u64) << 32 | u64::from(env.seq))
-                        .wrapping_add(u64::from(env.msg));
-                }
-                ctx.outbox.broadcast(7, ctx.shard as u32);
-                if ctx.shard + 1 < ctx.epochs as usize {
-                    ctx.outbox.unicast(ctx.shard + 1, 999);
-                }
-            },
-            |state, m| {
-                m.observe("digest", state.1 & 0xFFFF_FFFF);
-                m.count("shards", 1);
-            },
+        assert_eq!(
+            digest_run(6, 2, 4, Some(&inert)),
+            digest_run(6, 2, 4, None),
+            "a zero-probability plan must be a no-op"
         );
-        assert_eq!(merged.to_json(), clean, "a zero-probability plan must be a no-op");
     }
 
     #[test]

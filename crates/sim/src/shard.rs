@@ -5,16 +5,15 @@
 //! shard indices out over a worker pool through a guided self-scheduling
 //! work queue (workers claim shrinking index chunks from one atomic cursor,
 //! so a straggling shard — e.g. the compromised platoon member doing extra
-//! attack work — never idles the other workers behind a static partition),
-//! collects the per-shard results into a slot table indexed by shard, and
-//! reduces them with [`MetricSet::merge_tree`] — a binary reduction whose
-//! merge order is fixed by shard index, not completion order. Combined with
+//! attack work — never idles the other workers behind a static partition).
+//! Each worker folds its shards' results into its own [`MetricSet`] and the
+//! join folds the workers' sets. [`MetricSet::merge`] gives the same result
+//! in any order, so which worker ran which shard cannot show. Combined with
 //! [`DetRng::stream`](crate::DetRng::stream) for per-shard seeds, a sharded
 //! run is bit-for-bit reproducible at any thread count.
 
 use crate::metrics::MetricSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Resolves a requested thread count: `0` means the machine's available
 /// parallelism (or 1 if unknown), anything else is taken literally.
@@ -54,13 +53,13 @@ pub(crate) fn claim_chunk(next: &AtomicU64, limit: u64, threads: usize) -> Optio
 }
 
 /// Runs `task(shard)` for every shard in `0..shards` on up to `threads`
-/// worker threads and merges the resulting metric sets in shard order.
+/// worker threads and merges the resulting metric sets.
 ///
 /// `threads == 0` uses the available parallelism (or 1 if unknown);
-/// `threads == 1` runs inline on the caller's thread with no
-/// synchronisation at all. The merge is deterministic: any thread count,
-/// including 1, produces an identical merged [`MetricSet`] as long as each
-/// shard's result depends only on its index.
+/// `threads == 1` runs inline on the caller's thread. The merge is
+/// deterministic: any thread count, including 1, produces an identical
+/// merged [`MetricSet`] as long as each shard's result depends only on its
+/// index.
 ///
 /// # Example
 /// ```
@@ -81,43 +80,30 @@ where
     F: Fn(usize) -> MetricSet + Sync,
 {
     let threads = resolve_threads(threads).min(shards.max(1));
-
-    if threads <= 1 {
-        let sets: Vec<MetricSet> = (0..shards).map(&task).collect();
-        return MetricSet::merge_tree(sets, 1);
-    }
-
     let next = AtomicU64::new(0);
-    // One mutex per slot: result placement never contends across shards the
-    // way a single table-wide lock did.
-    let slots: Vec<Mutex<Option<MetricSet>>> = (0..shards).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                while let Some((start, end)) = claim_chunk(&next, shards as u64, threads) {
-                    for i in start..end {
-                        let result = task(i as usize);
-                        *lock(&slots[i as usize]) = Some(result);
-                    }
-                }
-            });
+    let work = || {
+        let mut folded = MetricSet::new();
+        while let Some((start, end)) = claim_chunk(&next, shards as u64, threads) {
+            for i in start..end {
+                folded.merge(&task(i as usize));
+            }
         }
-    });
-
-    let sets: Vec<MetricSet> = slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .unwrap_or_default()
-        })
-        .collect();
-    MetricSet::merge_tree(sets, threads)
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
+        folded
+    };
+    if threads <= 1 {
+        return work();
+    }
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
+        let mut merged = MetricSet::new();
+        for worker in workers {
+            match worker.join() {
+                Ok(folded) => merged.merge(&folded),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        merged
+    })
 }
 
 #[cfg(test)]
@@ -137,13 +123,11 @@ mod tests {
 
     #[test]
     fn merged_result_is_thread_count_invariant() {
-        let reference = run_sharded(16, 1, shard_task);
+        let reference = run_sharded(16, 1, shard_task).to_json();
         for threads in [2, 3, 8, 32] {
-            let mut got = run_sharded(16, threads, shard_task);
-            let mut want = reference.clone();
             assert_eq!(
-                got.to_json(),
-                want.to_json(),
+                run_sharded(16, threads, shard_task).to_json(),
+                reference,
                 "thread count {threads} changed the merged metrics"
             );
         }
@@ -163,7 +147,7 @@ mod tests {
 
     #[test]
     fn zero_shards_yield_empty_metrics() {
-        let mut merged = run_sharded(0, 4, |_| MetricSet::new());
+        let merged = run_sharded(0, 4, |_| MetricSet::new());
         assert_eq!(merged.counter("anything"), 0);
         assert_eq!(merged.render(), "");
     }

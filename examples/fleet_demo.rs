@@ -28,7 +28,7 @@ fn main() {
     for (label, enforcement) in ladders {
         let mut cfg = FleetConfig::new(10, 2_000);
         cfg.enforcement = enforcement;
-        let mut report = run_fleet(&cfg);
+        let report = run_fleet(&cfg);
         println!("\n=== {} ({}) ===", label, cfg.enforcement.label());
         println!(
             "{} vehicles, {} frames in {:.2}s ({:.0} frames/s)",
@@ -50,10 +50,10 @@ fn main() {
             report.metrics.counter("policy.checked"),
             report.metrics.counter("policy.denied"),
         );
-        if let Some(cycles) = report.metrics.histogram_mut("verdict.cycles") {
+        if let Some(cycles) = report.metrics.histogram("verdict.cycles") {
             println!("segment-HPE verdict cycles: {}", cycles.summary());
         }
-        if let Some(ns) = report.wall.histogram_mut("decide_ns") {
+        if let Some(ns) = report.wall.histogram("decide_ns") {
             println!("shared-engine decide latency (ns): {}", ns.summary());
         }
     }

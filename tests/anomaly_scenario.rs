@@ -27,7 +27,7 @@ fn fleet_anomaly_counters_are_thread_count_and_replay_invariant() {
     let mut cfg = FleetConfig::new(6, 600);
     cfg.enforcement = FleetEnforcement::shipped();
     cfg.threads = 4;
-    let mut reference = run_fleet(&cfg);
+    let reference = run_fleet(&cfg);
     let reference_json = reference.metrics.to_json();
     assert!(
         reference.metrics.counter("anomaly.checked") > 0,
@@ -36,7 +36,7 @@ fn fleet_anomaly_counters_are_thread_count_and_replay_invariant() {
     for threads in [1, 8] {
         let mut variant = cfg.clone();
         variant.threads = threads;
-        let mut report = run_fleet(&variant);
+        let report = run_fleet(&variant);
         assert_eq!(
             report.metrics.to_json(),
             reference_json,
@@ -51,7 +51,7 @@ fn fleet_anomaly_counters_are_thread_count_and_replay_invariant() {
         }
     }
     // plain same-config replay
-    let mut again = run_fleet(&cfg);
+    let again = run_fleet(&cfg);
     assert_eq!(again.metrics.to_json(), reference_json);
 }
 
@@ -59,7 +59,7 @@ fn fleet_anomaly_counters_are_thread_count_and_replay_invariant() {
 fn v2x_anomaly_counters_are_thread_count_and_replay_invariant() {
     let mut cfg = V2xConfig::new(6, 8, 120);
     cfg.fleet.threads = 4;
-    let mut reference = run_v2x(&cfg);
+    let reference = run_v2x(&cfg);
     let reference_json = reference.metrics.to_json();
     // the value-spoof variant is rejected at the anomaly rung, so the
     // counters are live, not just zero-initialised
@@ -68,14 +68,14 @@ fn v2x_anomaly_counters_are_thread_count_and_replay_invariant() {
     for threads in [1, 8] {
         let mut variant = cfg.clone();
         variant.fleet.threads = threads;
-        let mut report = run_v2x(&variant);
+        let report = run_v2x(&variant);
         assert_eq!(
             report.metrics.to_json(),
             reference_json,
             "{threads} threads changed the merged metrics"
         );
     }
-    let mut again = run_v2x(&cfg);
+    let again = run_v2x(&cfg);
     assert_eq!(again.metrics.to_json(), reference_json);
 }
 

@@ -20,7 +20,7 @@ fn small(enforcement: FleetEnforcement) -> FleetConfig {
 
 #[test]
 fn baseline_fleet_reaches_quota_and_blocks_every_attack() {
-    let mut report = run_fleet(&small(FleetEnforcement::baseline()));
+    let report = run_fleet(&small(FleetEnforcement::baseline()));
     assert!(report.frames() >= 6 * 600);
     assert_eq!(report.metrics.counter("fleet.vehicles"), 6);
     assert!(report.metrics.counter("attack.injected") > 0);
@@ -33,7 +33,7 @@ fn baseline_fleet_reaches_quota_and_blocks_every_attack() {
     // verdict-cost quantiles are populated and deterministic
     let hist = report
         .metrics
-        .histogram_mut("verdict.cycles")
+        .histogram("verdict.cycles")
         .expect("segment HPEs sample verdict cycles");
     assert!(hist.count() > 0);
 }
@@ -41,13 +41,13 @@ fn baseline_fleet_reaches_quota_and_blocks_every_attack() {
 #[test]
 fn replay_is_byte_identical_and_thread_count_invariant() {
     let cfg = small(FleetEnforcement::baseline());
-    let mut a = run_fleet(&cfg);
-    let mut b = run_fleet(&cfg);
+    let a = run_fleet(&cfg);
+    let b = run_fleet(&cfg);
     assert_eq!(a.metrics.to_json(), b.metrics.to_json());
     for threads in [1, 8] {
         let mut variant = cfg.clone();
         variant.threads = threads;
-        let mut c = run_fleet(&variant);
+        let c = run_fleet(&variant);
         assert_eq!(
             a.metrics.to_json(),
             c.metrics.to_json(),

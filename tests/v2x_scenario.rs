@@ -29,7 +29,7 @@ fn platooning_and_ota_replay_byte_identically_at_1_4_and_8_threads() {
     for threads in [4, 8] {
         let mut variant = cfg.clone();
         variant.fleet.threads = threads;
-        let mut report = run_v2x(&variant);
+        let report = run_v2x(&variant);
         assert_eq!(
             report.metrics.to_json(),
             reference,
@@ -37,7 +37,7 @@ fn platooning_and_ota_replay_byte_identically_at_1_4_and_8_threads() {
         );
     }
     // and a plain same-config replay
-    let mut again = run_v2x(&cfg);
+    let again = run_v2x(&cfg);
     assert_eq!(again.metrics.to_json(), reference);
 }
 
@@ -95,12 +95,12 @@ fn fleet_ladder_with_app_policy_rung_stays_deterministic() {
     let mut cfg = FleetConfig::new(5, 500);
     cfg.enforcement = FleetEnforcement::full_with_app();
     cfg.threads = 3;
-    let mut a = run_fleet(&cfg);
-    let mut b = run_fleet(&cfg);
+    let a = run_fleet(&cfg);
+    let b = run_fleet(&cfg);
     assert_eq!(a.metrics.to_json(), b.metrics.to_json());
     let mut serial = cfg.clone();
     serial.threads = 1;
-    let mut c = run_fleet(&serial);
+    let c = run_fleet(&serial);
     assert_eq!(a.metrics.to_json(), c.metrics.to_json());
     assert_eq!(a.leaked(), 0);
 }
