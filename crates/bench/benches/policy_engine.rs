@@ -2,8 +2,8 @@
 //!
 //! Sweeps rule count, compares combining strategies, and ablates both the
 //! subject index and the generation-tagged decision cache (DESIGN.md §5.1;
-//! the fast-path mechanics — interning, atomic telemetry, `GenCache` — are
-//! described in DESIGN.md §6).
+//! the fast-path mechanics — interning, single-writer counters,
+//! `GenCache` — are described in DESIGN.md §6).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use polsec_core::{

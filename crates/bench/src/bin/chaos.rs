@@ -23,7 +23,8 @@
 //!    attacker's spoofed "resume" heartbeats must not short-circuit
 //!    recovery (`v2x.leaked == 0`), and no vehicle may end degraded.
 //!
-//! Writes `BENCH_chaos.json` and exits non-zero on any violation.
+//! Writes `BENCH_chaos.json` (with the `"host"` stamp of
+//! [`polsec_bench::host_stamp`]) and exits non-zero on any violation.
 //!
 //! Usage: `chaos [vehicles] [epochs] [frames_per_epoch] [seed]`
 //! (defaults 12, 40, 200, 42). Epochs below 18 are raised to 18 so the
@@ -210,7 +211,7 @@ fn main() {
     let wall_json = outage_report.wall.to_json();
     let summary = format!(
         concat!(
-            "{{\"bench\":\"chaos\",\"vehicles\":{},\"epochs\":{},\"frames_per_epoch\":{},",
+            "{{\"bench\":\"chaos\",\"host\":{},\"vehicles\":{},\"epochs\":{},\"frames_per_epoch\":{},",
             "\"threads\":1,\"seed\":{},\"replay_identical\":{},\"thread_invariant\":{},",
             "\"frames\":{},\"frames_per_sec\":{:.0},\"elapsed_sec\":{:.3},",
             "\"plane_dropped\":{},\"plane_duplicated\":{},\"plane_delayed\":{},",
@@ -219,6 +220,7 @@ fn main() {
             "\"still_degraded\":{},\"v2x_leaked\":{},",
             "\"metrics\":{},\"outage_metrics\":{},\"wall\":{}}}"
         ),
+        polsec_bench::host_stamp(),
         vehicles,
         epochs,
         frames_per_epoch,

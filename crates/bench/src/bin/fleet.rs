@@ -6,10 +6,11 @@
 //! plus **three timed passes with the same seed** (throughput is the median
 //! pass), asserts the deterministic metric sections are byte-identical
 //! across all passes and that no attack frame leaked, then writes
-//! `BENCH_fleet.json` (including the resolved `"threads"` count):
+//! `BENCH_fleet.json` (including the resolved `"threads"` count and the
+//! `"host"` stamp of [`polsec_bench::host_stamp`]):
 //!
 //! ```json
-//! {"bench":"fleet","vehicles":100,...,
+//! {"bench":"fleet","host":{"cpu":...},"vehicles":100,...,
 //!  "deterministic_replay":true,"attack_blocked":...,
 //!  "metrics":{...},"wall":{...}}
 //! ```
@@ -139,13 +140,14 @@ fn main() {
     let wall_json = second.wall.to_json();
     let summary = format!(
         concat!(
-            "{{\"bench\":\"fleet\",\"vehicles\":{},\"frames_per_vehicle\":{},",
+            "{{\"bench\":\"fleet\",\"host\":{},\"vehicles\":{},\"frames_per_vehicle\":{},",
             "\"threads\":{},\"seed\":{},\"enforcement\":\"{}\",\"deterministic_replay\":{},",
             "\"frames\":{},\"frames_per_sec\":{:.0},\"elapsed_sec\":{:.3},",
             "\"attack_injected\":{},\"attack_blocked\":{},\"attack_leaked\":{},",
             "\"allocs_per_frame\":{:.4},",
             "\"metrics\":{},\"wall\":{}}}"
         ),
+        polsec_bench::host_stamp(),
         vehicles,
         frames_per_vehicle,
         resolve_threads(threads),

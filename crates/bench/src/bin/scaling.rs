@@ -23,7 +23,8 @@
 //!   way.
 //!
 //! Writes `BENCH_scaling.json` (sweep table, host parallelism, ratio,
-//! allocation figures) and exits non-zero on any violation.
+//! allocation figures, the `"host"` stamp of [`polsec_bench::host_stamp`])
+//! and exits non-zero on any violation.
 //!
 //! Usage: `scaling [vehicles] [epochs] [frames_per_epoch] [seed] [min_fps]
 //! [min_ratio]` (defaults 100, 10, 1000, 42, 0, 0). A non-zero `min_fps`
@@ -200,7 +201,7 @@ fn main() {
         .collect();
     let summary = format!(
         concat!(
-            "{{\"bench\":\"scaling\",\"vehicles\":{},\"epochs\":{},\"frames_per_epoch\":{},",
+            "{{\"bench\":\"scaling\",\"host\":{},\"vehicles\":{},\"epochs\":{},\"frames_per_epoch\":{},",
             "\"threads\":{},\"seed\":{},\"host_parallelism\":{},",
             "\"deterministic_across_threads\":{},\"zero_alloc_routing\":{},",
             "\"routing_allocs_per_epoch\":{:.3},",
@@ -208,6 +209,7 @@ fn main() {
             "\"best_multithread_fps\":{:.0},\"ratio_4_over_1\":{:.3},\"ratio_gated\":{},",
             "\"sweep\":[{}]}}"
         ),
+        polsec_bench::host_stamp(),
         vehicles,
         epochs,
         frames_per_epoch,

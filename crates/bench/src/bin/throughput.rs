@@ -5,8 +5,8 @@
 //! perf trajectory (also written to `BENCH_throughput.json`):
 //!
 //! ```json
-//! {"bench":"throughput","threads":4,"rules":1000,"decisions_per_sec":...,
-//!  "allocs_per_hit":0.0,"zero_alloc_hit":true,...}
+//! {"bench":"throughput","host":{"cpu":...},"threads":4,"rules":1000,
+//!  "decisions_per_sec":...,"allocs_per_hit":0.0,"zero_alloc_hit":true,...}
 //! ```
 //!
 //! A counting global allocator asserts the DESIGN.md §6 contract: once the
@@ -135,11 +135,12 @@ fn main() {
     let stats = engine.stats();
     let summary = format!(
         concat!(
-            "{{\"bench\":\"throughput\",\"threads\":{},\"rules\":{},",
+            "{{\"bench\":\"throughput\",\"host\":{},\"threads\":{},\"rules\":{},",
             "\"decisions\":{},\"elapsed_sec\":{:.3},\"decisions_per_sec\":{:.0},",
             "\"allocs_per_hit\":{:.6},\"zero_alloc_hit\":{},",
             "\"cache_hits\":{},\"cache_misses\":{}}}"
         ),
+        polsec_bench::host_stamp(),
         threads,
         rules,
         total_decisions,

@@ -23,7 +23,8 @@
 //!   fault plan nothing is ever parked.
 //!
 //! Writes `BENCH_v2x.json` (including the resolved `"threads"` count the
-//! timed runs actually used) and exits non-zero on any violation.
+//! timed runs actually used and the `"host"` stamp of
+//! [`polsec_bench::host_stamp`]) and exits non-zero on any violation.
 //!
 //! Usage: `v2x [vehicles] [epochs] [frames_per_epoch] [threads] [seed]`
 //! (defaults 100, 10, 1000, auto, 42).
@@ -107,13 +108,14 @@ fn main() {
     let wall_json = serial.wall.to_json();
     let summary = format!(
         concat!(
-            "{{\"bench\":\"v2x\",\"vehicles\":{},\"epochs\":{},\"frames_per_epoch\":{},",
+            "{{\"bench\":\"v2x\",\"host\":{},\"vehicles\":{},\"epochs\":{},\"frames_per_epoch\":{},",
             "\"threads\":{},\"seed\":{},\"defenses\":\"{}\",\"deterministic_replay\":{},",
             "\"frames\":{},\"frames_per_sec\":{:.0},\"elapsed_sec\":{:.3},",
             "\"v2x_accepted\":{},\"v2x_leaked\":{},\"ecu_platoon_msgs\":{},",
             "\"ota_applied\":{},\"ota_tamper_rejected\":{},\"ota_stale_rejected\":{},",
             "\"metrics\":{},\"wall\":{}}}"
         ),
+        polsec_bench::host_stamp(),
         vehicles,
         epochs,
         frames_per_epoch,

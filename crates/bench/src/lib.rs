@@ -21,6 +21,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use polsec_sim::json_quote;
+
 /// Prints a section header used by all harness binaries.
 pub fn banner(title: &str) {
     println!("\n==== {title} ====");
@@ -31,6 +33,51 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
+/// The host fingerprint a harness writes into its `BENCH_*.json` as a
+/// `"host"` object, so results from different hosts, toolchains or commits
+/// are never read as one trajectory. It has the fields stackbench prints:
+/// the CPU model from `/proc/cpuinfo`, the available parallelism,
+/// `rustc -V` and `git rev-parse HEAD`, each `"unknown"` when it cannot be
+/// read.
+pub fn host_stamp() -> String {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo").ok().and_then(|s| {
+        s.lines()
+            .find(|l| l.starts_with("model name"))
+            .and_then(|l| l.split_once(':'))
+            .map(|(_, v)| v.trim().to_string())
+    });
+    let fields = [
+        ("cpu", cpu),
+        (
+            "nproc",
+            std::thread::available_parallelism()
+                .ok()
+                .map(|n| n.to_string()),
+        ),
+        ("rustc", first_line("rustc", &["-V"])),
+        ("git_sha", first_line("git", &["rev-parse", "HEAD"])),
+    ];
+    let body: Vec<String> = fields
+        .iter()
+        .map(|(k, v)| format!("\"{k}\":{}", json_quote(v.as_deref().unwrap_or("unknown"))))
+        .collect();
+    format!("{{{}}}", body.join(","))
+}
+
+/// Runs `program args…` and returns the first line it prints, or `None`
+/// if it cannot run or fails.
+fn first_line(program: &str, args: &[&str]) -> Option<String> {
+    let out = std::process::Command::new(program).args(args).output().ok()?;
+    if !out.status.success() {
+        return None;
+    }
+    String::from_utf8(out.stdout)
+        .ok()?
+        .lines()
+        .next()
+        .map(str::to_string)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -39,5 +86,14 @@ mod tests {
     fn pct_formats() {
         assert_eq!(pct(0.5), "50.0%");
         assert_eq!(pct(0.0), "0.0%");
+    }
+
+    #[test]
+    fn host_stamp_has_every_field() {
+        let stamp = host_stamp();
+        assert!(stamp.starts_with("{\"cpu\":\"") && stamp.ends_with("\"}"), "{stamp}");
+        for key in ["\"nproc\":\"", "\"rustc\":\"", "\"git_sha\":\""] {
+            assert!(stamp.contains(key), "{key} missing from {stamp}");
+        }
     }
 }

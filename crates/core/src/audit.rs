@@ -110,7 +110,7 @@ impl AuditLog {
     }
 
     /// Overwrites the aggregate counters (used by the engine, whose
-    /// authoritative counters are its own atomics).
+    /// authoritative counters live in its audit shards).
     pub(crate) fn set_aggregates(&mut self, total: u64, allows: u64, denies: u64, defaults: u64) {
         self.next_seq = total;
         self.allows = allows;

@@ -18,17 +18,20 @@
 //!
 //! * entity names, rule ids and modes are interned [`Symbol`]s, so the
 //!   subject index is keyed by two `u32`s and no per-request strings exist;
-//! * statistics are plain atomic counters;
 //! * rate windows are per-key atomic bucket rings, consulted only when a
 //!   candidate rule actually references [`crate::Condition::RateAtMost`]
 //!   (a rate-dependency map computed at load time);
 //! * the audit trail is a set of sharded, pre-allocated rings picked by
-//!   thread, merged only when read;
+//!   thread, merged only when read. Each shard also holds plain `u64`
+//!   statistics, so a decide locks its shard once to append the record and
+//!   count the decision, and [`PolicyEngine::stats`] sums the shards;
 //! * decisions themselves are cached in a generation-tagged lock-free
 //!   `GenCache` keyed by
 //!   `(subject, object, action, mode)`; [`PolicyEngine::reload`] bumps the
 //!   generation so stale entries can never answer. Rules whose conditions
-//!   read state or rates are excluded from caching by construction.
+//!   read state or rates are excluded from caching by construction, so a
+//!   decide probes the cache first and hashes into the subject index only
+//!   on a miss.
 //!
 //! [`Decision`]s are `Copy` and build their human-readable reason string
 //! lazily, on demand.
@@ -406,6 +409,15 @@ pub struct EngineStats {
     pub cache_misses: u64,
 }
 
+/// How one decision used the decision cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CacheUse {
+    Hit,
+    Miss,
+    /// Not cacheable (or caching off): counts as neither hit nor miss.
+    Bypass,
+}
+
 impl EngineStats {
     /// The counters as `(name, value)` pairs, for uniform export into
     /// metric sets and reports.
@@ -420,17 +432,30 @@ impl EngineStats {
             ("cache_misses", self.cache_misses),
         ]
     }
-}
 
-#[derive(Debug, Default)]
-struct EngineCounters {
-    decisions: AtomicU64,
-    allows: AtomicU64,
-    denies: AtomicU64,
-    defaults: AtomicU64,
-    rules_examined: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
+    /// Counts one decision; runs under the decision's audit-shard lock.
+    #[inline]
+    fn count(&mut self, decision: &Decision, examined: u64, cache: CacheUse) {
+        self.decisions += 1;
+        self.rules_examined += examined;
+        match decision.effect {
+            Effect::Allow => self.allows += 1,
+            Effect::Deny => self.denies += 1,
+        }
+        self.defaults += u64::from(decision.rule.is_none());
+        self.cache_hits += u64::from(cache == CacheUse::Hit);
+        self.cache_misses += u64::from(cache == CacheUse::Miss);
+    }
+
+    fn add(&mut self, other: &EngineStats) {
+        self.decisions += other.decisions;
+        self.allows += other.allows;
+        self.denies += other.denies;
+        self.defaults += other.defaults;
+        self.rules_examined += other.rules_examined;
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
+    }
 }
 
 /// Number of audit shards (power of two). With at least as many shards as
@@ -446,12 +471,20 @@ struct CompactAudit {
     rule: Option<&'static str>,
 }
 
+/// One audit shard: its ring of records and the statistics of the
+/// decisions it recorded, both written under the shard's one lock.
+struct AuditShard {
+    records: VecDeque<CompactAudit>,
+    stats: EngineStats,
+}
+
 /// Sharded, pre-allocated audit rings: `decide` never blocks `decide` on
 /// the audit trail, and appends never allocate.
 struct AuditSink {
-    shards: Box<[Mutex<VecDeque<CompactAudit>>]>,
+    shards: Box<[Mutex<AuditShard>]>,
     per_shard: usize,
     capacity: usize,
+    /// Orders records across shards.
     seq: AtomicU64,
 }
 
@@ -471,7 +504,12 @@ impl AuditSink {
         let per_shard = capacity.max(1);
         AuditSink {
             shards: (0..AUDIT_SHARDS)
-                .map(|_| Mutex::new(VecDeque::with_capacity(per_shard)))
+                .map(|_| {
+                    Mutex::new(AuditShard {
+                        records: VecDeque::with_capacity(per_shard),
+                        stats: EngineStats::default(),
+                    })
+                })
                 .collect(),
             per_shard,
             capacity,
@@ -479,20 +517,47 @@ impl AuditSink {
         }
     }
 
+    /// Appends one decision's record and counts it, under one lock of
+    /// this thread's shard.
     #[inline]
-    fn record(&self, time_us: u64, request: AccessRequest, effect: Effect, rule: Option<&'static str>) {
+    fn record(
+        &self,
+        time_us: u64,
+        request: AccessRequest,
+        decision: Decision,
+        examined: u64,
+        cache: CacheUse,
+    ) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let mut shard = lock(&self.shards[shard_index() % AUDIT_SHARDS]);
-        if shard.len() >= self.per_shard {
-            shard.pop_front();
+        shard.stats.count(&decision, examined, cache);
+        if shard.records.len() >= self.per_shard {
+            shard.records.pop_front();
         }
-        shard.push_back(CompactAudit { seq, time_us, request, effect, rule });
+        shard.records.push_back(CompactAudit {
+            seq,
+            time_us,
+            request,
+            effect: decision.effect,
+            rule: decision.rule.map(|t| t.qualified),
+        });
     }
 
-    fn snapshot(&self, counters: &EngineCounters) -> AuditLog {
-        let mut all: Vec<CompactAudit> = Vec::new();
+    fn stats(&self) -> EngineStats {
+        let mut total = EngineStats::default();
         for shard in self.shards.iter() {
-            all.extend(lock(shard).iter().copied());
+            total.add(&lock(shard).stats);
+        }
+        total
+    }
+
+    fn snapshot(&self) -> AuditLog {
+        let mut all: Vec<CompactAudit> = Vec::new();
+        let mut stats = EngineStats::default();
+        for shard in self.shards.iter() {
+            let shard = lock(shard);
+            all.extend(shard.records.iter().copied());
+            stats.add(&shard.stats);
         }
         all.sort_unstable_by_key(|r| r.seq);
         if all.len() > self.capacity {
@@ -509,12 +574,7 @@ impl AuditSink {
                 rule: r.rule.map(str::to_string),
             });
         }
-        log.set_aggregates(
-            self.seq.load(Ordering::Relaxed),
-            counters.allows.load(Ordering::Relaxed),
-            counters.denies.load(Ordering::Relaxed),
-            counters.defaults.load(Ordering::Relaxed),
-        );
+        log.set_aggregates(stats.decisions, stats.allows, stats.denies, stats.defaults);
         log
     }
 }
@@ -638,7 +698,6 @@ pub struct PolicyEngine {
     all_cache_safe: bool,
     rates: RateTable,
     audit: AuditSink,
-    counters: EngineCounters,
     cache: GenCache,
     generation: AtomicU32,
     set: PolicySet,
@@ -689,7 +748,6 @@ impl PolicyEngine {
             all_cache_safe: true,
             rates: RateTable::default(),
             audit: AuditSink::new(audit_capacity),
-            counters: EngineCounters::default(),
             cache: GenCache::with_capacity(cache_slots),
             generation: AtomicU32::new(0),
             set,
@@ -908,31 +966,28 @@ impl PolicyEngine {
     /// Decides a request at an explicit time (microseconds), which both
     /// timestamps the audit record and positions the rate windows.
     pub fn decide_at(&self, req: &AccessRequest, ctx: &EvalContext, now_us: u64) -> Decision {
-        let subject_key = (
-            req.subject().namespace_symbol(),
-            req.subject().name_symbol(),
-        );
-        let bucket = if self.indexing {
-            self.subject_index.get(&subject_key)
-        } else {
-            None
-        };
-        let cacheable = self.caching
-            && if self.indexing {
-                bucket.map_or(self.unindexed_cache_safe, |b| b.cache_safe)
-            } else {
-                self.all_cache_safe
-            };
-
+        // Entries are inserted only for cacheable requests under the
+        // generation in their key, so a hit needs no cacheability check.
+        // Without the index only a fully cache-safe table inserts any.
+        let probe = self.caching && (self.indexing || self.all_cache_safe);
         let key = self.cache_key(req, ctx);
-        if cacheable {
+        if probe {
             if let Some(packed) = self.cache.lookup(key) {
                 let decision = self.unpack(packed);
-                self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                self.finish(req, decision, 0, now_us);
+                self.audit.record(now_us, *req, decision, 0, CacheUse::Hit);
                 return decision;
             }
         }
+
+        let bucket = if self.indexing {
+            let subject = req.subject();
+            self.subject_index
+                .get(&(subject.namespace_symbol(), subject.name_symbol()))
+        } else {
+            None
+        };
+        let cacheable = probe
+            && (!self.indexing || bucket.map_or(self.unindexed_cache_safe, |b| b.cache_safe));
 
         let mut examined = 0u64;
         let overlay = RateOverlay { table: &self.rates, ctx, now_us };
@@ -949,11 +1004,13 @@ impl PolicyEngine {
             self.combine(req, ctx, &overlay, 0..self.rules.len() as u32, &mut examined)
         };
         let decision = self.render(outcome);
-        if cacheable {
-            self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
+        let cache = if cacheable {
             self.cache.insert(key, pack_outcome(outcome));
-        }
-        self.finish(req, decision, examined, now_us);
+            CacheUse::Miss
+        } else {
+            CacheUse::Bypass
+        };
+        self.audit.record(now_us, *req, decision, examined, cache);
         decision
     }
 
@@ -1023,22 +1080,6 @@ impl PolicyEngine {
         }
     }
 
-    #[inline]
-    fn finish(&self, req: &AccessRequest, decision: Decision, examined: u64, now_us: u64) {
-        let c = &self.counters;
-        c.decisions.fetch_add(1, Ordering::Relaxed);
-        c.rules_examined.fetch_add(examined, Ordering::Relaxed);
-        match decision.effect {
-            Effect::Allow => c.allows.fetch_add(1, Ordering::Relaxed),
-            Effect::Deny => c.denies.fetch_add(1, Ordering::Relaxed),
-        };
-        if decision.rule.is_none() {
-            c.defaults.fetch_add(1, Ordering::Relaxed);
-        }
-        self.audit
-            .record(now_us, *req, decision.effect, decision.rule.map(|t| t.qualified));
-    }
-
     fn combine<I: Iterator<Item = u32>>(
         &self,
         req: &AccessRequest,
@@ -1104,23 +1145,14 @@ impl PolicyEngine {
         }
     }
 
-    /// Snapshot of evaluation statistics.
+    /// Snapshot of evaluation statistics, summed over the audit shards.
     pub fn stats(&self) -> EngineStats {
-        let c = &self.counters;
-        EngineStats {
-            decisions: c.decisions.load(Ordering::Relaxed),
-            allows: c.allows.load(Ordering::Relaxed),
-            denies: c.denies.load(Ordering::Relaxed),
-            defaults: c.defaults.load(Ordering::Relaxed),
-            rules_examined: c.rules_examined.load(Ordering::Relaxed),
-            cache_hits: c.cache_hits.load(Ordering::Relaxed),
-            cache_misses: c.cache_misses.load(Ordering::Relaxed),
-        }
+        self.audit.stats()
     }
 
     /// Runs a closure over a merged snapshot of the audit log.
     pub fn with_audit<R>(&self, f: impl FnOnce(&AuditLog) -> R) -> R {
-        f(&self.audit.snapshot(&self.counters))
+        f(&self.audit.snapshot())
     }
 }
 
@@ -1680,6 +1712,74 @@ mod tests {
         assert!(e.decide(&r, &ctx).is_allow());
         let s = e.stats();
         assert_eq!((s.cache_hits, s.cache_misses), (0, 0));
+
+        // A cache warmed while caching was on must not answer once it is off.
+        let warm = demo_engine(CombiningStrategy::DenyOverrides);
+        assert!(warm.decide(&r, &ctx).is_allow());
+        assert!(warm.decide(&r, &ctx).is_allow());
+        let warm = warm.with_caching(false);
+        let hits = warm.stats().cache_hits;
+        assert_eq!(hits, 1);
+        assert!(warm.decide(&r, &ctx).is_allow());
+        assert_eq!(warm.stats().cache_hits, hits, "a disabled cache is never probed");
+    }
+
+    #[test]
+    fn concurrent_decides_keep_exact_statistics() {
+        const THREADS: u64 = 4;
+        const PER_THREAD: u64 = 10_000;
+        let p = Policy::new("p", 1)
+            .add_rule(allow_read("r-read", "ecu"))
+            .unwrap()
+            .add_rule(
+                Rule::new(
+                    "while-parked",
+                    Effect::Allow,
+                    ActionSet::only(Action::Write),
+                    EntityMatcher::new("entry", Pattern::Exact("service".into())),
+                    EntityMatcher::new("asset", Pattern::Exact("ecu".into())),
+                )
+                .when(Condition::StateEquals { key: "parked".into(), value: "yes".into() }),
+            )
+            .unwrap();
+        let engine = PolicyEngine::from_policy(p);
+        let parked = EvalContext::new().with_state("parked", "yes");
+        // (request, context, cacheable)
+        let mix = [
+            (req("entry:a", "asset:ecu", Action::Read), EvalContext::new(), true),
+            (req("entry:b", "asset:ecu", Action::Read), EvalContext::new(), true),
+            // only the state-conditioned rule's subject is uncacheable
+            (req("entry:service", "asset:ecu", Action::Write), parked, false),
+            // no rule applies: the default deny
+            (req("entry:a", "asset:unknown", Action::Write), EvalContext::new(), true),
+        ];
+        let barrier = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (engine, mix, barrier) = (&engine, &mix, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    for i in 0..PER_THREAD {
+                        let (r, ctx, _) = &mix[((i + t) % mix.len() as u64) as usize];
+                        engine.decide(r, ctx);
+                    }
+                });
+            }
+        });
+        let n = mix.len() as u64;
+        let cacheable = (0..THREADS)
+            .flat_map(|t| (0..PER_THREAD).map(move |i| ((i + t) % n) as usize))
+            .filter(|&m| mix[m].2)
+            .count() as u64;
+        let s = engine.stats();
+        assert_eq!(s.decisions, THREADS * PER_THREAD);
+        assert_eq!(s.allows + s.denies, s.decisions);
+        assert_eq!(s.defaults, THREADS * PER_THREAD / n);
+        assert_eq!(s.cache_hits + s.cache_misses, cacheable);
+        engine.with_audit(|log| {
+            assert_eq!(log.total(), s.decisions);
+            assert_eq!((log.allows(), log.denies(), log.defaults()), (s.allows, s.denies, s.defaults));
+        });
     }
 
     #[test]

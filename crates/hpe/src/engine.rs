@@ -14,14 +14,19 @@
 //!
 //! # The lookup fast path (DESIGN.md §6)
 //!
-//! The per-frame path is lock-light: telemetry counters are atomics, the
-//! engine label is a pre-shared `Arc<str>`, and each handle caches verdicts
-//! in plain memory keyed by `(can id, direction)`. A signed configuration
-//! update (or a decision-block swap) bumps a generation counter, so stale
-//! verdicts can never answer; only a cache miss takes the configuration read
-//! lock and runs the decision block. Cycle accounting is preserved on hits:
-//! the cached verdict carries the cycle cost the hardware comparator bank
-//! spends on every frame.
+//! The per-frame path is single-writer. The interposer seam hands each node
+//! `&mut` access to its own handle, so on its first lookup a handle takes
+//! its own verdict cache, keyed by `(can id, direction)`, and its own
+//! telemetry *lane*, which no other handle writes. A lookup then runs no
+//! locked read-modify-write and takes no lock: counters advance by a
+//! Relaxed load and store, and one atomic load of the shared generation
+//! validates the whole verdict cache. A signed configuration update (or a
+//! decision-block swap) bumps that generation, so stale verdicts can never
+//! answer; only a cache miss takes the configuration read lock and runs the
+//! decision block. Cycle accounting is preserved on hits: the cached verdict
+//! carries the cycle cost the hardware comparator bank spends on every
+//! frame. [`HardwarePolicyEngine::telemetry`] sums the live lanes and the
+//! totals of dropped handles.
 
 use crate::config::compile_policy_to_lists;
 use crate::decision::DecisionBlock;
@@ -44,38 +49,28 @@ struct HpeConfig {
     oem_key: Option<Vec<u8>>,
 }
 
-/// Per-outcome event count and cycle sum packed into one word: count in the
-/// low 32 bits, cycles in the high 32 — so the per-frame accounting path is
-/// a **single** atomic RMW instead of one for the counter plus one for the
-/// cycle total. Lookup costs are ≤ a few dozen cycles per frame, so the
-/// 32-bit cycle half saturates only after ~10⁸ frames per engine — far
-/// beyond any simulated run; [`TelemetryCounters::snapshot`] would surface a
-/// wrap as an impossible mean, caught by the bench sanity checks.
+/// Adds `delta` to a counter that only one handle writes: a Relaxed load
+/// and store, which compile to plain moves, not a locked read-modify-write.
 #[inline]
-const fn pack_event(cycles: u32) -> u64 {
-    ((cycles as u64) << 32) | 1
+fn add(counter: &AtomicU64, delta: u64) {
+    counter.store(counter.load(Ordering::Relaxed).wrapping_add(delta), Ordering::Relaxed);
 }
 
-const fn unpack_count(v: u64) -> u64 {
-    v & 0xFFFF_FFFF
-}
-
-const fn unpack_cycles(v: u64) -> u64 {
-    v >> 32
-}
-
-/// Slots in the lock-free blocked-id table. Each engine's approved lists
-/// cover at most a few dozen identifiers, so collisions are rare and the
-/// overflow map is effectively never touched.
+/// Slots in a lane's blocked-id table. Each engine's approved lists cover
+/// at most a few dozen identifiers, so collisions are rare and the overflow
+/// map is effectively never touched.
 const BLOCKED_SLOTS: usize = 128;
 
-/// A fixed open-addressed `(id → count)` table updated with atomics only;
-/// the deny path bumps a counter without taking any lock. Ids that fail to
-/// claim a slot (table full) fall back to a mutexed overflow map.
+/// A fixed open-addressed `(id → count)` table with one writer. The writer
+/// stores a new slot's count before it publishes the key (Release), and
+/// readers load the key with Acquire, so a published key always has its
+/// count. A handle that has blocked more than `BLOCKED_SLOTS` distinct ids
+/// falls back to a mutexed overflow map: the one lock left on the lookup
+/// path, reached only then.
 struct BlockedIdTable {
-    /// `raw id + 1`; 0 marks an empty slot.
-    keys: Box<[AtomicU64]>,
-    counts: Box<[AtomicU64]>,
+    /// `(raw id + 1, count)`; key 0 marks an empty slot. A slot's key and
+    /// count share a cache line.
+    slots: Box<[(AtomicU64, AtomicU64)]>,
     overflow: Mutex<BTreeMap<u32, u64>>,
 }
 
@@ -88,94 +83,103 @@ impl std::fmt::Debug for BlockedIdTable {
 impl Default for BlockedIdTable {
     fn default() -> Self {
         BlockedIdTable {
-            keys: (0..BLOCKED_SLOTS).map(|_| AtomicU64::new(0)).collect(),
-            counts: (0..BLOCKED_SLOTS).map(|_| AtomicU64::new(0)).collect(),
+            slots: (0..BLOCKED_SLOTS)
+                .map(|_| (AtomicU64::new(0), AtomicU64::new(0)))
+                .collect(),
             overflow: Mutex::new(BTreeMap::new()),
         }
     }
 }
 
 impl BlockedIdTable {
-    fn bump(&self, id: u32) {
+    /// Counts `n` blocks of `id`; one writer at a time calls this.
+    fn bump(&self, id: u32, n: u64) {
         let key = u64::from(id) + 1;
         let mut slot = (id as usize).wrapping_mul(0x9E37_79B9) >> 16 & (BLOCKED_SLOTS - 1);
         for _ in 0..BLOCKED_SLOTS {
-            let k = self.keys[slot].load(Ordering::Acquire);
-            if k == key {
-                self.counts[slot].fetch_add(1, Ordering::Relaxed);
+            let (k, count) = &self.slots[slot];
+            let current = k.load(Ordering::Relaxed);
+            if current == key {
+                add(count, n);
                 return;
             }
-            if k == 0 {
-                match self.keys[slot].compare_exchange(
-                    0,
-                    key,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => {
-                        self.counts[slot].fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                    Err(current) if current == key => {
-                        self.counts[slot].fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                    Err(_) => {} // lost the race to another id; probe on
-                }
+            if current == 0 {
+                count.store(n, Ordering::Relaxed);
+                k.store(key, Ordering::Release);
+                return;
             }
             slot = (slot + 1) & (BLOCKED_SLOTS - 1);
         }
-        *lock(&self.overflow).entry(id).or_insert(0) += 1;
+        *lock(&self.overflow).entry(id).or_insert(0) += n;
     }
 
-    fn snapshot(&self) -> BTreeMap<u32, u64> {
-        let mut out = lock(&self.overflow).clone();
-        for (k, c) in self.keys.iter().zip(self.counts.iter()) {
+    /// Calls `f(id, count)` for every id the table has counted.
+    fn for_each(&self, mut f: impl FnMut(u32, u64)) {
+        for (k, count) in self.slots.iter() {
             let key = k.load(Ordering::Acquire);
             if key != 0 {
-                // count may still be mid-publication (key claimed, count not
-                // yet bumped); skip zero counts rather than report them
-                let n = c.load(Ordering::Relaxed);
-                if n > 0 {
-                    *out.entry((key - 1) as u32).or_insert(0) += n;
-                }
+                f((key - 1) as u32, count.load(Ordering::Relaxed));
             }
         }
-        out
+        for (&id, &n) in lock(&self.overflow).iter() {
+            f(id, n);
+        }
     }
 }
 
-/// Lock-free telemetry: one packed atomic per `(direction, outcome)` pair,
-/// a CAS-claimed per-id block table — no mutex anywhere on the frame path.
+/// One inline handle's telemetry. Only its handle writes it; any handle's
+/// [`HardwarePolicyEngine::telemetry`] reads it.
 #[derive(Debug, Default)]
-struct TelemetryCounters {
-    read_granted: AtomicU64,
-    read_blocked: AtomicU64,
-    write_granted: AtomicU64,
-    write_blocked: AtomicU64,
-    tamper_attempts: AtomicU64,
+struct Lane {
+    /// Frames per `(direction, outcome)`, indexed by `direction << 1 | granted`.
+    frames: [AtomicU64; 4],
+    cycles: AtomicU64,
     blocked_by_id: BlockedIdTable,
 }
 
-impl TelemetryCounters {
-    fn snapshot(&self) -> HpeTelemetry {
-        let rg = self.read_granted.load(Ordering::Relaxed);
-        let rb = self.read_blocked.load(Ordering::Relaxed);
-        let wg = self.write_granted.load(Ordering::Relaxed);
-        let wb = self.write_blocked.load(Ordering::Relaxed);
-        HpeTelemetry {
-            read_granted: unpack_count(rg),
-            read_blocked: unpack_count(rb),
-            write_granted: unpack_count(wg),
-            write_blocked: unpack_count(wb),
-            tamper_attempts: self.tamper_attempts.load(Ordering::Relaxed),
-            total_cycles: unpack_cycles(rg)
-                + unpack_cycles(rb)
-                + unpack_cycles(wg)
-                + unpack_cycles(wb),
-            blocked_by_id: self.blocked_by_id.snapshot(),
+impl Lane {
+    #[inline]
+    fn account(&self, direction: u64, id: CanId, granted: bool, cycles: u32) -> InterposeVerdict {
+        add(&self.frames[(direction as usize) << 1 | usize::from(granted)], 1);
+        add(&self.cycles, u64::from(cycles));
+        if granted {
+            InterposeVerdict::Grant
+        } else {
+            self.blocked_by_id.bump(id.raw(), 1);
+            InterposeVerdict::Block
         }
     }
+
+    /// Adds a dropped handle's lane to this one.
+    fn absorb(&self, other: &Lane) {
+        for (mine, theirs) in self.frames.iter().zip(other.frames.iter()) {
+            add(mine, theirs.load(Ordering::Relaxed));
+        }
+        add(&self.cycles, other.cycles.load(Ordering::Relaxed));
+        other.blocked_by_id.for_each(|id, n| self.blocked_by_id.bump(id, n));
+    }
+
+    fn add_to(&self, t: &mut HpeTelemetry) {
+        let frames = |i: usize| self.frames[i].load(Ordering::Relaxed);
+        t.read_blocked += frames(0);
+        t.read_granted += frames(1);
+        t.write_blocked += frames(2);
+        t.write_granted += frames(3);
+        t.total_cycles += self.cycles.load(Ordering::Relaxed);
+        self.blocked_by_id
+            .for_each(|id, n| *t.blocked_by_id.entry(id).or_insert(0) += n);
+    }
+}
+
+/// The lanes of the live inline handles, plus the folded totals of the
+/// handles already dropped. Only lane registration, `Drop` and
+/// `telemetry()` lock it; a lookup never does, and the mutex makes `Drop`
+/// the retired lane's one writer.
+#[derive(Debug, Default)]
+struct Lanes {
+    live: Vec<Arc<Lane>>,
+    /// The first dropped lane, with every later one folded into it.
+    retired: Option<Lane>,
 }
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -187,8 +191,9 @@ struct Shared {
     label: Arc<str>,
     config: RwLock<HpeConfig>,
     config_version: AtomicU64,
-    telemetry: TelemetryCounters,
     generation: AtomicU32,
+    tamper_attempts: AtomicU64,
+    lanes: Mutex<Lanes>,
 }
 
 const DIR_READ: u64 = 0;
@@ -198,32 +203,60 @@ const DIR_WRITE: u64 = 1;
 /// tiny; 64 direct-mapped slots overshoot them).
 const LOCAL_VERDICT_SLOTS: usize = 64;
 
-/// A per-*handle* verdict cache with no atomics at all. The interposer seam
-/// hands each node exclusive `&mut` access to its boxed engine handle, so
-/// the handle may keep plain memory: one generation check (a single atomic
-/// load) validates the whole cache, and a config update wipes it on the
-/// next use. Misses fall through to the decision block.
-#[derive(Debug, Clone)]
+/// A per-*handle* verdict cache with no atomics at all: one generation
+/// check (a single atomic load) validates the whole cache, and a config
+/// update wipes it on the next use. Misses fall through to the decision
+/// block.
+#[derive(Debug)]
 struct LocalVerdicts {
     /// `(packed key + 1, packed verdict)`; key 0 marks an empty slot.
     entries: Box<[(u64, u64)]>,
     generation: u32,
 }
 
-impl LocalVerdicts {
-    fn new() -> Self {
-        LocalVerdicts {
-            entries: vec![(0, 0); LOCAL_VERDICT_SLOTS].into_boxed_slice(),
-            generation: 0,
+/// What a handle owns once it runs inline: its verdict cache and its
+/// telemetry lane.
+#[derive(Debug)]
+struct Inline {
+    verdicts: LocalVerdicts,
+    lane: Arc<Lane>,
+}
+
+/// The hardware policy engine of Fig. 4. See the module docs.
+#[derive(Debug)]
+pub struct HardwarePolicyEngine {
+    shared: Arc<Shared>,
+    /// Set on the handle's first `on_ingress`/`on_egress`.
+    inline: Option<Inline>,
+}
+
+impl Clone for HardwarePolicyEngine {
+    /// A clone shares the engine's configuration and telemetry but is a new
+    /// writer: it starts with no verdict cache and no lane of its own.
+    fn clone(&self) -> Self {
+        HardwarePolicyEngine {
+            shared: Arc::clone(&self.shared),
+            inline: None,
         }
     }
 }
 
-/// The hardware policy engine of Fig. 4. See the module docs.
-#[derive(Debug, Clone)]
-pub struct HardwarePolicyEngine {
-    shared: Arc<Shared>,
-    local: LocalVerdicts,
+impl Drop for HardwarePolicyEngine {
+    /// Folds this handle's lane into the retired totals and unregisters
+    /// it, so the live list stays bounded by the live inline handles.
+    fn drop(&mut self) {
+        if let Some(Inline { lane, .. }) = self.inline.take() {
+            let mut lanes = lock(&self.shared.lanes);
+            lanes.live.retain(|l| !Arc::ptr_eq(l, &lane));
+            // The list held the only other reference to the lane.
+            if let Some(lane) = Arc::into_inner(lane) {
+                match &lanes.retired {
+                    Some(total) => total.absorb(&lane),
+                    None => lanes.retired = Some(lane),
+                }
+            }
+        }
+    }
 }
 
 impl HardwarePolicyEngine {
@@ -239,10 +272,11 @@ impl HardwarePolicyEngine {
                     oem_key: None,
                 }),
                 config_version: AtomicU64::new(0),
-                telemetry: TelemetryCounters::default(),
                 generation: AtomicU32::new(0),
+                tamper_attempts: AtomicU64::new(0),
+                lanes: Mutex::new(Lanes::default()),
             }),
-            local: LocalVerdicts::new(),
+            inline: None,
         }
     }
 
@@ -258,10 +292,6 @@ impl HardwarePolicyEngine {
         self.write_config().block = block;
         self.invalidate();
         self
-    }
-
-    fn read_config(&self) -> std::sync::RwLockReadGuard<'_, HpeConfig> {
-        self.shared.config.read().unwrap_or_else(|e| e.into_inner())
     }
 
     fn write_config(&self) -> std::sync::RwLockWriteGuard<'_, HpeConfig> {
@@ -280,9 +310,16 @@ impl HardwarePolicyEngine {
         Arc::clone(&self.shared.label)
     }
 
-    /// Snapshot of the telemetry counters.
+    /// Snapshot of the telemetry counters: the totals of dropped handles
+    /// plus every live handle's lane.
     pub fn telemetry(&self) -> HpeTelemetry {
-        self.shared.telemetry.snapshot()
+        let lanes = lock(&self.shared.lanes);
+        let mut t = HpeTelemetry::new();
+        for lane in lanes.retired.iter().chain(lanes.live.iter().map(|l| &**l)) {
+            lane.add_to(&mut t);
+        }
+        t.tamper_attempts = self.shared.tamper_attempts.load(Ordering::Relaxed);
+        t
     }
 
     /// The active configuration version (atomic read; no lock).
@@ -297,7 +334,7 @@ impl HardwarePolicyEngine {
 
     /// Snapshot of the approved lists (for inspection/diagnostics).
     pub fn lists(&self) -> ApprovedLists {
-        self.read_config().lists.clone()
+        self.shared.read_config().lists.clone()
     }
 
     /// Looks up the read-path (ingress) verdict for `id` without recording
@@ -308,13 +345,13 @@ impl HardwarePolicyEngine {
     /// deterministic verdict costs with it without perturbing the counters
     /// the experiment is measuring.
     pub fn probe_read(&self, id: CanId) -> (bool, u32) {
-        self.filter(DIR_READ, id)
+        self.shared.filter(DIR_READ, id)
     }
 
     /// Looks up the write-path (egress) verdict for `id` without recording
     /// telemetry. See [`HardwarePolicyEngine::probe_read`].
     pub fn probe_write(&self, id: CanId) -> (bool, u32) {
-        self.filter(DIR_WRITE, id)
+        self.shared.filter(DIR_WRITE, id)
     }
 
     /// The path compromised firmware would have to use: an unauthenticated
@@ -323,10 +360,7 @@ impl HardwarePolicyEngine {
     /// # Errors
     /// Always [`HpeError::TamperRejected`].
     pub fn firmware_attempt_reconfigure(&self) -> Result<(), HpeError> {
-        self.shared
-            .telemetry
-            .tamper_attempts
-            .fetch_add(1, Ordering::Relaxed);
+        self.shared.tamper_attempts.fetch_add(1, Ordering::Relaxed);
         Err(HpeError::TamperRejected)
     }
 
@@ -380,15 +414,18 @@ impl HardwarePolicyEngine {
         Ok(())
     }
 
-    /// The `&mut` fast path: per-handle plain-memory cache first, the
-    /// decision block on a miss. One atomic load (the generation) validates
-    /// the local entries; a configuration update bumps the generation, which
-    /// wipes the local cache here before any stale verdict can answer.
-    fn filter_local(&mut self, direction: u64, id: CanId) -> (bool, u32) {
-        let generation = self.shared.generation.load(Ordering::Acquire);
-        if self.local.generation != generation {
-            self.local.entries.fill((0, 0));
-            self.local.generation = generation;
+    /// The inline path: this handle's verdict cache first, the decision
+    /// block on a miss, then this handle's lane. One atomic load (the
+    /// generation) validates the cached verdicts; a configuration update
+    /// bumps the generation, which wipes them here before any stale verdict
+    /// can answer.
+    fn lookup(&mut self, direction: u64, id: CanId) -> InterposeVerdict {
+        let shared = &self.shared;
+        let Inline { verdicts, lane } = self.inline.get_or_insert_with(|| shared.start_inline());
+        let generation = shared.generation.load(Ordering::Acquire);
+        if verdicts.generation != generation {
+            verdicts.entries.fill((0, 0));
+            verdicts.generation = generation;
         }
         let packed_id = (u64::from(id.raw()) << 2)
             | (u64::from(id.is_extended()) << 1)
@@ -396,13 +433,35 @@ impl HardwarePolicyEngine {
         let key = packed_id + 1; // shift away from the empty-slot sentinel
         let slot = (packed_id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize
             & (LOCAL_VERDICT_SLOTS - 1);
-        let e = self.local.entries[slot];
-        if e.0 == key {
-            return (e.1 & 1 == 1, (e.1 >> 1) as u32);
+        let e = verdicts.entries[slot];
+        let (granted, cycles) = if e.0 == key {
+            (e.1 & 1 == 1, (e.1 >> 1) as u32)
+        } else {
+            let (granted, cycles) = shared.filter(direction, id);
+            verdicts.entries[slot] = (key, (u64::from(cycles) << 1) | u64::from(granted));
+            (granted, cycles)
+        };
+        lane.account(direction, id, granted, cycles)
+    }
+}
+
+impl Shared {
+    /// Starts a new writer: a fresh verdict cache and a lane registered
+    /// with the live list.
+    fn start_inline(&self) -> Inline {
+        let lane = Arc::new(Lane::default());
+        lock(&self.lanes).live.push(Arc::clone(&lane));
+        Inline {
+            verdicts: LocalVerdicts {
+                entries: vec![(0, 0); LOCAL_VERDICT_SLOTS].into_boxed_slice(),
+                generation: self.generation.load(Ordering::Acquire),
+            },
+            lane,
         }
-        let (granted, cycles) = self.filter(direction, id);
-        self.local.entries[slot] = (key, (u64::from(cycles) << 1) | u64::from(granted));
-        (granted, cycles)
+    }
+
+    fn read_config(&self) -> std::sync::RwLockReadGuard<'_, HpeConfig> {
+        self.config.read().unwrap_or_else(|e| e.into_inner())
     }
 
     /// One uncached lookup: the decision block under the config read lock.
@@ -415,35 +474,15 @@ impl HardwarePolicyEngine {
         let verdict = config.block.decide(list, id);
         (verdict.granted, verdict.cycles)
     }
-
-    fn account(&self, direction: u64, id: CanId, granted: bool, cycles: u32) -> InterposeVerdict {
-        let t = &self.shared.telemetry;
-        // one packed RMW carries both the event count and the cycle cost
-        let delta = pack_event(cycles);
-        match (direction, granted) {
-            (DIR_READ, true) => t.read_granted.fetch_add(delta, Ordering::Relaxed),
-            (DIR_READ, false) => t.read_blocked.fetch_add(delta, Ordering::Relaxed),
-            (_, true) => t.write_granted.fetch_add(delta, Ordering::Relaxed),
-            (_, false) => t.write_blocked.fetch_add(delta, Ordering::Relaxed),
-        };
-        if granted {
-            InterposeVerdict::Grant
-        } else {
-            t.blocked_by_id.bump(id.raw());
-            InterposeVerdict::Block
-        }
-    }
 }
 
 impl Interposer for HardwarePolicyEngine {
     fn on_ingress(&mut self, _now: SimTime, frame: &CanFrame) -> InterposeVerdict {
-        let (granted, cycles) = self.filter_local(DIR_READ, frame.id());
-        self.account(DIR_READ, frame.id(), granted, cycles)
+        self.lookup(DIR_READ, frame.id())
     }
 
     fn on_egress(&mut self, _now: SimTime, frame: &CanFrame) -> InterposeVerdict {
-        let (granted, cycles) = self.filter_local(DIR_WRITE, frame.id());
-        self.account(DIR_WRITE, frame.id(), granted, cycles)
+        self.lookup(DIR_WRITE, frame.id())
     }
 
     fn label(&self) -> &str {
@@ -454,6 +493,7 @@ impl Interposer for HardwarePolicyEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::CostModel;
     use polsec_core::dsl::parse_policy;
     use polsec_core::PolicyBundle;
     use polsec_can::{CanBus, CanId, CanNode};
@@ -660,5 +700,91 @@ mod tests {
         hpe.apply_signed_config(&bundle, Some("fail-safe")).unwrap();
         let mut inline = hpe.clone();
         assert_eq!(inline.on_egress(SimTime::ZERO, &frame(0x50)), InterposeVerdict::Grant);
+    }
+
+    #[test]
+    fn total_cycles_do_not_wrap_at_32_bits() {
+        let mut hpe = engine_allowing(&[0x100], &[])
+            .with_decision_block(DecisionBlock::new(CostModel::Parallel { cycles: u32::MAX }));
+        for _ in 0..2 {
+            assert_eq!(hpe.on_ingress(SimTime::ZERO, &frame(0x100)), InterposeVerdict::Grant);
+        }
+        let t = hpe.telemetry();
+        assert_eq!(t.read_granted, 2);
+        assert_eq!(t.total_cycles, 2 * u64::from(u32::MAX));
+    }
+
+    #[test]
+    fn concurrent_inline_handles_sum_exactly() {
+        const FRAMES: u32 = 20_000;
+        // Two approved ids on each path; the rest are blocked.
+        let hpe = engine_allowing(&[0x100, 0x101], &[0x300, 0x301]);
+        let ids = [0x100, 0x101, 0x200, 0x201, 0x202, 0x300, 0x301];
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let workers: Vec<_> = (0..2u32)
+            .map(|t| {
+                let mut inline = hpe.clone();
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    for i in 0..FRAMES {
+                        let f = frame(ids[((i + t) % ids.len() as u32) as usize]);
+                        if i % 3 == 0 {
+                            inline.on_egress(SimTime::ZERO, &f);
+                        } else {
+                            inline.on_ingress(SimTime::ZERO, &f);
+                        }
+                    }
+                    inline
+                })
+            })
+            .collect();
+        // Keep both handles alive so the sum comes from two live lanes.
+        let _handles: Vec<_> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+
+        let mut expected = HpeTelemetry::new();
+        for t in 0..2u32 {
+            for i in 0..FRAMES {
+                let id = ids[((i + t) % ids.len() as u32) as usize];
+                let write = i % 3 == 0;
+                let (granted, cycles) = if write {
+                    hpe.probe_write(sid(id))
+                } else {
+                    hpe.probe_read(sid(id))
+                };
+                match (write, granted) {
+                    (false, true) => expected.read_granted += 1,
+                    (false, false) => expected.read_blocked += 1,
+                    (true, true) => expected.write_granted += 1,
+                    (true, false) => expected.write_blocked += 1,
+                }
+                if !granted {
+                    expected.note_block(id);
+                }
+                expected.total_cycles += u64::from(cycles);
+            }
+        }
+        assert_eq!(hpe.telemetry(), expected);
+    }
+
+    #[test]
+    fn short_lived_inline_handles_retire_exactly() {
+        const HANDLES: u64 = 10_000;
+        let hpe = engine_allowing(&[0x100], &[]);
+        let (_, grant_cycles) = hpe.probe_read(sid(0x100));
+        let (_, block_cycles) = hpe.probe_read(sid(0x200));
+        for i in 0..HANDLES {
+            let mut inline = hpe.clone();
+            let id = if i % 2 == 0 { 0x100 } else { 0x200 };
+            inline.on_ingress(SimTime::ZERO, &frame(id));
+        }
+        let t = hpe.telemetry();
+        assert_eq!((t.read_granted, t.read_blocked), (HANDLES / 2, HANDLES / 2));
+        assert_eq!(
+            t.total_cycles,
+            HANDLES / 2 * u64::from(grant_cycles + block_cycles)
+        );
+        assert_eq!(t.blocked_by_id, BTreeMap::from([(0x200, HANDLES / 2)]));
+        assert!(lock(&hpe.shared.lanes).live.is_empty(), "dropped handles unregister");
     }
 }
