@@ -3,9 +3,11 @@
 //! [`CanBus`] is a deterministic broadcast medium with CSMA/CR arbitration:
 //! in each round every node offers its highest-priority pending frame, the
 //! lowest arbitration key wins, losers requeue, and the winning frame is
-//! delivered to every other node. Frame timing is derived from the real
-//! encoded wire length (including stuff bits), so bus-load measurements are
-//! protocol-accurate.
+//! delivered to every other node. A round walks the nodes once to gather
+//! the offers (counting egress blocks and the nodes able to ACK as it goes)
+//! and, for a carried frame, once more to deliver it; an idle round is the
+//! gather alone. Frame timing is derived from the real encoded wire length
+//! (including stuff bits), so bus-load measurements are protocol-accurate.
 //!
 //! An optional [`ErrorModel`] corrupts frames on the wire, driving the
 //! fault-confinement state machines — this is how the E1 bus-off attack
@@ -15,7 +17,7 @@ use crate::codec;
 use crate::error::CanError;
 use crate::frame::CanFrame;
 use crate::id::CanId;
-use crate::node::CanNode;
+use crate::node::{CanNode, Delivery};
 use crate::stats::BusStats;
 use polsec_sim::{DetRng, SimDuration, SimTime, Trace};
 use std::fmt;
@@ -286,23 +288,24 @@ impl CanBus {
         candidates.clear();
         candidates.append(&mut self.retrying);
         let now = self.now;
-        for i in 0..self.nodes.len() {
+        // Fault confinement moves only on the error path, so the nodes able
+        // to transmit now are also the ones that can ACK the winner.
+        let mut able = 0;
+        for (i, node) in self.nodes.iter_mut().enumerate() {
+            if !node.controller().counters().can_transmit() {
+                continue;
+            }
+            able += 1;
             if candidates.iter().any(|(h, _, _)| h.0 == i) {
                 continue; // node already contending with a retry
             }
-            if !self.nodes[i].controller().counters().can_transmit() {
-                continue;
-            }
-            if let Some(f) = self.nodes[i].take_tx(now) {
+            let blocked = node.egress_blocked();
+            let taken = node.take_tx(now);
+            self.stats.frames_blocked_egress += node.egress_blocked() - blocked;
+            if let Some(f) = taken {
                 candidates.push((NodeHandle(i), f, 0));
             }
         }
-        // account egress blocks discovered during take_tx
-        self.stats.frames_blocked_egress = self
-            .nodes
-            .iter()
-            .map(|n| n.egress_blocked())
-            .sum();
 
         if candidates.is_empty() {
             self.candidates_buf = candidates;
@@ -334,13 +337,10 @@ impl CanBus {
         }
         self.candidates_buf = candidates;
 
-        // Is anyone listening? A lone node gets no ACK.
-        let listeners = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(i, n)| *i != winner.0 && n.controller().counters().can_transmit())
-            .count();
+        // Is anyone listening? A lone node gets no ACK. (A retry is gathered
+        // without the check, so the winner itself may not be able.)
+        let winner_able = self.nodes[winner.0].controller().counters().can_transmit();
+        let listeners = able - usize::from(winner_able);
 
         let corrupted = match &self.error_model {
             Some(m) if m.targets(frame.id()) => self.rng.chance(m.probability),
@@ -407,42 +407,26 @@ impl CanBus {
             .counters_mut()
             .record_tx_success();
 
-        let now = self.now;
-        let mut blocked_before: u64 = 0;
-        let mut blocked_after: u64 = 0;
-        for (i, n) in self.nodes.iter_mut().enumerate() {
-            if i == winner.0 {
-                continue;
-            }
-            blocked_before += n.ingress_blocked();
-            let accepted = n.deliver(now, &frame);
-            blocked_after += n.ingress_blocked();
-            n.controller_mut().counters_mut().record_rx_success();
-            if accepted {
-                self.stats.frames_delivered += 1;
-            } else {
-                self.stats.frames_rejected += 1;
-            }
-        }
-        // re-classify interposer blocks out of the generic reject count
-        let newly_blocked = blocked_after - blocked_before;
-        self.stats.frames_blocked_ingress += newly_blocked;
-        self.stats.frames_rejected -= newly_blocked;
-
         // A completed frame ends in ≥11 consecutive recessive bits (7-bit
-        // EOF, ACK delimiter, 3-bit intermission), so every bus-off node
+        // EOF, ACK delimiter, 3-bit intermission), so every bus-off receiver
         // observes one ISO 11898-1 re-integration sequence. Error frames
         // are dominant and never reach this path — a storm-ridden bus
-        // genuinely delays its victims' recovery.
-        for i in 0..self.nodes.len() {
+        // genuinely delays its victims' recovery. Delivery touches only its
+        // own node and records nothing on the bus, so noting the sequence in
+        // the same iteration keeps the recovery events in node order.
+        let now = self.now;
+        for (i, node) in self.nodes.iter_mut().enumerate() {
             if i == winner.0 {
                 continue;
             }
-            if self.nodes[i]
-                .controller_mut()
-                .counters_mut()
-                .note_recessive_sequence()
-            {
+            match node.deliver(now, &frame) {
+                Delivery::Accepted => self.stats.frames_delivered += 1,
+                Delivery::Rejected => self.stats.frames_rejected += 1,
+                Delivery::Blocked => self.stats.frames_blocked_ingress += 1,
+            }
+            let counters = node.controller_mut().counters_mut();
+            counters.record_rx_success();
+            if counters.note_recessive_sequence() {
                 self.stats.bus_off_recoveries += 1;
                 let node = NodeHandle(i);
                 self.events.push(BusEvent::BusOffRecovered { node, at: self.now });

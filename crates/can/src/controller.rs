@@ -78,15 +78,6 @@ impl CanController {
         Ok(())
     }
 
-    /// The highest-priority pending frame (what the controller would offer to
-    /// arbitration), without removing it.
-    pub fn peek_tx(&self) -> Option<&CanFrame> {
-        self.tx
-            .iter()
-            .min_by_key(|(seq, f)| (f.id().arbitration_key(), *seq))
-            .map(|(_, f)| f)
-    }
-
     /// Removes and returns the highest-priority pending frame.
     pub fn pop_tx(&mut self) -> Option<CanFrame> {
         let idx = self
@@ -220,15 +211,6 @@ mod tests {
         c.enqueue_tx(b.clone()).unwrap();
         assert_eq!(c.pop_tx(), Some(a));
         assert_eq!(c.pop_tx(), Some(b));
-    }
-
-    #[test]
-    fn peek_matches_pop() {
-        let mut c = CanController::new();
-        c.enqueue_tx(frame(0x20)).unwrap();
-        c.enqueue_tx(frame(0x10)).unwrap();
-        let peeked = c.peek_tx().cloned();
-        assert_eq!(peeked, c.pop_tx());
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! critically — firmware has no API to reach it.
 
 use crate::controller::CanController;
-use crate::error::CanError;
 use crate::filter::FilterBank;
 use crate::frame::CanFrame;
 use polsec_sim::SimTime;
@@ -130,38 +129,6 @@ impl FromIterator<FirmwareAction> for ActionVec {
     }
 }
 
-/// By-value iterator over an [`ActionVec`] (inline slots first, then the
-/// spill vector).
-#[derive(Debug)]
-pub struct ActionVecIter {
-    inline: std::array::IntoIter<Option<FirmwareAction>, INLINE_ACTIONS>,
-    spill: std::vec::IntoIter<FirmwareAction>,
-}
-
-impl Iterator for ActionVecIter {
-    type Item = FirmwareAction;
-    fn next(&mut self) -> Option<FirmwareAction> {
-        for slot in self.inline.by_ref() {
-            match slot {
-                Some(a) => return Some(a),
-                None => continue,
-            }
-        }
-        self.spill.next()
-    }
-}
-
-impl IntoIterator for ActionVec {
-    type Item = FirmwareAction;
-    type IntoIter = ActionVecIter;
-    fn into_iter(self) -> ActionVecIter {
-        ActionVecIter {
-            inline: self.inline.into_iter(),
-            spill: self.spill.into_iter(),
-        }
-    }
-}
-
 /// Node application logic ("the processor" of Fig. 3).
 ///
 /// Implementations receive accepted frames and periodic ticks and answer
@@ -205,6 +172,17 @@ pub enum InterposeVerdict {
     Block,
 }
 
+/// What became of a frame the bus offered to a node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Delivery {
+    /// Queued for the application and handed to firmware.
+    Accepted,
+    /// Refused by the acceptance filters or lost to an RX overrun.
+    Rejected,
+    /// Blocked by the ingress interposer.
+    Blocked,
+}
+
 /// A hardware-level frame gate between controller and bus (both directions).
 ///
 /// `polsec-hpe` implements this with the approved-list + decision-block
@@ -222,6 +200,11 @@ pub trait Interposer: Send {
     }
 }
 
+/// Lines a node's log keeps. Later lines are counted in
+/// [`CanNode::log_dropped`], so a node refusing frames for a whole run holds
+/// bounded memory.
+pub const LOG_CAPACITY: usize = 1024;
+
 /// A complete CAN node.
 pub struct CanNode {
     name: String,
@@ -229,6 +212,7 @@ pub struct CanNode {
     firmware: Box<dyn Firmware>,
     interposer: Option<Box<dyn Interposer>>,
     log: Vec<String>,
+    log_dropped: u64,
     ingress_blocked: u64,
     egress_blocked: u64,
 }
@@ -254,6 +238,7 @@ impl CanNode {
             firmware: Box::new(NullFirmware),
             interposer: None,
             log: Vec::new(),
+            log_dropped: 0,
             ingress_blocked: 0,
             egress_blocked: 0,
         }
@@ -319,9 +304,24 @@ impl CanNode {
         self.egress_blocked
     }
 
-    /// Application log lines emitted via [`FirmwareAction::Log`].
+    /// The first [`LOG_CAPACITY`] log lines: firmware [`FirmwareAction::Log`]
+    /// lines and refused sends, in order.
     pub fn log(&self) -> &[String] {
         &self.log
+    }
+
+    /// Log lines discarded because the log was full.
+    pub fn log_dropped(&self) -> u64 {
+        self.log_dropped
+    }
+
+    /// Keeps a log line while there is room, building it only then.
+    fn log_with(&mut self, line: impl FnOnce() -> String) {
+        if self.log.len() < LOG_CAPACITY {
+            self.log.push(line());
+        } else {
+            self.log_dropped += 1;
+        }
     }
 
     /// Queues a frame for transmission from application level.
@@ -333,7 +333,7 @@ impl CanNode {
     /// propagate to.
     pub fn send(&mut self, frame: CanFrame) {
         if let Err(e) = self.controller.enqueue_tx(frame) {
-            self.log.push(format!("tx dropped: {e}"));
+            self.log_with(|| format!("tx dropped: {e}"));
         }
     }
 
@@ -371,24 +371,23 @@ impl CanNode {
     }
 
     /// Bus-side: offers a frame arriving from the bus, applying the ingress
-    /// interposer, the controller filters, and then firmware. Returns the
-    /// firmware's actions (already applied to the controller where they are
-    /// filter changes / sends).
-    pub(crate) fn deliver(&mut self, now: SimTime, frame: &CanFrame) -> bool {
+    /// interposer, the controller filters, and then firmware, whose actions
+    /// are applied before this returns.
+    pub(crate) fn deliver(&mut self, now: SimTime, frame: &CanFrame) -> Delivery {
         if let Some(ip) = &mut self.interposer {
             if ip.on_ingress(now, frame) == InterposeVerdict::Block {
                 self.ingress_blocked += 1;
-                return false;
+                return Delivery::Blocked;
             }
         }
         if !self.controller.offer_rx(frame) {
-            return false;
+            return Delivery::Rejected;
         }
         // Firmware consumes the frame immediately in this model (the RX
         // queue also retains it for application-level receive()).
         let actions = self.firmware.on_frame(now, frame);
         self.apply_actions(actions);
-        true
+        Delivery::Accepted
     }
 
     /// Runs one firmware tick.
@@ -397,25 +396,28 @@ impl CanNode {
         self.apply_actions(actions);
     }
 
-    fn apply_actions(&mut self, actions: ActionVec) {
-        for a in actions {
-            match a {
-                FirmwareAction::Send(f) => self.send(f),
-                FirmwareAction::SetFilters(bank) => *self.controller.filters_mut() = bank,
-                FirmwareAction::ClearFilters => self.controller.filters_mut().clear(),
-                FirmwareAction::Log(line) => self.log.push(line),
+    /// Applies actions in push order, taking each from where the firmware
+    /// left it: the inline slots, then the spill.
+    fn apply_actions(&mut self, mut actions: ActionVec) {
+        let inline = actions.len.min(INLINE_ACTIONS);
+        for slot in &mut actions.inline[..inline] {
+            if let Some(action) = slot.take() {
+                self.apply(action);
             }
         }
+        for action in actions.spill.drain(..) {
+            self.apply(action);
+        }
     }
-}
 
-/// Result of a node-level send attempt, surfaced by the bus API.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SendOutcome {
-    /// The frame was queued.
-    Queued,
-    /// The frame was rejected.
-    Rejected(CanError),
+    fn apply(&mut self, action: FirmwareAction) {
+        match action {
+            FirmwareAction::Send(f) => self.send(f),
+            FirmwareAction::SetFilters(bank) => *self.controller.filters_mut() = bank,
+            FirmwareAction::ClearFilters => self.controller.filters_mut().clear(),
+            FirmwareAction::Log(line) => self.log_with(|| line),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -469,7 +471,7 @@ mod tests {
     #[test]
     fn deliver_reaches_firmware_and_rx_queue() {
         let mut n = CanNode::with_firmware("a", Box::new(Echo));
-        assert!(n.deliver(SimTime::ZERO, &frame(0x20)));
+        assert_eq!(n.deliver(SimTime::ZERO, &frame(0x20)), Delivery::Accepted);
         // firmware echoed
         assert_eq!(n.take_tx(SimTime::ZERO).unwrap().id().raw(), 0x21);
         // application can also read the original
@@ -491,7 +493,7 @@ mod tests {
     fn ingress_interposer_blocks_before_firmware() {
         let mut n = CanNode::with_firmware("a", Box::new(Echo));
         n.install_interposer(Box::new(BlockId(0x30)));
-        assert!(!n.deliver(SimTime::ZERO, &frame(0x30)));
+        assert_eq!(n.deliver(SimTime::ZERO, &frame(0x30)), Delivery::Blocked);
         assert_eq!(n.ingress_blocked(), 1);
         assert!(n.receive().is_none(), "blocked frame must not reach rx");
         assert!(n.take_tx(SimTime::ZERO).is_none(), "firmware must not see it");
@@ -531,7 +533,11 @@ mod tests {
             .add(crate::filter::AcceptanceFilter::exact(CanId::standard(0x1).unwrap()));
         n.apply_actions(ActionVec::one(FirmwareAction::ClearFilters));
         assert!(n.controller().filters().is_empty(), "sw filters wiped");
-        assert!(!n.deliver(SimTime::ZERO, &frame(0x40)), "hw gate holds");
+        assert_eq!(
+            n.deliver(SimTime::ZERO, &frame(0x40)),
+            Delivery::Blocked,
+            "hw gate holds"
+        );
         assert!(n.is_interposed());
     }
 
@@ -568,12 +574,47 @@ mod tests {
             })
             .collect();
         assert_eq!(ids, (0x100..0x107).collect::<Vec<u32>>());
-        // by-value iteration too
-        let count = v.into_iter().count();
-        assert_eq!(count, 7);
         // FromIterator round trip
         let collected: ActionVec = (0..3u32).map(|i| FirmwareAction::Send(frame(i))).collect();
         assert_eq!(collected.len(), 3);
+    }
+
+    #[test]
+    fn seven_action_answer_queues_every_frame_in_push_order() {
+        // Three actions past the inline slots: the spill path. One id, so
+        // the TX queue pops in enqueue order and shows the push order.
+        struct Burst;
+        impl Firmware for Burst {
+            fn on_frame(&mut self, _n: SimTime, _f: &CanFrame) -> ActionVec {
+                ActionVec::new()
+            }
+            fn on_tick(&mut self, _n: SimTime) -> ActionVec {
+                let id = CanId::standard(0x120).unwrap();
+                (0..7u8)
+                    .map(|i| FirmwareAction::Send(CanFrame::data(id, &[i]).unwrap()))
+                    .collect()
+            }
+        }
+        let mut n = CanNode::with_firmware("a", Box::new(Burst));
+        n.tick(SimTime::ZERO);
+        let payloads: Vec<u8> = std::iter::from_fn(|| n.take_tx(SimTime::ZERO))
+            .map(|f| f.payload()[0])
+            .collect();
+        assert_eq!(payloads, (0..7).collect::<Vec<u8>>());
+    }
+
+    #[test]
+    fn log_is_bounded_and_counts_what_it_drops() {
+        let mut n = CanNode::new("a");
+        for _ in 0..32 {
+            n.controller_mut().counters_mut().record_tx_error();
+        }
+        for i in 0..100_000u32 {
+            n.send(frame(i & 0x7FF));
+        }
+        assert_eq!(n.log().len(), LOG_CAPACITY);
+        assert_eq!(n.log_dropped(), 100_000 - LOG_CAPACITY as u64);
+        assert!(n.log().iter().all(|l| l == "tx dropped: node is bus-off"));
     }
 
     #[test]

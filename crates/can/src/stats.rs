@@ -12,7 +12,9 @@ pub struct BusStats {
     pub frames_delivered: u64,
     /// Frames rejected by receivers' acceptance filters or RX overruns.
     pub frames_rejected: u64,
-    /// Frames dropped at the transmitter's egress interposer.
+    /// Frames dropped at the transmitter's egress interposer, counted as
+    /// each block happens while the bus gathers offers; always the sum of
+    /// the nodes' [`crate::CanNode::egress_blocked`].
     pub frames_blocked_egress: u64,
     /// Frame deliveries blocked at a receiver's ingress interposer.
     pub frames_blocked_ingress: u64,
