@@ -1,4 +1,4 @@
-//! Thread-scaling harness for the overlapped message plane (DESIGN.md §12).
+//! Thread-scaling harness for the message plane's epoch loop (DESIGN.md §12).
 //!
 //! Sweeps the full V2X scenario over 1/2/4/8 worker threads. Each thread
 //! count gets one warm-up pass plus three timed passes; the reported
@@ -6,8 +6,7 @@
 //! hiccup cannot gate CI. Across the whole sweep — sixteen runs — the
 //! deterministic metric sections (which include every vehicle's per-epoch
 //! inbox digest) must be **byte-identical**: every pass is simultaneously a
-//! replay check and a thread-count-invariance check for the overlapped
-//! barrier.
+//! replay check and a thread-count-invariance check for the epoch barrier.
 //!
 //! Two more assertions ride along:
 //!
@@ -15,7 +14,7 @@
 //!   no per-shard state to allocate) runs twice with different epoch
 //!   counts under the counting allocator; the marginal allocations per
 //!   extra epoch must be ~0, proving the double-buffered inboxes and the
-//!   recycled outbox pool reach an allocation-free steady state.
+//!   run-long per-shard outboxes reach an allocation-free steady state.
 //! * **Scaling ratio** (multicore hosts only): with `min_ratio > 0` and at
 //!   least four hardware threads, the 4-thread-over-1-thread throughput
 //!   ratio must meet the floor. On narrower hosts the ratio is recorded
@@ -70,8 +69,9 @@ fn median3(mut xs: [f64; 3]) -> f64 {
 }
 
 /// A synthetic all-broadcast plane epoch run: `u64` payloads, stateless
-/// shards, every envelope recycled through the outbox pool. Routing work
-/// scales with `epochs`; everything else is fixed per run.
+/// shards, every envelope sent through an outbox that keeps its buffer for
+/// the whole run. Routing work scales with `epochs`; everything else is
+/// fixed per run.
 fn synthetic_routing_allocs(shards: usize, threads: usize, epochs: u64) -> u64 {
     let mut plane = MessagePlane::new();
     plane.group(1, 0..shards);
@@ -111,9 +111,9 @@ fn main() {
 
     // ---- zero-alloc steady-state routing ---------------------------------
     // Marginal allocations per extra routing epoch, after a warm run. The
-    // short and long runs pay identical fixed costs (state init, worker
+    // short and long runs pay identical fixed costs (state init, helper
     // spawns, final merge), so the difference isolates the per-epoch
-    // routing path: double-buffered inboxes + recycled outbox buffers
+    // routing path: double-buffered inboxes + run-long outbox buffers
     // should make it allocation-free.
     let (short_epochs, long_epochs) = (50u64, 250u64);
     let mut routing_allocs_per_epoch: f64 = 0.0;
@@ -234,7 +234,7 @@ fn main() {
     let mut failed = false;
     if !deterministic {
         eprintln!(
-            "FAIL: deterministic metrics varied across the sweep — the overlapped \
+            "FAIL: deterministic metrics varied across the sweep — the epoch \
              barrier leaked thread scheduling into the results"
         );
         failed = true;

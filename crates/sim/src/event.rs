@@ -182,11 +182,6 @@ impl<T> Scheduler<T> {
         self.queue.len()
     }
 
-    /// Whether any events remain.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
-    }
-
     /// Runs events until the queue empties or `limit` events have fired,
     /// applying `handler` to each. The handler may schedule further events.
     ///

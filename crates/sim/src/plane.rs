@@ -18,20 +18,15 @@
 //! added straight into the run's one [`MetricSet`]; no per-shard result
 //! table is kept.
 //!
-//! # The overlapped barrier
+//! # The barrier
 //!
-//! The barrier is *pipelined*, not serial: a persistent worker pool claims
-//! shards from a guided chunked work queue (stragglers never idle whole
-//! workers behind a static partition), and the routing thread consumes
-//! finished outboxes in shard-index order **while later shards of the same
-//! epoch are still running** — the serial section shrinks to the tail
-//! shard plus one buffer swap. Inboxes are double-buffered (workers read
-//! epoch N's buffer while the router fills epoch N+1's) and every envelope
-//! `Vec` is recycled through a buffer pool at the barrier, so steady-state
-//! routing performs no allocation. Delivery latency is unchanged: mail
-//! sent in epoch N is readable in epoch N+1, which is what keeps every
-//! latency-sensitive invariant (ack round-trips, delay-fault arithmetic)
-//! identical to the historical serial barrier. See DESIGN.md §12.
+//! One loop runs every epoch at every thread count. The calling thread
+//! opens the epoch; it and `threads - 1` helper threads (spawned once per
+//! run) claim shards from one guided cursor and step them. Once every
+//! shard has stepped, the caller routes all outboxes in shard-index order
+//! and swaps the double-buffered inboxes. Outboxes and inboxes keep their
+//! buffers for the whole run, so steady-state routing allocates nothing.
+//! Mail sent in epoch N is readable in epoch N+1. See DESIGN.md §12.
 //!
 //! # Fault injection
 //!
@@ -75,8 +70,8 @@ use crate::metrics::MetricSet;
 use crate::rng::DetRng;
 use crate::shard::{claim_chunk, resolve_threads};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, RwLock};
+use std::sync::atomic::AtomicU64;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 
 /// Identifier of a broadcast group registered on a [`MessagePlane`].
 pub type GroupId = u32;
@@ -115,24 +110,6 @@ pub struct Outbox<M> {
 }
 
 impl<M> Outbox<M> {
-    /// Wraps a (cleared) recycled buffer — the per-epoch arena: outbox
-    /// vectors cycle worker → router → pool → worker, so steady-state
-    /// sending allocates only when a shard outgrows every pooled buffer.
-    fn with_buffer(from: usize, next_seq: u32, mail: Vec<Envelope<M>>) -> Self {
-        debug_assert!(mail.is_empty());
-        Outbox {
-            from,
-            next_seq,
-            mail,
-        }
-    }
-
-    /// Reclaims the (drained) buffer for the pool.
-    fn into_buffer(mut self) -> Vec<Envelope<M>> {
-        self.mail.clear();
-        self.mail
-    }
-
     /// Queues a message to an explicit address.
     pub fn send(&mut self, to: Address, msg: M) {
         let seq = self.next_seq;
@@ -153,16 +130,6 @@ impl<M> Outbox<M> {
     /// Queues a message to a broadcast group.
     pub fn broadcast(&mut self, group: GroupId, msg: M) {
         self.send(Address::Broadcast(group), msg);
-    }
-
-    /// Messages queued so far this epoch.
-    pub fn len(&self) -> usize {
-        self.mail.len()
-    }
-
-    /// Whether nothing has been queued this epoch.
-    pub fn is_empty(&self) -> bool {
-        self.mail.is_empty()
     }
 }
 
@@ -294,81 +261,11 @@ struct PlaneStats {
 /// epoch. Within one epoch, entries keep router insertion order.
 type PendingMail<M> = BTreeMap<u64, Vec<(usize, Envelope<M>)>>;
 
-/// Appends `env` to `dst`'s inbox, honouring the inbox bound
-/// (keep-first/drop-newest).
-fn deliver<M>(
-    inboxes: &mut [Vec<Envelope<M>>],
-    dst: usize,
-    env: Envelope<M>,
-    cap: usize,
-    stats: &mut PlaneStats,
-) {
-    let inbox = &mut inboxes[dst];
-    if inbox.len() >= cap {
-        stats.inbox_overflow += 1;
-    } else {
-        stats.delivered += 1;
-        inbox.push(env);
-    }
-}
-
-/// Applies the fault plan to one delivery: drop, duplicate, then delay each
-/// surviving copy. Immediate copies land in `inboxes`; delayed copies are
-/// parked in `pending` under their target epoch.
-#[allow(clippy::too_many_arguments)] // router plumbing: all state is threaded explicitly
-fn fault_deliver<M: Clone>(
-    faults: Option<&FaultPlan>,
-    epoch: u64,
-    cap: usize,
-    inboxes: &mut [Vec<Envelope<M>>],
-    pending: &mut PendingMail<M>,
-    stats: &mut PlaneStats,
-    dst: usize,
-    env: Envelope<M>,
-) {
-    let Some(plan) = faults else {
-        deliver(inboxes, dst, env, cap, stats);
-        return;
-    };
-    let mut rng = DetRng::stream_keys(
-        plan.seed,
-        &[epoch, env.from as u64, u64::from(env.seq), dst as u64],
-    );
-    if rng.chance(plan.drop) {
-        stats.fault_dropped += 1;
-        return;
-    }
-    let copies = if rng.chance(plan.duplicate) {
-        stats.duplicated += 1;
-        2
-    } else {
-        1
-    };
-    for _ in 0..copies {
-        let delayed_by = if plan.max_delay_epochs > 0 && rng.chance(plan.delay) {
-            rng.range_inclusive(1, u64::from(plan.max_delay_epochs))
-        } else {
-            0
-        };
-        if delayed_by == 0 {
-            deliver(inboxes, dst, env.clone(), cap, stats);
-        } else {
-            stats.delayed += 1;
-            // This barrier builds the inboxes for epoch+1; a copy delayed
-            // by k lands k epochs after that.
-            pending
-                .entry(epoch + 1 + delayed_by)
-                .or_default()
-                .push((dst, env.clone()));
-        }
-    }
-}
-
 /// The single-threaded router: owns the fault plan's parked mail and the
 /// plane counters, and builds epoch N+1's inboxes from epoch N's outboxes.
-/// Every method runs on the orchestrating thread — that, not a lock, is
-/// what keeps fault decisions and delivery order independent of worker
-/// scheduling.
+/// Every method runs on the calling thread once every shard of the epoch
+/// has stepped — that, not a lock, is what keeps fault decisions and
+/// delivery order independent of thread scheduling.
 struct Router<'p, M> {
     plane: &'p MessagePlane,
     shards: usize,
@@ -400,7 +297,7 @@ impl<'p, M: Clone> Router<'p, M> {
         }
         if let Some(due) = self.pending.remove(&(epoch + 1)) {
             for (dst, env) in due {
-                deliver(inboxes, dst, env, self.cap, &mut self.stats);
+                self.deliver(inboxes, dst, env);
             }
         }
     }
@@ -415,40 +312,88 @@ impl<'p, M: Clone> Router<'p, M> {
         outbox: &mut Outbox<M>,
         inboxes: &mut [Vec<Envelope<M>>],
     ) {
-        let (cap, shards, faults, plane) = (self.cap, self.shards, self.faults, self.plane);
-        let pending = &mut self.pending;
-        let stats = &mut self.stats;
+        let plane = self.plane;
         for env in outbox.mail.drain(..) {
-            stats.sent += 1;
+            self.stats.sent += 1;
             match env.to {
-                Address::Unicast(dst) if dst < shards => {
-                    fault_deliver(faults, epoch, cap, inboxes, pending, stats, dst, env);
+                Address::Unicast(dst) if dst < self.shards => {
+                    self.deliver_faulted(epoch, inboxes, dst, env);
                 }
-                Address::Unicast(_) => stats.unroutable += 1,
+                Address::Unicast(_) => self.stats.unroutable += 1,
                 Address::Broadcast(group) => {
-                    let members = plane.members(group);
                     let mut hit = false;
-                    for &dst in members {
-                        if dst == env.from || dst >= shards {
+                    for &dst in plane.members(group) {
+                        if dst == env.from || dst >= self.shards {
                             continue;
                         }
                         hit = true;
-                        fault_deliver(
-                            faults,
-                            epoch,
-                            cap,
-                            inboxes,
-                            pending,
-                            stats,
-                            dst,
-                            env.clone(),
-                        );
+                        self.deliver_faulted(epoch, inboxes, dst, env.clone());
                     }
                     if !hit {
-                        stats.unroutable += 1;
+                        self.stats.unroutable += 1;
                     }
                 }
             }
+        }
+    }
+
+    /// Applies the fault plan to one delivery: drop, duplicate, then delay
+    /// each surviving copy. Immediate copies land in `inboxes`; delayed
+    /// copies are parked under their target epoch.
+    fn deliver_faulted(
+        &mut self,
+        epoch: u64,
+        inboxes: &mut [Vec<Envelope<M>>],
+        dst: usize,
+        env: Envelope<M>,
+    ) {
+        let Some(plan) = self.faults else {
+            self.deliver(inboxes, dst, env);
+            return;
+        };
+        let mut rng = DetRng::stream_keys(
+            plan.seed,
+            &[epoch, env.from as u64, u64::from(env.seq), dst as u64],
+        );
+        if rng.chance(plan.drop) {
+            self.stats.fault_dropped += 1;
+            return;
+        }
+        let copies = if rng.chance(plan.duplicate) {
+            self.stats.duplicated += 1;
+            2
+        } else {
+            1
+        };
+        for _ in 0..copies {
+            let delayed_by = if plan.max_delay_epochs > 0 && rng.chance(plan.delay) {
+                rng.range_inclusive(1, u64::from(plan.max_delay_epochs))
+            } else {
+                0
+            };
+            if delayed_by == 0 {
+                self.deliver(inboxes, dst, env.clone());
+            } else {
+                self.stats.delayed += 1;
+                // This barrier builds the inboxes for epoch+1; a copy delayed
+                // by k lands k epochs after that.
+                self.pending
+                    .entry(epoch + 1 + delayed_by)
+                    .or_default()
+                    .push((dst, env.clone()));
+            }
+        }
+    }
+
+    /// Appends `env` to `dst`'s inbox, honouring the inbox bound
+    /// (keep-first/drop-newest).
+    fn deliver(&mut self, inboxes: &mut [Vec<Envelope<M>>], dst: usize, env: Envelope<M>) {
+        let inbox = &mut inboxes[dst];
+        if inbox.len() >= self.cap {
+            self.stats.inbox_overflow += 1;
+        } else {
+            self.stats.delivered += 1;
+            inbox.push(env);
         }
     }
 
@@ -536,8 +481,8 @@ pub struct EpochCtx<'a, M> {
 /// shard's inbox content and order is thread-count-invariant.
 ///
 /// # Panics
-/// A panic inside any closure is propagated once the worker pool has
-/// stopped.
+/// A panic inside any closure is propagated once every helper thread has
+/// stopped, at any thread count.
 pub fn run_epochs<S, M, Init, Step, Fin>(
     shards: usize,
     threads: usize,
@@ -574,10 +519,11 @@ where
 /// [`run_epochs`] — byte-identical merged metrics and inboxes at any
 /// thread count — holds under any plan.
 ///
-/// With `threads <= 1` the run executes inline with zero synchronisation
-/// (routing streams behind each shard's step); with more threads a
-/// persistent worker pool overlaps shard execution with routing as
-/// described in the module docs. Both paths produce identical bytes.
+/// Shards step on the calling thread and `threads - 1` helper threads,
+/// spawned once per run; with `threads <= 1` nothing is spawned. Routing
+/// always runs on the calling thread once every shard of the epoch has
+/// stepped, as described in the module docs, so every thread count
+/// produces identical bytes.
 #[allow(clippy::too_many_arguments)] // one optional plan over the stable run_epochs shape
 pub fn run_epochs_faulted<S, M, Init, Step, Fin>(
     shards: usize,
@@ -599,11 +545,7 @@ where
     let threads = resolve_threads(threads).min(shards.max(1));
     let mut router = Router::new(plane, shards, faults);
 
-    let (states, final_inboxes) = if threads <= 1 {
-        drive_serial(&mut router, shards, epochs, &init, &step)
-    } else {
-        drive_overlapped(&mut router, shards, threads, epochs, &init, &step)
-    };
+    let (states, final_inboxes) = drive(&mut router, shards, threads, epochs, &init, &step);
 
     let undelivered_inbox: u64 = final_inboxes.iter().map(|inbox| inbox.len() as u64).sum();
     let parked = router.parked();
@@ -633,92 +575,46 @@ where
     merged
 }
 
-/// The inline path: one thread, no synchronisation. Routing streams — each
-/// outbox is routed the moment its shard's step returns, which is the
-/// degenerate (and byte-identical) form of the overlapped barrier.
-fn drive_serial<S, M, Init, Step>(
-    router: &mut Router<'_, M>,
-    shards: usize,
-    epochs: u64,
-    init: &Init,
-    step: &Step,
-) -> (Vec<Option<S>>, Vec<Vec<Envelope<M>>>)
-where
-    M: Clone,
-    Init: Fn(usize) -> S,
-    Step: Fn(&mut S, &mut EpochCtx<'_, M>),
-{
-    let mut states: Vec<Option<S>> = (0..shards).map(|_| None).collect();
-    let mut next_seqs: Vec<u32> = vec![0; shards];
-    let mut cur: Vec<Vec<Envelope<M>>> = (0..shards).map(|_| Vec::new()).collect();
-    let mut next: Vec<Vec<Envelope<M>>> = (0..shards).map(|_| Vec::new()).collect();
-    let mut pool: Vec<Vec<Envelope<M>>> = Vec::new();
-
-    for epoch in 0..epochs {
-        router.begin_epoch(epoch, &mut next);
-        for i in 0..shards {
-            let state = states[i].get_or_insert_with(|| init(i));
-            let mut outbox = Outbox::with_buffer(i, next_seqs[i], pool.pop().unwrap_or_default());
-            let mut ctx = EpochCtx {
-                shard: i,
-                epoch,
-                epochs,
-                inbox: &cur[i],
-                outbox: &mut outbox,
-            };
-            step(state, &mut ctx);
-            next_seqs[i] = outbox.next_seq;
-            router.route_outbox(epoch, &mut outbox, &mut next);
-            pool.push(outbox.into_buffer());
-        }
-        router.end_epoch(epoch, &mut next);
-        std::mem::swap(&mut cur, &mut next);
-    }
-    (states, cur)
-}
-
-/// Worker-visible per-shard state: the task state plus the sequence-number
-/// cursor that must survive between epochs.
-struct ShardSlot<S> {
+/// One shard's state and its outbox. The outbox lives for the whole run:
+/// it keeps the shard's sequence cursor and its buffer across epochs, and
+/// routing drains it in place.
+struct Slot<S, M> {
     state: Option<S>,
-    next_seq: u32,
+    outbox: Outbox<M>,
 }
 
-/// Gate value that tells workers to exit.
-const STOP: u64 = u64::MAX;
-
-/// Releases every condvar waiter on drop. Armed guards cover unwinds (a
-/// panicking worker or router must not strand the others mid-wait — the
-/// scope join would deadlock instead of propagating the panic); the router
-/// disarms after its explicit clean shutdown.
-struct Release<'a> {
-    armed: bool,
-    panicked: &'a AtomicBool,
-    gate: &'a Mutex<u64>,
-    gate_cv: &'a Condvar,
-    finished_cv: &'a Condvar,
+/// What the calling thread and its helpers agree on, under one mutex.
+struct Gate {
+    /// Epochs opened so far.
+    opened: u64,
+    /// Shards stepped in the open epoch.
+    stepped: usize,
+    /// Set when any thread leaves the run, normally or by a panic.
+    stop: bool,
 }
 
-impl Drop for Release<'_> {
+/// Sets `stop` and wakes every waiter when dropped. It does so on a normal
+/// return and on an unwind alike, so a panicking thread never strands the
+/// others mid-wait (the scope's join would deadlock instead of
+/// propagating the panic).
+struct Stop<'a> {
+    gate: &'a Mutex<Gate>,
+    wake: &'a Condvar,
+}
+
+impl Drop for Stop<'_> {
     fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        self.panicked.store(true, Ordering::Relaxed);
-        *lock(self.gate) = STOP;
-        self.gate_cv.notify_all();
-        self.finished_cv.notify_all();
+        lock(self.gate).stop = true;
+        self.wake.notify_all();
     }
 }
 
-/// The overlapped path: a persistent worker pool (spawned once per run, not
-/// per epoch) steps shards claimed from a guided chunked queue, while the
-/// orchestrating thread routes finished outboxes in shard-index order —
-/// concurrently with still-running higher-index shards of the same epoch.
-/// Inboxes are double-buffered: workers read `cur` under a read lock while
-/// the router fills its private `next`, and the swap at the barrier is the
-/// only writer-side critical section.
-fn drive_overlapped<S, M, Init, Step>(
+/// Runs every epoch: the calling thread opens it, steps shards claimed from
+/// a guided cursor alongside `threads - 1` helper threads, then routes all
+/// outboxes in shard-index order into its private `next` and swaps that
+/// with `cur`, which the stepping threads read. Returns every shard's
+/// state and the final epoch's inboxes.
+fn drive<S, M, Init, Step>(
     router: &mut Router<'_, M>,
     shards: usize,
     threads: usize,
@@ -732,139 +628,132 @@ where
     Init: Fn(usize) -> S + Sync,
     Step: Fn(&mut S, &mut EpochCtx<'_, M>) + Sync,
 {
-    let slots: Vec<Mutex<ShardSlot<S>>> = (0..shards)
-        .map(|_| {
-            Mutex::new(ShardSlot {
+    let slots: Vec<Mutex<Slot<S, M>>> = (0..shards)
+        .map(|from| {
+            Mutex::new(Slot {
                 state: None,
-                next_seq: 0,
+                outbox: Outbox {
+                    from,
+                    next_seq: 0,
+                    mail: Vec::new(),
+                },
             })
         })
         .collect();
     let cur: RwLock<Vec<Vec<Envelope<M>>>> = RwLock::new((0..shards).map(|_| Vec::new()).collect());
     let mut next: Vec<Vec<Envelope<M>>> = (0..shards).map(|_| Vec::new()).collect();
-    let finished: Mutex<Vec<Option<Outbox<M>>>> = Mutex::new((0..shards).map(|_| None).collect());
-    let finished_cv = Condvar::new();
-    let pool: Mutex<Vec<Vec<Envelope<M>>>> = Mutex::new(Vec::new());
-    // Number of epochs opened to workers; STOP ends the pool.
-    let gate: Mutex<u64> = Mutex::new(0);
-    let gate_cv = Condvar::new();
+    let gate = Mutex::new(Gate {
+        opened: 0,
+        stepped: 0,
+        stop: false,
+    });
+    let wake = Condvar::new();
     // One monotonic work cursor for the whole run: epoch e owns indices
     // [e*shards, (e+1)*shards), and claim_chunk never crosses the epoch
-    // boundary, so no racy per-epoch reset exists to get wrong.
+    // boundary, so a helper that wakes late claims nothing stale.
     let cursor = AtomicU64::new(0);
-    let panicked = AtomicBool::new(false);
     let shards_u64 = shards as u64;
 
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut guard = Release {
-                    armed: true,
-                    panicked: &panicked,
-                    gate: &gate,
-                    gate_cv: &gate_cv,
-                    finished_cv: &finished_cv,
+    // Steps every shard this thread claims in `epoch`; returns how many.
+    let step_claimed = |epoch: u64| -> usize {
+        let inboxes = cur.read().unwrap_or_else(PoisonError::into_inner);
+        let base = epoch * shards_u64;
+        let mut stepped = 0;
+        while let Some((start, end)) = claim_chunk(&cursor, base + shards_u64, threads) {
+            for i in (start - base) as usize..(end - base) as usize {
+                let mut slot = lock(&slots[i]);
+                let Slot { state, outbox } = &mut *slot;
+                let state = state.get_or_insert_with(|| init(i));
+                let mut ctx = EpochCtx {
+                    shard: i,
+                    epoch,
+                    epochs,
+                    inbox: &inboxes[i],
+                    outbox,
                 };
-                let mut epoch: u64 = 0;
+                step(state, &mut ctx);
+            }
+            stepped += (end - start) as usize;
+        }
+        stepped
+    };
+
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(|| {
+                let _stop = Stop {
+                    gate: &gate,
+                    wake: &wake,
+                };
+                let mut seen = 0;
                 loop {
-                    {
-                        let mut opened = lock(&gate);
-                        loop {
-                            if *opened == STOP {
-                                guard.armed = false;
-                                return;
-                            }
-                            if *opened > epoch {
-                                break;
-                            }
-                            opened = gate_cv.wait(opened).unwrap_or_else(|e| e.into_inner());
-                        }
+                    let g = lock(&gate);
+                    let g = wake
+                        .wait_while(g, |g| !g.stop && g.opened == seen)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    if g.stop {
+                        return;
                     }
-                    let inboxes = cur.read().unwrap_or_else(|e| e.into_inner());
-                    let base = epoch * shards_u64;
-                    while let Some((start, end)) =
-                        claim_chunk(&cursor, base + shards_u64, threads)
-                    {
-                        for g in start..end {
-                            let i = (g - base) as usize;
-                            let mut slot = lock(&slots[i]);
-                            let next_seq = slot.next_seq;
-                            let state = slot.state.get_or_insert_with(|| init(i));
-                            let buf = lock(&pool).pop().unwrap_or_default();
-                            let mut outbox = Outbox::with_buffer(i, next_seq, buf);
-                            let mut ctx = EpochCtx {
-                                shard: i,
-                                epoch,
-                                epochs,
-                                inbox: &inboxes[i],
-                                outbox: &mut outbox,
-                            };
-                            step(state, &mut ctx);
-                            slot.next_seq = outbox.next_seq;
-                            drop(slot);
-                            *lock(&finished)
-                                .get_mut(i)
-                                .expect("finished slot per shard") = Some(outbox);
-                            finished_cv.notify_all();
-                        }
+                    seen = g.opened;
+                    drop(g);
+                    let stepped = step_claimed(seen - 1);
+                    let mut g = lock(&gate);
+                    g.stepped += stepped;
+                    if g.stepped == shards {
+                        drop(g);
+                        wake.notify_all();
                     }
-                    drop(inboxes);
-                    epoch += 1;
                 }
             });
         }
 
-        // The router runs on the orchestrating thread.
-        let mut guard = Release {
-            armed: true,
-            panicked: &panicked,
+        let _stop = Stop {
             gate: &gate,
-            gate_cv: &gate_cv,
-            finished_cv: &finished_cv,
+            wake: &wake,
         };
-        'run: for epoch in 0..epochs {
+        for epoch in 0..epochs {
+            {
+                let mut g = lock(&gate);
+                g.opened = epoch + 1;
+                g.stepped = 0;
+            }
+            // notify_all enters the kernel even with nobody waiting
+            if threads > 1 {
+                wake.notify_all();
+            }
+            let stepped = step_claimed(epoch);
+            let mut g = lock(&gate);
+            g.stepped += stepped;
+            let g = wake
+                .wait_while(g, |g| !g.stop && g.stepped < shards)
+                .unwrap_or_else(PoisonError::into_inner);
+            if g.stop {
+                // A helper panicked; the scope's join propagates it.
+                return;
+            }
+            drop(g);
             router.begin_epoch(epoch, &mut next);
-            *lock(&gate) = epoch + 1;
-            gate_cv.notify_all();
-            for i in 0..shards {
-                // Consume outboxes in shard-index order as they finish —
-                // routing shard i overlaps with shards > i still stepping.
-                let mut outbox = {
-                    let mut f = lock(&finished);
-                    loop {
-                        if panicked.load(Ordering::Relaxed) {
-                            break 'run;
-                        }
-                        if let Some(outbox) = f[i].take() {
-                            break outbox;
-                        }
-                        f = finished_cv.wait(f).unwrap_or_else(|e| e.into_inner());
-                    }
-                };
-                router.route_outbox(epoch, &mut outbox, &mut next);
-                lock(&pool).push(outbox.into_buffer());
+            for slot in &slots {
+                router.route_outbox(epoch, &mut lock(slot).outbox, &mut next);
             }
             router.end_epoch(epoch, &mut next);
-            // Barrier: waits for the epoch's readers to drop, then swaps
-            // the double buffer — the next epoch reads what was routed.
-            let mut cur_write = cur.write().unwrap_or_else(|e| e.into_inner());
-            std::mem::swap(&mut *cur_write, &mut next);
+            std::mem::swap(
+                &mut *cur.write().unwrap_or_else(PoisonError::into_inner),
+                &mut next,
+            );
         }
-        *lock(&gate) = STOP;
-        gate_cv.notify_all();
-        guard.armed = false;
     });
 
-    let states: Vec<Option<S>> = slots
+    let states = slots
         .into_iter()
-        .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()).state)
+        .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner).state)
         .collect();
-    let final_inboxes = cur.into_inner().unwrap_or_else(|e| e.into_inner());
+    let final_inboxes = cur.into_inner().unwrap_or_else(PoisonError::into_inner);
     (states, final_inboxes)
 }
 
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -1343,6 +1232,63 @@ mod tests {
              (\"plane.undelivered_parked\", 7), (\"plane.unroutable\", 0)]",
             "pinned fault plan decisions moved"
         );
+    }
+
+    #[test]
+    fn a_panic_fails_the_run_at_any_thread_count() {
+        // The (shard, epoch) whose step panics: the first shard in the
+        // first epoch, a middle shard in a later one, the last shard in
+        // the last one. `None` panics in `init` instead.
+        let cases = [Some((0, 0)), Some((4, 2)), Some((8, 3)), None];
+        for threads in [1, 2, 4] {
+            for case in cases {
+                // The run gets a thread of its own, so a run that hangs
+                // fails the test instead of blocking it.
+                let (done, result) = std::sync::mpsc::channel();
+                std::thread::spawn(move || {
+                    let mut plane = MessagePlane::new();
+                    plane.group(1, 0..9);
+                    // No step runs until every stepping thread has taken a
+                    // shard in the epoch, so the panic lands on helper
+                    // threads as well as on the calling one.
+                    let arrived = (Mutex::new(Vec::new()), Condvar::new());
+                    let run = std::panic::catch_unwind(|| {
+                        run_epochs(
+                            9,
+                            threads,
+                            4,
+                            &plane,
+                            |shard| {
+                                assert!(case.is_some() || shard != 5, "init panics");
+                            },
+                            |_, ctx| {
+                                let me = (ctx.epoch, std::thread::current().id());
+                                let mut seen = arrived.0.lock().unwrap();
+                                if !seen.contains(&me) {
+                                    seen.push(me);
+                                    arrived.1.notify_all();
+                                }
+                                let in_epoch = |s: &mut Vec<(u64, _)>| {
+                                    s.iter().filter(|(e, _)| *e == ctx.epoch).count()
+                                };
+                                drop(arrived.1.wait_while(seen, |s| in_epoch(s) < threads));
+                                assert_ne!(case, Some((ctx.shard, ctx.epoch)), "step panics");
+                                ctx.outbox.broadcast(1, 0u8);
+                            },
+                            |_, _| {},
+                        )
+                    });
+                    let _ = done.send(run.is_err());
+                });
+                let failed = result
+                    .recv_timeout(std::time::Duration::from_secs(60))
+                    .unwrap_or_else(|e| panic!("threads={threads} {case:?}: no result ({e})"));
+                assert!(
+                    failed,
+                    "threads={threads} {case:?}: the panic was swallowed"
+                );
+            }
+        }
     }
 
     #[test]
