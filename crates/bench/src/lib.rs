@@ -35,19 +35,28 @@ pub fn pct(x: f64) -> String {
 
 /// The host fingerprint a harness writes into its `BENCH_*.json` as a
 /// `"host"` object, so results from different hosts, toolchains or commits
-/// are never read as one trajectory. It has the fields stackbench prints:
-/// the CPU model from `/proc/cpuinfo`, the available parallelism,
-/// `rustc -V` and `git rev-parse HEAD`, each `"unknown"` when it cannot be
-/// read.
+/// are never read as one trajectory: the CPU model from `/proc/cpuinfo`,
+/// the available parallelism, `rustc -V`, `git rev-parse HEAD` (the four
+/// fields stackbench's `stamp` line prints), and `sha_ni` — `yes` or `no`
+/// as the `flags` line of `/proc/cpuinfo` lists the x86 SHA extensions,
+/// which select `polsec_core::sign`'s compression path. Each field is
+/// `"unknown"` when it cannot be read.
 pub fn host_stamp() -> String {
-    let cpu = std::fs::read_to_string("/proc/cpuinfo").ok().and_then(|s| {
-        s.lines()
-            .find(|l| l.starts_with("model name"))
-            .and_then(|l| l.split_once(':'))
-            .map(|(_, v)| v.trim().to_string())
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").ok();
+    let cpuinfo_field = |name: &str| {
+        cpuinfo.as_deref().and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with(name))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().to_string())
+        })
+    };
+    let sha_ni = cpuinfo_field("flags").map(|flags| {
+        let listed = flags.split_whitespace().any(|flag| flag == "sha_ni");
+        (if listed { "yes" } else { "no" }).to_string()
     });
     let fields = [
-        ("cpu", cpu),
+        ("cpu", cpuinfo_field("model name")),
         (
             "nproc",
             std::thread::available_parallelism()
@@ -56,6 +65,7 @@ pub fn host_stamp() -> String {
         ),
         ("rustc", first_line("rustc", &["-V"])),
         ("git_sha", first_line("git", &["rev-parse", "HEAD"])),
+        ("sha_ni", sha_ni),
     ];
     let body: Vec<String> = fields
         .iter()
@@ -95,5 +105,11 @@ mod tests {
         for key in ["\"nproc\":\"", "\"rustc\":\"", "\"git_sha\":\""] {
             assert!(stamp.contains(key), "{key} missing from {stamp}");
         }
+        assert!(
+            ["yes", "no", "unknown"]
+                .iter()
+                .any(|v| stamp.ends_with(&format!(",\"sha_ni\":\"{v}\"}}"))),
+            "sha_ni missing from {stamp}"
+        );
     }
 }
