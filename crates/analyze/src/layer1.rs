@@ -322,9 +322,10 @@ pub fn cacheability_crosscheck(set: &PolicySet, engine: &PolicyEngine) -> Report
 }
 
 /// Runs [`analyze_set`] plus the cacheability cross-check against a
-/// freshly built engine.
+/// freshly built engine. The engine is [`PolicyEngine::compact`]: it runs
+/// the same load-time analysis as a service-sized one and is only read.
 pub fn analyze_with_engine(set: &PolicySet, opts: &AnalysisOptions) -> Report {
-    let engine = PolicyEngine::new(set.clone()).with_strategy(opts.strategy);
+    let engine = PolicyEngine::compact(set.clone()).with_strategy(opts.strategy);
     let mut report = analyze_set(set, opts);
     report.extend(cacheability_crosscheck(set, &engine));
     report.sort();

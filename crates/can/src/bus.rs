@@ -111,12 +111,14 @@ pub struct CanBus {
     error_model: Option<ErrorModel>,
     rng: DetRng,
     retry_limit: u32,
-    retrying: Vec<(NodeHandle, CanFrame, u32)>,
+    /// Frames awaiting retransmission: `(node, frame, controller sequence
+    /// number, attempts so far)`.
+    retrying: Vec<(NodeHandle, CanFrame, u64, u32)>,
     events: Vec<BusEvent>,
     trace: Trace,
     wire_cache: codec::WireInfoCache,
     /// Arbitration scratch, reused so steady-state rounds allocate nothing.
-    candidates_buf: Vec<(NodeHandle, CanFrame, u32)>,
+    candidates_buf: Vec<(NodeHandle, CanFrame, u64, u32)>,
 }
 
 impl fmt::Debug for CanBus {
@@ -296,14 +298,14 @@ impl CanBus {
                 continue;
             }
             able += 1;
-            if candidates.iter().any(|(h, _, _)| h.0 == i) {
+            if candidates.iter().any(|(h, ..)| h.0 == i) {
                 continue; // node already contending with a retry
             }
             let blocked = node.egress_blocked();
             let taken = node.take_tx(now);
             self.stats.frames_blocked_egress += node.egress_blocked() - blocked;
-            if let Some(f) = taken {
-                candidates.push((NodeHandle(i), f, 0));
+            if let Some((seq, f)) = taken {
+                candidates.push((NodeHandle(i), f, seq, 0));
             }
         }
 
@@ -322,17 +324,19 @@ impl CanBus {
         let win_idx = candidates
             .iter()
             .enumerate()
-            .min_by_key(|(_, (h, f, _))| (f.id().arbitration_key(), h.0))
+            .min_by_key(|(_, (h, f, ..))| (f.id().arbitration_key(), h.0))
             .map(|(i, _)| i)
             .expect("non-empty candidates");
-        let (winner, frame, attempts) = candidates.swap_remove(win_idx);
+        let (winner, frame, seq, attempts) = candidates.swap_remove(win_idx);
 
-        // Losers requeue into their controllers (retries stay bus-side).
-        for (h, f, att) in candidates.drain(..) {
+        // Losers requeue into their controllers under their own sequence
+        // numbers, so a node's frames of one ID still leave in order
+        // (retries stay bus-side).
+        for (h, f, seq, att) in candidates.drain(..) {
             if att > 0 {
-                self.retrying.push((h, f, att));
+                self.retrying.push((h, f, seq, att));
             } else {
-                self.nodes[h.0].controller_mut().requeue_tx(f);
+                self.nodes[h.0].controller_mut().requeue_tx(seq, f);
             }
         }
         self.candidates_buf = candidates;
@@ -389,7 +393,7 @@ impl CanBus {
                 self.trace
                     .record_with(self.now, "bus.abandon", || format!("{frame} from {winner}"));
             } else {
-                self.retrying.push((winner, frame.clone(), attempt));
+                self.retrying.push((winner, frame.clone(), seq, attempt));
             }
             return Some(frame);
         }
@@ -487,6 +491,23 @@ mod tests {
         assert_eq!(second.id().raw(), 0x300);
         assert_eq!(bus.stats().arbitration_contended, 1);
         assert_eq!(bus.stats().arbitration_rounds, 2);
+    }
+
+    #[test]
+    fn a_lost_arbitration_keeps_same_id_frames_in_order() {
+        let mut bus = CanBus::new(500_000);
+        let a = bus.attach(CanNode::new("a"));
+        let b = bus.attach(CanNode::new("b"));
+        let _listener = bus.attach(CanNode::new("c"));
+        bus.send_from(a, frame(0x200, 1)).unwrap();
+        bus.send_from(a, frame(0x200, 2)).unwrap();
+        bus.send_from(b, frame(0x100, 0)).unwrap();
+        // 0x200#1 loses the first round to 0x100 and must still leave
+        // before 0x200#2, which node a queued after it.
+        let order: Vec<(u32, u8)> = std::iter::from_fn(|| bus.step())
+            .map(|f| (f.id().raw(), f.payload()[0]))
+            .collect();
+        assert_eq!(order, [(0x100, 0), (0x200, 1), (0x200, 2)]);
     }
 
     #[test]

@@ -78,24 +78,24 @@ impl CanController {
         Ok(())
     }
 
-    /// Removes and returns the highest-priority pending frame.
-    pub fn pop_tx(&mut self) -> Option<CanFrame> {
+    /// Removes and returns the highest-priority pending frame with its
+    /// enqueue sequence number, which orders frames of equal priority.
+    pub fn pop_tx(&mut self) -> Option<(u64, CanFrame)> {
         let idx = self
             .tx
             .iter()
             .enumerate()
             .min_by_key(|(_, (seq, f))| (f.id().arbitration_key(), *seq))
             .map(|(i, _)| i)?;
-        Some(self.tx.swap_remove(idx).1)
+        Some(self.tx.swap_remove(idx))
     }
 
-    /// Re-queues a frame that lost arbitration or errored, preserving its
-    /// priority position (it will compete again).
-    pub fn requeue_tx(&mut self, frame: CanFrame) {
-        // Requeued frames keep arbitration priority via their ID; sequence
-        // numbers only break ties, so a fresh seq is fine.
-        self.tx.push((self.tx_seq, frame));
-        self.tx_seq += 1;
+    /// Re-queues a frame that lost arbitration under the sequence number
+    /// [`CanController::pop_tx`] returned with it, so it competes again
+    /// from its old place: ahead of any frame of equal priority queued
+    /// after it.
+    pub fn requeue_tx(&mut self, seq: u64, frame: CanFrame) {
+        self.tx.push((seq, frame));
     }
 
     /// Number of frames waiting to transmit.
@@ -196,9 +196,9 @@ mod tests {
         c.enqueue_tx(frame(0x300)).unwrap();
         c.enqueue_tx(frame(0x100)).unwrap();
         c.enqueue_tx(frame(0x200)).unwrap();
-        assert_eq!(c.pop_tx().unwrap().id().raw(), 0x100);
-        assert_eq!(c.pop_tx().unwrap().id().raw(), 0x200);
-        assert_eq!(c.pop_tx().unwrap().id().raw(), 0x300);
+        assert_eq!(c.pop_tx().unwrap().1.id().raw(), 0x100);
+        assert_eq!(c.pop_tx().unwrap().1.id().raw(), 0x200);
+        assert_eq!(c.pop_tx().unwrap().1.id().raw(), 0x300);
         assert!(c.pop_tx().is_none());
     }
 
@@ -209,8 +209,8 @@ mod tests {
         let b = CanFrame::data(CanId::standard(0x50).unwrap(), &[2]).unwrap();
         c.enqueue_tx(a.clone()).unwrap();
         c.enqueue_tx(b.clone()).unwrap();
-        assert_eq!(c.pop_tx(), Some(a));
-        assert_eq!(c.pop_tx(), Some(b));
+        assert_eq!(c.pop_tx(), Some((0, a)));
+        assert_eq!(c.pop_tx(), Some((1, b)));
     }
 
     #[test]
@@ -279,10 +279,10 @@ mod tests {
     fn requeue_competes_again() {
         let mut c = CanController::new();
         c.enqueue_tx(frame(0x200)).unwrap();
-        let f = c.pop_tx().unwrap();
+        let (seq, f) = c.pop_tx().unwrap();
         c.enqueue_tx(frame(0x100)).unwrap();
-        c.requeue_tx(f);
-        assert_eq!(c.pop_tx().unwrap().id().raw(), 0x100);
-        assert_eq!(c.pop_tx().unwrap().id().raw(), 0x200);
+        c.requeue_tx(seq, f);
+        assert_eq!(c.pop_tx().unwrap().1.id().raw(), 0x100);
+        assert_eq!(c.pop_tx().unwrap().1.id().raw(), 0x200);
     }
 }

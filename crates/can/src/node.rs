@@ -351,21 +351,22 @@ impl CanNode {
         self.controller.push_rx_front(frame)
     }
 
-    /// Bus-side: takes the next frame to transmit, applying the egress
-    /// interposer. Blocked frames are consumed and counted, and the next
-    /// candidate is offered, so a blocked frame cannot wedge the queue.
-    pub(crate) fn take_tx(&mut self, now: SimTime) -> Option<CanFrame> {
+    /// Bus-side: takes the next frame to transmit with its controller
+    /// sequence number (for [`CanController::requeue_tx`]), applying the
+    /// egress interposer. Blocked frames are consumed and counted, and the
+    /// next candidate is offered, so a blocked frame cannot wedge the queue.
+    pub(crate) fn take_tx(&mut self, now: SimTime) -> Option<(u64, CanFrame)> {
         loop {
-            let frame = self.controller.pop_tx()?;
+            let (seq, frame) = self.controller.pop_tx()?;
             match &mut self.interposer {
                 Some(ip) => match ip.on_egress(now, &frame) {
-                    InterposeVerdict::Grant => return Some(frame),
+                    InterposeVerdict::Grant => return Some((seq, frame)),
                     InterposeVerdict::Block => {
                         self.egress_blocked += 1;
                         continue;
                     }
                 },
-                None => return Some(frame),
+                None => return Some((seq, frame)),
             }
         }
     }
@@ -429,6 +430,11 @@ mod tests {
         CanFrame::data(CanId::standard(id).unwrap(), &[1]).unwrap()
     }
 
+    /// The frame the bus would take next, without its sequence number.
+    fn take(n: &mut CanNode) -> Option<CanFrame> {
+        n.take_tx(SimTime::ZERO).map(|(_, f)| f)
+    }
+
     /// Firmware that echoes every received frame back with id+1.
     struct Echo;
     impl Firmware for Echo {
@@ -464,8 +470,8 @@ mod tests {
     fn send_and_take() {
         let mut n = CanNode::new("a");
         n.send(frame(0x10));
-        assert_eq!(n.take_tx(SimTime::ZERO), Some(frame(0x10)));
-        assert_eq!(n.take_tx(SimTime::ZERO), None);
+        assert_eq!(take(&mut n), Some(frame(0x10)));
+        assert_eq!(take(&mut n), None);
     }
 
     #[test]
@@ -473,7 +479,7 @@ mod tests {
         let mut n = CanNode::with_firmware("a", Box::new(Echo));
         assert_eq!(n.deliver(SimTime::ZERO, &frame(0x20)), Delivery::Accepted);
         // firmware echoed
-        assert_eq!(n.take_tx(SimTime::ZERO).unwrap().id().raw(), 0x21);
+        assert_eq!(take(&mut n).unwrap().id().raw(), 0x21);
         // application can also read the original
         assert_eq!(n.receive(), Some(frame(0x20)));
     }
@@ -485,7 +491,7 @@ mod tests {
         n.send(frame(0x10));
         n.send(frame(0x11));
         // 0x10 blocked, 0x11 passes
-        assert_eq!(n.take_tx(SimTime::ZERO), Some(frame(0x11)));
+        assert_eq!(take(&mut n), Some(frame(0x11)));
         assert_eq!(n.egress_blocked(), 1);
     }
 
@@ -496,7 +502,7 @@ mod tests {
         assert_eq!(n.deliver(SimTime::ZERO, &frame(0x30)), Delivery::Blocked);
         assert_eq!(n.ingress_blocked(), 1);
         assert!(n.receive().is_none(), "blocked frame must not reach rx");
-        assert!(n.take_tx(SimTime::ZERO).is_none(), "firmware must not see it");
+        assert!(take(&mut n).is_none(), "firmware must not see it");
     }
 
     #[test]
@@ -520,7 +526,7 @@ mod tests {
         n.replace_firmware(Box::new(Flood));
         assert_eq!(n.firmware_name(), "malware");
         n.tick(SimTime::ZERO);
-        assert!(n.take_tx(SimTime::ZERO).is_some());
+        assert!(take(&mut n).is_some());
     }
 
     #[test]
@@ -597,7 +603,7 @@ mod tests {
         }
         let mut n = CanNode::with_firmware("a", Box::new(Burst));
         n.tick(SimTime::ZERO);
-        let payloads: Vec<u8> = std::iter::from_fn(|| n.take_tx(SimTime::ZERO))
+        let payloads: Vec<u8> = std::iter::from_fn(|| take(&mut n))
             .map(|f| f.payload()[0])
             .collect();
         assert_eq!(payloads, (0..7).collect::<Vec<u8>>());

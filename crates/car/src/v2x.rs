@@ -611,8 +611,9 @@ impl V2xVehicle {
         let car = Vehicle::build(&cfg.fleet, shard, engine);
         let store = DevicePolicyStore::new(PolicySet::from_policy(car_policy()), OEM_KEY.to_vec());
         // One ingest engine per simulated vehicle: the compact footprint
-        // (vs PolicyEngine::new's MB-scale service sizing) keeps a
-        // hundred-vehicle run out of allocator churn.
+        // (a 256-slot cache and 64-record audit rings, vs PolicyEngine::new's
+        // 8k-slot cache and 16k-record rings) keeps a hundred-vehicle run out
+        // of allocator churn.
         let ingest = PolicyEngine::compact(store.active().clone());
         V2xVehicle {
             shard,

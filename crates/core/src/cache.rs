@@ -125,8 +125,8 @@ impl GenCache {
         slot.seq.store(seq.wrapping_add(2), Ordering::Release);
     }
 
-    /// Erases every slot (used on reload alongside the generation bump, so
-    /// a wrapped generation counter can never resurrect an old entry).
+    /// Erases every slot (used on reload when the generation tag in the
+    /// keys wraps, so a repeated tag can never resurrect an old entry).
     pub fn clear(&self) {
         for slot in self.slots.iter() {
             let seq = slot.seq.load(Ordering::Relaxed);

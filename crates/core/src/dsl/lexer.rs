@@ -2,23 +2,24 @@
 
 use crate::error::PolicyError;
 
-/// A lexical token with its source line (for error messages).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+/// A lexical token with its source line (for error messages). Words and
+/// strings borrow their text from the source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Token<'a> {
     /// The token's kind and payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// 1-based source line.
     pub line: u32,
 }
 
 /// Token kinds.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokenKind {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TokenKind<'a> {
     /// An unquoted word: identifiers, numbers, patterns (`ev-ecu`,
     /// `0x100-0x1FF`, `sensor-*`, `*`, `5.4`).
-    Word(String),
-    /// A double-quoted string.
-    Str(String),
+    Word(&'a str),
+    /// A double-quoted string, without its quotes.
+    Str(&'a str),
     /// `{`
     LBrace,
     /// `}`
@@ -47,7 +48,7 @@ pub enum TokenKind {
     Le,
 }
 
-impl TokenKind {
+impl TokenKind<'_> {
     /// A short human-readable description for error messages.
     pub fn describe(&self) -> String {
         match self {
@@ -70,156 +71,98 @@ impl TokenKind {
     }
 }
 
-fn is_word_char(c: char) -> bool {
-    c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.' | '*')
+fn is_word_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.' | b'*')
+}
+
+/// Lines that `text` ends, for the line counter.
+fn newlines(text: &[u8]) -> u32 {
+    text.iter().filter(|&&b| b == b'\n').count() as u32
 }
 
 /// Tokenizes DSL source.
 ///
+/// Every delimiter and word character is ASCII, so the scan walks bytes
+/// and each word or string token is a slice of `src`: the only allocation
+/// is the token vector. A non-ASCII character is decoded only to skip it
+/// as whitespace or to report it.
+///
 /// # Errors
 /// [`PolicyError::Lex`] on unexpected characters or unterminated strings.
-pub fn tokenize(src: &str) -> Result<Vec<Token>, PolicyError> {
+pub fn tokenize(src: &str) -> Result<Vec<Token<'_>>, PolicyError> {
+    let bytes = src.as_bytes();
     let mut tokens = Vec::new();
-    let mut chars = src.chars().peekable();
     let mut line: u32 = 1;
+    let mut i = 0;
 
-    while let Some(&c) = chars.peek() {
-        match c {
-            '\n' => {
+    while let Some(&b) = bytes.get(i) {
+        let second = bytes.get(i + 1).copied();
+        let (kind, len) = match (b, second) {
+            (b'\n', _) => {
                 line += 1;
-                chars.next();
+                i += 1;
+                continue;
             }
-            c if c.is_whitespace() => {
-                chars.next();
+            (b, _) if b.is_ascii_whitespace() => {
+                i += 1;
+                continue;
             }
-            '#' => {
+            (b'#', _) | (b'/', Some(b'/')) => {
                 // comment to end of line
-                for c in chars.by_ref() {
-                    if c == '\n' {
+                i = match bytes[i..].iter().position(|&c| c == b'\n') {
+                    Some(n) => {
                         line += 1;
-                        break;
+                        i + n + 1
                     }
-                }
+                    None => bytes.len(),
+                };
+                continue;
             }
-            '/' => {
-                chars.next();
-                if chars.peek() == Some(&'/') {
-                    for c in chars.by_ref() {
-                        if c == '\n' {
-                            line += 1;
-                            break;
-                        }
-                    }
-                } else {
-                    return Err(PolicyError::Lex { line, found: '/' });
-                }
-            }
-            '"' => {
-                chars.next();
-                let mut s = String::new();
-                let mut terminated = false;
-                for c in chars.by_ref() {
-                    if c == '"' {
-                        terminated = true;
-                        break;
-                    }
-                    if c == '\n' {
-                        line += 1;
-                    }
-                    s.push(c);
-                }
-                if !terminated {
+            (b'"', _) => {
+                let body = &bytes[i + 1..];
+                let Some(n) = body.iter().position(|&c| c == b'"') else {
+                    line += newlines(body);
                     return Err(PolicyError::Lex { line, found: '"' });
+                };
+                line += newlines(&body[..n]);
+                (TokenKind::Str(&src[i + 1..i + 1 + n]), n + 2)
+            }
+            (b'{', _) => (TokenKind::LBrace, 1),
+            (b'}', _) => (TokenKind::RBrace, 1),
+            (b'(', _) => (TokenKind::LParen, 1),
+            (b')', _) => (TokenKind::RParen, 1),
+            (b';', _) => (TokenKind::Semi, 1),
+            (b',', _) => (TokenKind::Comma, 1),
+            (b':', _) => (TokenKind::Colon, 1),
+            (b'=', Some(b'=')) => (TokenKind::EqEq, 2),
+            (b'&', Some(b'&')) => (TokenKind::AndAnd, 2),
+            (b'|', Some(b'|')) => (TokenKind::OrOr, 2),
+            (b'!', Some(b'=')) => (TokenKind::NotEq, 2),
+            (b'!', _) => (TokenKind::Bang, 1),
+            (b'<', Some(b'=')) => (TokenKind::Le, 2),
+            (b, _) if is_word_byte(b) => {
+                let n = bytes[i..]
+                    .iter()
+                    .position(|&c| !is_word_byte(c))
+                    .unwrap_or(bytes.len() - i);
+                (TokenKind::Word(&src[i..i + n]), n)
+            }
+            _ => {
+                // `i` sits on a character boundary: every step above
+                // advances over ASCII bytes or whole characters.
+                let c = src[i..]
+                    .chars()
+                    .next()
+                    .unwrap_or(char::REPLACEMENT_CHARACTER);
+                if c.is_whitespace() {
+                    i += c.len_utf8();
+                    continue;
                 }
-                tokens.push(Token { kind: TokenKind::Str(s), line });
+                return Err(PolicyError::Lex { line, found: c });
             }
-            '{' => {
-                chars.next();
-                tokens.push(Token { kind: TokenKind::LBrace, line });
-            }
-            '}' => {
-                chars.next();
-                tokens.push(Token { kind: TokenKind::RBrace, line });
-            }
-            '(' => {
-                chars.next();
-                tokens.push(Token { kind: TokenKind::LParen, line });
-            }
-            ')' => {
-                chars.next();
-                tokens.push(Token { kind: TokenKind::RParen, line });
-            }
-            ';' => {
-                chars.next();
-                tokens.push(Token { kind: TokenKind::Semi, line });
-            }
-            ',' => {
-                chars.next();
-                tokens.push(Token { kind: TokenKind::Comma, line });
-            }
-            ':' => {
-                chars.next();
-                tokens.push(Token { kind: TokenKind::Colon, line });
-            }
-            '=' => {
-                chars.next();
-                if chars.peek() == Some(&'=') {
-                    chars.next();
-                    tokens.push(Token { kind: TokenKind::EqEq, line });
-                } else {
-                    return Err(PolicyError::Lex { line, found: '=' });
-                }
-            }
-            '&' => {
-                chars.next();
-                if chars.peek() == Some(&'&') {
-                    chars.next();
-                    tokens.push(Token { kind: TokenKind::AndAnd, line });
-                } else {
-                    return Err(PolicyError::Lex { line, found: '&' });
-                }
-            }
-            '|' => {
-                chars.next();
-                if chars.peek() == Some(&'|') {
-                    chars.next();
-                    tokens.push(Token { kind: TokenKind::OrOr, line });
-                } else {
-                    return Err(PolicyError::Lex { line, found: '|' });
-                }
-            }
-            '!' => {
-                chars.next();
-                if chars.peek() == Some(&'=') {
-                    chars.next();
-                    tokens.push(Token { kind: TokenKind::NotEq, line });
-                } else {
-                    tokens.push(Token { kind: TokenKind::Bang, line });
-                }
-            }
-            '<' => {
-                chars.next();
-                if chars.peek() == Some(&'=') {
-                    chars.next();
-                    tokens.push(Token { kind: TokenKind::Le, line });
-                } else {
-                    return Err(PolicyError::Lex { line, found: '<' });
-                }
-            }
-            c if is_word_char(c) => {
-                let mut w = String::new();
-                while let Some(&c) = chars.peek() {
-                    if is_word_char(c) {
-                        w.push(c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                tokens.push(Token { kind: TokenKind::Word(w), line });
-            }
-            other => return Err(PolicyError::Lex { line, found: other }),
-        }
+        };
+        tokens.push(Token { kind, line });
+        i += len;
     }
     Ok(tokens)
 }
@@ -228,7 +171,7 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>, PolicyError> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         tokenize(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -237,14 +180,14 @@ mod tests {
         assert_eq!(
             kinds("allow read, write on asset:ev-ecu;"),
             vec![
-                TokenKind::Word("allow".into()),
-                TokenKind::Word("read".into()),
+                TokenKind::Word("allow"),
+                TokenKind::Word("read"),
                 TokenKind::Comma,
-                TokenKind::Word("write".into()),
-                TokenKind::Word("on".into()),
-                TokenKind::Word("asset".into()),
+                TokenKind::Word("write"),
+                TokenKind::Word("on"),
+                TokenKind::Word("asset"),
                 TokenKind::Colon,
-                TokenKind::Word("ev-ecu".into()),
+                TokenKind::Word("ev-ecu"),
                 TokenKind::Semi,
             ]
         );
@@ -255,10 +198,10 @@ mod tests {
         assert_eq!(
             kinds("0x100-0x1FF sensor-* * state.vehicle.moving"),
             vec![
-                TokenKind::Word("0x100-0x1FF".into()),
-                TokenKind::Word("sensor-*".into()),
-                TokenKind::Word("*".into()),
-                TokenKind::Word("state.vehicle.moving".into()),
+                TokenKind::Word("0x100-0x1FF"),
+                TokenKind::Word("sensor-*"),
+                TokenKind::Word("*"),
+                TokenKind::Word("state.vehicle.moving"),
             ]
         );
     }
@@ -285,9 +228,9 @@ mod tests {
         assert_eq!(
             kinds("\"hello world\" # a comment\nallow // another\ndeny"),
             vec![
-                TokenKind::Str("hello world".into()),
-                TokenKind::Word("allow".into()),
-                TokenKind::Word("deny".into()),
+                TokenKind::Str("hello world"),
+                TokenKind::Word("allow"),
+                TokenKind::Word("deny"),
             ]
         );
     }
@@ -317,9 +260,23 @@ mod tests {
 
     #[test]
     fn describe_is_quoted() {
-        assert_eq!(TokenKind::Word("x".into()).describe(), "'x'");
+        assert_eq!(TokenKind::Word("x").describe(), "'x'");
         assert_eq!(TokenKind::Semi.describe(), "';'");
-        assert_eq!(TokenKind::Str("s".into()).describe(), "\"s\"");
+        assert_eq!(TokenKind::Str("s").describe(), "\"s\"");
+    }
+
+    #[test]
+    fn non_ascii_text_keeps_character_boundaries() {
+        // Unicode whitespace separates words; other characters are reported
+        // whole, and strings carry them through.
+        assert_eq!(
+            kinds("a\u{00A0}b\u{2028}\"d\u{00E9}j\u{00E0} vu\""),
+            vec![TokenKind::Word("a"), TokenKind::Word("b"), TokenKind::Str("d\u{00E9}j\u{00E0} vu")]
+        );
+        assert_eq!(
+            tokenize("ok\n\u{00E9}t\u{00E9}").unwrap_err(),
+            PolicyError::Lex { line: 2, found: '\u{00E9}' }
+        );
     }
 
     #[test]

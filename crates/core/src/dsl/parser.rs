@@ -6,22 +6,26 @@ use crate::condition::Condition;
 use crate::entity::{EntityMatcher, Pattern};
 use crate::error::PolicyError;
 use crate::policy::{Effect, Policy, Rule};
+use std::borrow::Cow;
 
 /// Deepest nesting of `!` and `(` a condition may use. The parser recurses
 /// once per level, so without a bound a hostile file of nested parentheses
 /// overflows the stack; shipped policies nest a few levels at most.
 const MAX_CONDITION_DEPTH: u32 = 64;
 
-struct Parser {
-    tokens: Vec<Token>,
+/// Walks the borrowed token stream. Words and strings stay slices of the
+/// source; the parser copies one only into what a [`Policy`] keeps (its
+/// name, patterns, condition operands and interned ids).
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
     auto_rule_id: u32,
     /// Current `!`/`(` nesting inside a condition.
     depth: u32,
 }
 
-impl Parser {
-    fn new(tokens: Vec<Token>) -> Self {
+impl<'a> Parser<'a> {
+    fn new(tokens: Vec<Token<'a>>) -> Self {
         Parser {
             tokens,
             pos: 0,
@@ -30,8 +34,8 @@ impl Parser {
         }
     }
 
-    fn peek(&self) -> Option<&TokenKind> {
-        self.tokens.get(self.pos).map(|t| &t.kind)
+    fn peek(&self) -> Option<TokenKind<'a>> {
+        self.tokens.get(self.pos).map(|t| t.kind)
     }
 
     fn line(&self) -> u32 {
@@ -53,15 +57,15 @@ impl Parser {
         }
     }
 
-    fn next(&mut self) -> Option<TokenKind> {
-        let t = self.tokens.get(self.pos).map(|t| t.kind.clone());
+    fn next(&mut self) -> Option<TokenKind<'a>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
         t
     }
 
-    fn expect(&mut self, kind: &TokenKind, what: &str) -> Result<(), PolicyError> {
+    fn expect(&mut self, kind: TokenKind<'_>, what: &str) -> Result<(), PolicyError> {
         if self.peek() == Some(kind) {
             self.pos += 1;
             Ok(())
@@ -71,12 +75,10 @@ impl Parser {
     }
 
     fn expect_keyword(&mut self, kw: &str) -> Result<(), PolicyError> {
-        match self.peek() {
-            Some(TokenKind::Word(w)) if w == kw => {
-                self.pos += 1;
-                Ok(())
-            }
-            _ => Err(self.err(&format!("'{kw}'"))),
+        if self.eat_keyword(kw) {
+            Ok(())
+        } else {
+            Err(self.err(&format!("'{kw}'")))
         }
     }
 
@@ -90,10 +92,9 @@ impl Parser {
         }
     }
 
-    fn word(&mut self, what: &str) -> Result<String, PolicyError> {
+    fn word(&mut self, what: &str) -> Result<&'a str, PolicyError> {
         match self.peek() {
             Some(TokenKind::Word(w)) => {
-                let w = w.clone();
                 self.pos += 1;
                 Ok(w)
             }
@@ -101,10 +102,9 @@ impl Parser {
         }
     }
 
-    fn string(&mut self, what: &str) -> Result<String, PolicyError> {
+    fn string(&mut self, what: &str) -> Result<&'a str, PolicyError> {
         match self.peek() {
             Some(TokenKind::Str(s)) => {
-                let s = s.clone();
                 self.pos += 1;
                 Ok(s)
             }
@@ -113,35 +113,17 @@ impl Parser {
     }
 
     /// A value position accepts either a bare word or a quoted string.
-    fn value(&mut self, what: &str) -> Result<String, PolicyError> {
+    fn value(&mut self, what: &str) -> Result<&'a str, PolicyError> {
         match self.peek() {
-            Some(TokenKind::Word(_)) => self.word(what),
-            Some(TokenKind::Str(_)) => self.string(what),
+            Some(TokenKind::Word(v) | TokenKind::Str(v)) => {
+                self.pos += 1;
+                Ok(v)
+            }
             _ => Err(self.err(what)),
         }
     }
 
-    fn number_u64(&mut self, what: &str) -> Result<u64, PolicyError> {
-        let line = self.line();
-        let w = self.word(what)?;
-        w.parse().map_err(|_| PolicyError::Parse {
-            line,
-            expected: what.to_string(),
-            found: format!("'{w}'"),
-        })
-    }
-
-    fn number_i32(&mut self, what: &str) -> Result<i32, PolicyError> {
-        let line = self.line();
-        let w = self.word(what)?;
-        w.parse().map_err(|_| PolicyError::Parse {
-            line,
-            expected: what.to_string(),
-            found: format!("'{w}'"),
-        })
-    }
-
-    fn number_u32(&mut self, what: &str) -> Result<u32, PolicyError> {
+    fn number<T: std::str::FromStr>(&mut self, what: &str) -> Result<T, PolicyError> {
         let line = self.line();
         let w = self.word(what)?;
         w.parse().map_err(|_| PolicyError::Parse {
@@ -155,8 +137,8 @@ impl Parser {
         self.expect_keyword("policy")?;
         let name = self.string("policy name string")?;
         self.expect_keyword("version")?;
-        let version = self.number_u64("version number")?;
-        self.expect(&TokenKind::LBrace, "'{'")?;
+        let version = self.number("version number")?;
+        self.expect(TokenKind::LBrace, "'{'")?;
 
         let mut policy = Policy::new(name, version);
         loop {
@@ -165,13 +147,13 @@ impl Parser {
                     self.pos += 1;
                     break;
                 }
-                Some(TokenKind::Word(w)) if w == "default" => {
+                Some(TokenKind::Word("default")) => {
                     self.pos += 1;
                     let effect = self.effect()?;
-                    self.expect(&TokenKind::Semi, "';'")?;
+                    self.expect(TokenKind::Semi, "';'")?;
                     policy = policy.with_default(effect);
                 }
-                Some(TokenKind::Word(w)) if w == "allow" || w == "deny" => {
+                Some(TokenKind::Word("allow" | "deny")) => {
                     let rule = self.rule()?;
                     policy = policy.add_rule(rule)?;
                 }
@@ -205,15 +187,15 @@ impl Parser {
         }
         let mut priority = 0;
         if self.eat_keyword("priority") {
-            priority = self.number_i32("priority number")?;
+            priority = self.number("priority number")?;
         }
         let id = if self.eat_keyword("as") {
-            self.word("rule id")?
+            Cow::Borrowed(self.word("rule id")?)
         } else {
             self.auto_rule_id += 1;
-            format!("r{}", self.auto_rule_id)
+            Cow::Owned(format!("r{}", self.auto_rule_id))
         };
-        self.expect(&TokenKind::Semi, "';'")?;
+        self.expect(TokenKind::Semi, "';'")?;
         Ok(Rule::new(id, effect, actions, subject, object)
             .when(condition)
             .with_priority(priority))
@@ -230,7 +212,7 @@ impl Parser {
                 found: format!("'{w}'"),
             })?;
             set.insert(action);
-            if self.peek() == Some(&TokenKind::Comma) {
+            if self.peek() == Some(TokenKind::Comma) {
                 self.pos += 1;
             } else {
                 break;
@@ -241,10 +223,10 @@ impl Parser {
 
     fn entity(&mut self) -> Result<EntityMatcher, PolicyError> {
         let ns = self.word("entity namespace")?;
-        self.expect(&TokenKind::Colon, "':'")?;
+        self.expect(TokenKind::Colon, "':'")?;
         let line = self.line();
         let pat_word = self.word("entity pattern")?;
-        let pattern = Pattern::parse(&pat_word).map_err(|e| PolicyError::Parse {
+        let pattern = Pattern::parse(pat_word).map_err(|e| PolicyError::Parse {
             line,
             expected: "entity pattern".into(),
             found: e.to_string(),
@@ -258,30 +240,28 @@ impl Parser {
 
     fn cond_or(&mut self) -> Result<Condition, PolicyError> {
         let first = self.cond_and()?;
+        if self.peek() != Some(TokenKind::OrOr) {
+            return Ok(first);
+        }
         let mut parts = vec![first];
-        while self.peek() == Some(&TokenKind::OrOr) {
+        while self.peek() == Some(TokenKind::OrOr) {
             self.pos += 1;
             parts.push(self.cond_and()?);
         }
-        Ok(if parts.len() == 1 {
-            parts.pop().expect("one element")
-        } else {
-            Condition::AnyOf(parts)
-        })
+        Ok(Condition::AnyOf(parts))
     }
 
     fn cond_and(&mut self) -> Result<Condition, PolicyError> {
         let first = self.cond_not()?;
+        if self.peek() != Some(TokenKind::AndAnd) {
+            return Ok(first);
+        }
         let mut parts = vec![first];
-        while self.peek() == Some(&TokenKind::AndAnd) {
+        while self.peek() == Some(TokenKind::AndAnd) {
             self.pos += 1;
             parts.push(self.cond_not()?);
         }
-        Ok(if parts.len() == 1 {
-            parts.pop().expect("one element")
-        } else {
-            Condition::All(parts)
-        })
+        Ok(Condition::All(parts))
     }
 
     fn cond_not(&mut self) -> Result<Condition, PolicyError> {
@@ -301,7 +281,7 @@ impl Parser {
             self.cond_not().map(|c| Condition::Not(Box::new(c)))
         } else {
             self.cond_or()
-                .and_then(|inner| self.expect(&TokenKind::RParen, "')'").map(|()| inner))
+                .and_then(|inner| self.expect(TokenKind::RParen, "')'").map(|()| inner))
         };
         self.depth -= 1;
         cond
@@ -322,11 +302,10 @@ impl Parser {
                 }
             };
             let mode = self.value("mode name")?;
-            let cond = Condition::InMode(mode);
+            let cond = Condition::InMode(mode.to_string());
             return Ok(if negated { Condition::Not(Box::new(cond)) } else { cond });
         }
         if let Some(key) = w.strip_prefix("state.") {
-            let key = key.to_string();
             let negated = match self.next() {
                 Some(TokenKind::EqEq) => false,
                 Some(TokenKind::NotEq) => true,
@@ -336,16 +315,22 @@ impl Parser {
                 }
             };
             let value = self.value("state value")?;
-            let cond = Condition::StateEquals { key, value };
+            let cond = Condition::StateEquals {
+                key: key.to_string(),
+                value: value.to_string(),
+            };
             return Ok(if negated { Condition::Not(Box::new(cond)) } else { cond });
         }
         if w == "rate" {
-            self.expect(&TokenKind::LParen, "'('")?;
+            self.expect(TokenKind::LParen, "'('")?;
             let key = self.word("rate key")?;
-            self.expect(&TokenKind::RParen, "')'")?;
-            self.expect(&TokenKind::Le, "'<='")?;
-            let max = self.number_u32("rate limit")?;
-            return Ok(Condition::RateAtMost { key, max_per_sec: max });
+            self.expect(TokenKind::RParen, "')'")?;
+            self.expect(TokenKind::Le, "'<='")?;
+            let max = self.number("rate limit")?;
+            return Ok(Condition::RateAtMost {
+                key: key.to_string(),
+                max_per_sec: max,
+            });
         }
         self.pos = self.pos.saturating_sub(1);
         Err(self.err("'true', 'mode', 'state.<key>' or 'rate'"))

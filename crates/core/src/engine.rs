@@ -21,14 +21,17 @@
 //! * rate windows are per-key atomic bucket rings, consulted only when a
 //!   candidate rule actually references [`crate::Condition::RateAtMost`]
 //!   (a rate-dependency map computed at load time);
-//! * the audit trail is a set of sharded, pre-allocated rings picked by
-//!   thread, merged only when read. Each shard also holds plain `u64`
-//!   statistics, so a decide locks its shard once to append the record and
-//!   count the decision, and [`PolicyEngine::stats`] sums the shards;
+//! * the audit trail is a set of sharded rings picked by thread, merged
+//!   only when read. A shard reserves its whole ring on its first record,
+//!   so appends never reallocate and a shard no thread decides on owns no
+//!   ring. Each shard also holds plain `u64` statistics, so a decide locks
+//!   its shard once to append the record and count the decision, and
+//!   [`PolicyEngine::stats`] sums the shards;
 //! * decisions themselves are cached in a generation-tagged lock-free
 //!   `GenCache` keyed by
 //!   `(subject, object, action, mode)`; [`PolicyEngine::reload`] bumps the
-//!   generation so stale entries can never answer. Rules whose conditions
+//!   generation so stale entries can never answer, and erases the cache
+//!   only when the key's generation tag wraps. Rules whose conditions
 //!   read state or rates are excluded from caching by construction, so a
 //!   decide probes the cache first and hashes into the subject index only
 //!   on a miss.
@@ -46,7 +49,7 @@ use crate::policy::{Effect, PolicySet, Rule};
 use crate::request::{AccessRequest, EvalContext};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
 
 /// How applying rules combine into one decision.
@@ -478,8 +481,10 @@ struct AuditShard {
     stats: EngineStats,
 }
 
-/// Sharded, pre-allocated audit rings: `decide` never blocks `decide` on
-/// the audit trail, and appends never allocate.
+/// Sharded audit rings: `decide` never blocks `decide` on the audit
+/// trail. A shard reserves its `per_shard` records on its first record,
+/// so later appends never allocate and an engine that never decides (a
+/// validator's, or one about to be replaced) owns no ring at all.
 struct AuditSink {
     shards: Box<[Mutex<AuditShard>]>,
     per_shard: usize,
@@ -506,7 +511,7 @@ impl AuditSink {
             shards: (0..AUDIT_SHARDS)
                 .map(|_| {
                     Mutex::new(AuditShard {
-                        records: VecDeque::with_capacity(per_shard),
+                        records: VecDeque::new(),
                         stats: EngineStats::default(),
                     })
                 })
@@ -533,6 +538,8 @@ impl AuditSink {
         shard.stats.count(&decision, examined, cache);
         if shard.records.len() >= self.per_shard {
             shard.records.pop_front();
+        } else if shard.records.capacity() == 0 {
+            shard.records.reserve_exact(self.per_shard);
         }
         shard.records.push_back(CompactAudit {
             seq,
@@ -632,6 +639,9 @@ impl fmt::Debug for LoadMode<'_> {
 /// Default decision-cache capacity (slots).
 const DECISION_CACHE_SLOTS: usize = 8_192;
 
+/// The generation bits a cache key carries (see `PolicyEngine::cache_key`).
+const GENERATION_TAG_MASK: u32 = 0xF_FFFF;
+
 /// The outcome of combining, before rendering into a `Decision`.
 #[derive(Debug, Clone, Copy)]
 enum Outcome {
@@ -699,7 +709,7 @@ pub struct PolicyEngine {
     rates: RateTable,
     audit: AuditSink,
     cache: GenCache,
-    generation: AtomicU32,
+    generation: u32,
     set: PolicySet,
 }
 
@@ -711,7 +721,7 @@ impl fmt::Debug for PolicyEngine {
             .field("default_effect", &self.default_effect)
             .field("indexing", &self.indexing)
             .field("caching", &self.caching)
-            .field("generation", &self.generation.load(Ordering::Relaxed))
+            .field("generation", &self.generation)
             .finish()
     }
 }
@@ -721,20 +731,24 @@ impl PolicyEngine {
     /// (deny-overrides), indexing and decision caching enabled, sized for a
     /// shared, service-scale deployment ([`AuditLog::DEFAULT_CAPACITY`]
     /// audit records per shard, `DECISION_CACHE_SLOTS` (8192) cache slots).
+    /// The cache (~320 KB) is initialised here; an audit shard reserves its
+    /// ring (~0.9 MB) on its first record, so only the shards of deciding
+    /// threads cost memory.
     pub fn new(set: PolicySet) -> Self {
         PolicyEngine::with_footprint(set, AuditLog::DEFAULT_CAPACITY, DECISION_CACHE_SLOTS)
     }
 
     /// Creates an engine with explicit audit and decision-cache sizing.
     ///
-    /// [`PolicyEngine::new`] pre-allocates for a fleet-shared engine serving
-    /// millions of decisions: `AUDIT_SHARDS` rings of 16k records plus an
-    /// eagerly initialised 8k-slot cache — several MB touched per engine.
-    /// Workloads that build one engine *per simulated device* (the V2X
-    /// ingest path spins up hundreds per run, and rebuilds on every OTA
-    /// apply) want [`PolicyEngine::compact`] instead; this constructor is
-    /// the shared base. `cache_slots` is rounded up to a power of two with
-    /// a floor of 64 by the cache itself.
+    /// [`PolicyEngine::new`] sizes for a fleet-shared engine serving
+    /// millions of decisions: an eagerly initialised 8k-slot cache, and
+    /// `AUDIT_SHARDS` rings of 16k records, each reserved on its shard's
+    /// first record. Workloads that build one engine *per simulated device*
+    /// (the V2X ingest path spins up hundreds per run, and rebuilds on every
+    /// OTA apply), or an engine only to inspect its rule table, want
+    /// [`PolicyEngine::compact`] instead; this constructor is the shared
+    /// base. `cache_slots` is rounded up to a power of two with a floor of
+    /// 64 by the cache itself.
     pub fn with_footprint(set: PolicySet, audit_capacity: usize, cache_slots: usize) -> Self {
         let mut engine = PolicyEngine {
             rules: Vec::new(),
@@ -749,7 +763,7 @@ impl PolicyEngine {
             rates: RateTable::default(),
             audit: AuditSink::new(audit_capacity),
             cache: GenCache::with_capacity(cache_slots),
-            generation: AtomicU32::new(0),
+            generation: 0,
             set,
         };
         engine.rebuild();
@@ -764,11 +778,12 @@ impl PolicyEngine {
     /// cache floors this at its 64-slot minimum).
     pub const COMPACT_CACHE_SLOTS: usize = 256;
 
-    /// Creates a per-device engine: identical decisions to
-    /// [`PolicyEngine::new`], but with a footprint in the tens of KB rather
-    /// than MB. Use for simulations that construct an engine per vehicle
-    /// (and rebuild on OTA policy swaps) — the full-size pre-allocation
-    /// dominated the v2x bench's allocator time before this existed.
+    /// Creates a per-device engine: identical decisions and rule table to
+    /// [`PolicyEngine::new`], but a 256-slot cache (~10 KB) and 64-record
+    /// audit rings. Use for simulations that construct an engine per
+    /// vehicle (and rebuild on OTA policy swaps), and for engines built
+    /// only to read their load-time analysis (the strict-load validator's
+    /// cacheability cross-check).
     pub fn compact(set: PolicySet) -> Self {
         PolicyEngine::with_footprint(
             set,
@@ -819,7 +834,7 @@ impl PolicyEngine {
     /// The decision-cache generation: bumped by every [`PolicyEngine::reload`],
     /// so entries cached under an earlier policy can never answer.
     pub fn cache_generation(&self) -> u32 {
-        self.generation.load(Ordering::Acquire)
+        self.generation
     }
 
     /// Number of dynamically-tracked (undeclared) rate keys currently held.
@@ -834,10 +849,13 @@ impl PolicyEngine {
         self.default_effect = set.default_effect();
         self.set = set;
         self.rebuild();
-        self.generation.fetch_add(1, Ordering::AcqRel);
-        // Erasing the slots as well means even a wrapped generation counter
-        // can never resurrect a stale entry.
-        self.cache.clear();
+        // Every key carries the generation's low 20 bits, so the bump alone
+        // retires every cached entry. Only when that tag wraps to 0 could an
+        // entry from 2^20 reloads ago match again: erase the slots then.
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation & GENERATION_TAG_MASK == 0 {
+            self.cache.clear();
+        }
     }
 
     /// Verifies a signed bundle against `key` and, on success, reloads the
@@ -861,7 +879,7 @@ impl PolicyEngine {
         mode: LoadMode<'_>,
     ) -> Result<u64, PolicyError> {
         let bundle = bundle.verify(key)?;
-        let set: PolicySet = bundle.policies.iter().cloned().collect();
+        let set: PolicySet = bundle.policies.into_iter().collect();
         if let LoadMode::Strict(validator) = mode {
             if let Err(detail) = validator(&set) {
                 return Err(PolicyError::AnalysisRejected { detail });
@@ -1022,7 +1040,7 @@ impl PolicyEngine {
             | u64::from(s.name_symbol().as_u32());
         let k1 = (u64::from(o.namespace_symbol().as_u32()) << 32)
             | u64::from(o.name_symbol().as_u32());
-        let generation = u64::from(self.generation.load(Ordering::Acquire)) & 0xF_FFFF;
+        let generation = u64::from(self.generation & GENERATION_TAG_MASK);
         let (mode_present, mode) = match ctx.mode_symbol() {
             Some(m) => (1u64, u64::from(m.as_u32())),
             None => (0, 0),
@@ -1627,6 +1645,36 @@ mod tests {
         let hits_before = e.stats().cache_hits;
         assert!(e.decide(&r, &ctx).is_allow(), "stale generation entry answered");
         assert_eq!(e.stats().cache_hits, hits_before, "reload must force a miss");
+    }
+
+    #[test]
+    fn no_stale_decision_across_a_generation_tag_wrap() {
+        let mut e = demo_engine(CombiningStrategy::DenyOverrides);
+        let r = req("entry:a", "asset:ecu", Action::Write);
+        let ctx = EvalContext::new();
+        // P1 denies the write; the verdict is cached under tag 0.
+        assert!(!e.decide(&r, &ctx).is_allow());
+        assert_eq!(e.stats().cache_misses, 1);
+        // 2^20 - 1 reloads on, the next one wraps the tag back to 0.
+        e.generation = 0xF_FFFF;
+        // P2 has two rules, like P1, so a stale entry would decode to a
+        // verdict rather than an out-of-range rule.
+        let p2 = Policy::new("demo", 2)
+            .add_rule(allow_read("r-read", "ecu"))
+            .unwrap()
+            .add_rule(Rule::new(
+                "r-write",
+                Effect::Allow,
+                ActionSet::only(Action::Write),
+                EntityMatcher::anything(),
+                EntityMatcher::anything(),
+            ))
+            .unwrap();
+        e.reload(PolicySet::from_policy(p2));
+        assert_eq!(e.cache_generation() & GENERATION_TAG_MASK, 0);
+        let hits_before = e.stats().cache_hits;
+        assert!(e.decide(&r, &ctx).is_allow(), "P1's entry answered after the wrap");
+        assert_eq!(e.stats().cache_hits, hits_before);
     }
 
     #[test]

@@ -144,7 +144,7 @@ impl DevicePolicyStore {
                 offered: bundle.version,
             });
         }
-        let incoming: PolicySet = bundle.policies.iter().cloned().collect();
+        let incoming: PolicySet = bundle.policies.into_iter().collect();
         let outgoing = std::mem::replace(&mut self.active, incoming);
         self.previous = Some((outgoing, self.version));
         self.version = bundle.version;

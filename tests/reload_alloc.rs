@@ -1,0 +1,153 @@
+//! The policy load path allocates only for what it keeps.
+//!
+//! A strict `load_bundle` verifies a signed bundle, parses its policies,
+//! runs the Layer-1 validator (which builds an engine to cross-check
+//! cacheability) and reloads the engine. None of these steps may pay for
+//! a service-scale engine it only reads, the lexer may not copy the words
+//! it scans, and a service engine reserves an audit ring only once a
+//! thread decides on it. A counting global allocator checks this, per
+//! thread, in calls and in bytes requested: the test harness's own thread
+//! allocates while the tests run.
+
+use polsec::analyze::layer1::strict_validator;
+use polsec::analyze::AnalysisOptions;
+use polsec::car::v2x::{rollout_bundle, v2x_shared_policy_set, OEM_KEY};
+use polsec::policy::dsl::tokenize;
+use polsec::policy::{
+    AccessRequest, Action, AuditLog, EntityId, EvalContext, LoadMode, PolicyEngine,
+};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    // const-initialised and without a destructor: touching them never
+    // allocates, so the allocator may use them
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_allocation(bytes: usize) {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
+}
+
+struct CountingAllocator;
+
+// SAFETY: delegates directly to the system allocator; the counters are
+// const-initialised thread-local cells with no allocation of their own.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_allocation(layout.size());
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_allocation(new_size);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Allocations and bytes requested on this thread while `f` runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Spent {
+    allocations: u64,
+    bytes: u64,
+}
+
+fn counted<R>(f: impl FnOnce() -> R) -> (R, Spent) {
+    let (allocations, bytes) = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
+    let out = f();
+    let spent = Spent {
+        allocations: ALLOCATIONS.with(Cell::get) - allocations,
+        bytes: BYTES.with(Cell::get) - bytes,
+    };
+    (out, spent)
+}
+
+/// Bytes a strict load of the rollout bundle may request: 96 311 bytes in
+/// 741 allocations measured on x86-64 Linux (rustc 1.95.0), plus headroom.
+/// A validator that built a service-scale engine would request 320 KiB for
+/// its decision cache alone (7.7 MB while the audit rings were reserved at
+/// construction).
+const STRICT_LOAD_BUDGET_BYTES: u64 = 128 * 1024;
+
+#[test]
+fn a_service_engine_reserves_its_audit_ring_on_first_decide() {
+    let set = v2x_shared_policy_set();
+    let request = AccessRequest::new(
+        EntityId::new("entry", "telematics"),
+        EntityId::new("asset", "v2x-platoon"),
+        Action::Read,
+    );
+    let ctx = EvalContext::new().with_mode("normal");
+    let (engine, build) = counted(|| PolicyEngine::new(set));
+    let (_, first) = counted(|| engine.decide(&request, &ctx));
+    let (_, second) = counted(|| engine.decide(&request, &ctx));
+
+    // The first record reserves this thread's whole ring at once...
+    let ring_bytes = first.bytes;
+    assert_eq!(first.allocations, 1, "first decide: {first:?}");
+    assert!(
+        ring_bytes >= AuditLog::DEFAULT_CAPACITY as u64 * 32,
+        "a {}-record ring in {ring_bytes} bytes",
+        AuditLog::DEFAULT_CAPACITY
+    );
+    // ...so the build reserved none of the eight, and later records
+    // allocate nothing.
+    assert!(
+        build.bytes < ring_bytes,
+        "PolicyEngine::new requested {} bytes, one ring is {ring_bytes}",
+        build.bytes
+    );
+    assert_eq!(second.allocations, 0);
+}
+
+#[test]
+fn a_strict_load_stays_within_its_byte_budget() {
+    let signed = rollout_bundle().sign(OEM_KEY);
+    let validator = strict_validator(AnalysisOptions::default(), false);
+    let mut engine = PolicyEngine::new(v2x_shared_policy_set());
+    let mut load = || {
+        engine
+            .load_bundle(&signed, OEM_KEY, LoadMode::Strict(&validator))
+            .expect("the rollout bundle passes the strict validator")
+    };
+    // The first load interns the names the bundle brings; measure the next.
+    load();
+    let (version, spent) = counted(load);
+    assert_eq!(version, 1);
+    assert!(
+        spent.bytes <= STRICT_LOAD_BUDGET_BYTES,
+        "a strict load requested {} bytes in {} allocations; the budget is {}",
+        spent.bytes,
+        spent.allocations,
+        STRICT_LOAD_BUDGET_BYTES
+    );
+}
+
+#[test]
+fn tokenize_allocates_only_its_token_vector() {
+    let payload = String::from_utf8(rollout_bundle().payload()).expect("payloads are utf-8");
+    // the policies follow the three header lines
+    let body = payload
+        .splitn(4, '\n')
+        .nth(3)
+        .expect("a payload carries policies");
+    let (tokens, lexing) = counted(|| tokenize(body).expect("the rollout body lexes"));
+    assert!(tokens.len() > 300, "{} tokens", tokens.len());
+    // The same tokens pushed one by one into a fresh vector.
+    let (_, vector) = counted(|| {
+        tokens.iter().copied().fold(Vec::new(), |mut v, t| {
+            v.push(t);
+            v
+        })
+    });
+    assert_eq!(lexing, vector, "tokenize allocated beyond its vector");
+}
