@@ -1,7 +1,7 @@
 //! E4: policy-engine evaluation throughput.
 //!
 //! Sweeps rule count, compares combining strategies, and ablates both the
-//! subject index and the generation-tagged decision cache (DESIGN.md §5.1;
+//! exact-side indexes and the generation-tagged decision cache (DESIGN.md §5.1;
 //! the fast-path mechanics — interning, single-writer counters,
 //! `GenCache` — are described in DESIGN.md §6).
 
@@ -50,8 +50,8 @@ fn bench_rule_count_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-/// Prefix-matched subjects cannot enter the exact-subject index, so the
-/// uncached path walks rules — the workload the decision cache rescues.
+/// Prefix-matched subjects and objects enter neither exact-side index, so
+/// the uncached path walks all `n` rules — the walk a cache hit avoids.
 fn wildcard_policy(n: usize) -> Policy {
     let mut p = Policy::new("bench-wild", 1);
     for i in 0..n {
@@ -61,7 +61,7 @@ fn wildcard_policy(n: usize) -> Policy {
                 if i % 4 == 0 { Effect::Deny } else { Effect::Allow },
                 ActionSet::of(&[Action::Read, Action::Write]),
                 EntityMatcher::new("entry", Pattern::Prefix(format!("grp{i}-"))),
-                EntityMatcher::new("asset", Pattern::Exact(format!("asset-{}", i % 16))),
+                EntityMatcher::new("asset", Pattern::Prefix(format!("asset-{}", i % 16))),
             ))
             .expect("unique rule ids");
     }
@@ -88,16 +88,43 @@ fn bench_cache_ablation(c: &mut Criterion) {
     group.finish();
 }
 
+/// `entry:* → asset:X` rules, the shape of the shipped policies' read
+/// rules: only the object index reaches them.
+fn any_subject_policy(n: usize) -> Policy {
+    let mut p = Policy::new("bench-any", 1);
+    for i in 0..n {
+        p = p
+            .add_rule(Rule::new(
+                format!("a{i}"),
+                if i % 4 == 0 { Effect::Deny } else { Effect::Allow },
+                ActionSet::of(&[Action::Read, Action::Write]),
+                EntityMatcher::new("entry", Pattern::Any),
+                EntityMatcher::new("asset", Pattern::Exact(format!("asset-{i}"))),
+            ))
+            .expect("unique rule ids");
+    }
+    p
+}
+
 fn bench_index_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("policy_engine/index_ablation");
     let n = 1_000;
-    for (label, indexing) in [("indexed", true), ("linear", false)] {
+    let any_subject = AccessRequest::new(
+        EntityId::new("entry", "sensors"),
+        EntityId::new("asset", format!("asset-{}", n - 1)),
+        Action::Read,
+    );
+    for (label, indexing, policy, req) in [
+        ("indexed", true, policy_with_rules(n), request(n - 1)),
+        ("linear", false, policy_with_rules(n), request(n - 1)),
+        ("any_subject_indexed", true, any_subject_policy(n), any_subject),
+        ("any_subject_linear", false, any_subject_policy(n), any_subject),
+    ] {
         // caching off so this ablation keeps measuring raw rule walks
-        let engine = PolicyEngine::new(PolicySet::from_policy(policy_with_rules(n)))
+        let engine = PolicyEngine::new(PolicySet::from_policy(policy))
             .with_indexing(indexing)
             .with_caching(false);
         let ctx = EvalContext::new();
-        let req = request(n - 1);
         group.bench_function(label, |b| {
             b.iter(|| black_box(engine.decide(black_box(&req), &ctx)));
         });

@@ -273,6 +273,39 @@ mod tests {
     }
 
     #[test]
+    fn decides_walk_only_matching_rules_and_cache_what_state_cannot_change() {
+        let e = PolicyEngine::from_policy(car_policy());
+        let ctx = EvalContext::new()
+            .with_mode("normal")
+            .with_state("vehicle.moving", "false")
+            .with_state("crash", "false");
+        let cache = |e: &PolicyEngine| (e.stats().cache_hits, e.stats().cache_misses);
+
+        // Telematics' own rules read state, but none covers a read of the
+        // EV-ECU, so the decision is cached.
+        let read = req("telematics", "ev-ecu", Action::Read);
+        assert!(e.decide(&read, &ctx).is_allow());
+        assert_eq!(cache(&e), (0, 1));
+        assert!(e.decide(&read, &ctx).is_allow());
+        assert_eq!(cache(&e), (1, 1));
+
+        // locks-remote covers this write and reads state and a rate: every
+        // decide walks the rules again.
+        let unlock = req("telematics", "door-locks", Action::Write);
+        for _ in 0..2 {
+            assert_eq!(e.decide(&unlock, &ctx).rule(), Some("car-baseline.locks-remote"));
+        }
+        assert_eq!(cache(&e), (1, 1));
+
+        // No rule names the sensors, so a read of the EV-ECU examines the
+        // EV-ECU's one `entry:*` rule and none of the other assets'.
+        let before = e.stats().rules_examined;
+        let d = e.decide(&req("sensors", "ev-ecu", Action::Read), &ctx);
+        assert_eq!(d.rule(), Some("car-baseline.ecu-read"));
+        assert_eq!(e.stats().rules_examined - before, 1);
+    }
+
+    #[test]
     fn dsl_and_compiled_policies_agree_on_read_vectors() {
         // The hand-authored policy must be at least as strict as the
         // mechanically compiled Table I policy on the read-only assets.

@@ -99,7 +99,10 @@ impl PolicyBundle {
             detail: "payload is not utf-8".into(),
         })?;
         let malformed = |detail: &str| PolicyError::MalformedBundle { detail: detail.into() };
-        let mut lines = text.lines();
+        // Three header lines, ended by '\n' as `payload` writes them; the
+        // policies are the rest, parsed in place so a '\r' inside a quoted
+        // name survives byte for byte.
+        let mut lines = text.splitn(4, '\n');
         if lines.next() != Some(BUNDLE_MAGIC) {
             return Err(malformed("missing bundle magic"));
         }
@@ -113,11 +116,11 @@ impl PolicyBundle {
             .and_then(|l| l.strip_prefix("rationale "))
             .map(unescape_line)
             .ok_or_else(|| malformed("missing rationale line"))?;
-        let rest: String = lines.collect::<Vec<_>>().join("\n");
+        let rest = lines.next().unwrap_or("");
         let policies = if rest.trim().is_empty() {
             Vec::new()
         } else {
-            parse_policies(&rest).map_err(|e| PolicyError::MalformedBundle {
+            parse_policies(rest).map_err(|e| PolicyError::MalformedBundle {
                 detail: e.to_string(),
             })?
         };
@@ -237,6 +240,17 @@ mod tests {
         let back = signed.verify(KEY).unwrap();
         assert_eq!(back, b);
         assert_eq!(back.rule_count(), 1);
+    }
+
+    #[test]
+    fn sign_verify_keeps_a_policy_name_byte_exact() {
+        let names = ["x\r\ny", "a\"b", "back\\slash \\\"", "trailing\r", "\r\n"];
+        let policies: Vec<Policy> = names.iter().map(|n| Policy::new(*n, 1)).collect();
+        let b = PolicyBundle::new(2, "crlf\r\nin a name", policies);
+        let back = b.sign(KEY).verify(KEY).unwrap();
+        assert_eq!(back, b);
+        let got: Vec<&str> = back.policies.iter().map(Policy::name).collect();
+        assert_eq!(got, names);
     }
 
     #[test]

@@ -80,11 +80,10 @@ impl Condition {
     /// `(subject, object, action, mode)` key: true when the condition
     /// depends on nothing outside that key. `StateEquals` and `RateAtMost`
     /// read context state and live rate counters the key does not capture,
-    /// so the engine's load-time cacheability analysis marks any bucket
-    /// containing them non-cacheable and routes those requests around the
-    /// decision cache (the cacheability-analysis bypass — see
-    /// `engine.rs::rebuild`); `InMode` is cacheable because the mode is
-    /// part of the key.
+    /// so a decide whose rule walk reaches a rule gated by them (one whose
+    /// actions, subject and object match the request) goes around the
+    /// decision cache; `InMode` is cacheable because the mode is part of
+    /// the key.
     pub fn is_cache_safe(&self) -> bool {
         match self {
             Condition::Always | Condition::InMode(_) => true,

@@ -18,7 +18,8 @@ pub enum TokenKind<'a> {
     /// An unquoted word: identifiers, numbers, patterns (`ev-ecu`,
     /// `0x100-0x1FF`, `sensor-*`, `*`, `5.4`).
     Word(&'a str),
-    /// A double-quoted string, without its quotes.
+    /// A double-quoted string, without its quotes and with its `\"` and
+    /// `\\` escapes as written (the parser resolves them).
     Str(&'a str),
     /// `{`
     LBrace,
@@ -80,6 +81,23 @@ fn newlines(text: &[u8]) -> u32 {
     text.iter().filter(|&&b| b == b'\n').count() as u32
 }
 
+/// The length of a string's body, up to its closing quote. `\"` and `\\`
+/// are the only escapes. On error, the offset and character at fault: a
+/// `\` that starts no escape, or the opening quote of a string that never
+/// closes.
+fn string_len(body: &[u8]) -> Result<usize, (usize, char)> {
+    let mut n = 0;
+    loop {
+        match body.get(n) {
+            Some(b'"') => return Ok(n),
+            Some(b'\\') if matches!(body.get(n + 1), Some(b'"' | b'\\')) => n += 2,
+            Some(b'\\') => return Err((n, '\\')),
+            Some(_) => n += 1,
+            None => return Err((n, '"')),
+        }
+    }
+}
+
 /// Tokenizes DSL source.
 ///
 /// Every delimiter and word character is ASCII, so the scan walks bytes
@@ -88,7 +106,8 @@ fn newlines(text: &[u8]) -> u32 {
 /// as whitespace or to report it.
 ///
 /// # Errors
-/// [`PolicyError::Lex`] on unexpected characters or unterminated strings.
+/// [`PolicyError::Lex`] on unexpected characters, unterminated strings or
+/// a `\` in a string that escapes neither `"` nor `\`.
 pub fn tokenize(src: &str) -> Result<Vec<Token<'_>>, PolicyError> {
     let bytes = src.as_bytes();
     let mut tokens = Vec::new();
@@ -120,10 +139,10 @@ pub fn tokenize(src: &str) -> Result<Vec<Token<'_>>, PolicyError> {
             }
             (b'"', _) => {
                 let body = &bytes[i + 1..];
-                let Some(n) = body.iter().position(|&c| c == b'"') else {
-                    line += newlines(body);
-                    return Err(PolicyError::Lex { line, found: '"' });
-                };
+                let n = string_len(body).map_err(|(n, found)| PolicyError::Lex {
+                    line: line + newlines(&body[..n]),
+                    found,
+                })?;
                 line += newlines(&body[..n]);
                 (TokenKind::Str(&src[i + 1..i + 1 + n]), n + 2)
             }
@@ -256,6 +275,24 @@ mod tests {
     #[test]
     fn unterminated_string_errors() {
         assert!(matches!(tokenize("\"oops"), Err(PolicyError::Lex { found: '"', .. })));
+        // an escaped quote does not close the string
+        assert!(matches!(tokenize(r#""oops\""#), Err(PolicyError::Lex { found: '"', .. })));
+    }
+
+    #[test]
+    fn strings_keep_their_escapes_raw() {
+        assert_eq!(
+            kinds(r#""a\"b" "c\\" "\\\"""#),
+            vec![TokenKind::Str(r#"a\"b"#), TokenKind::Str(r"c\\"), TokenKind::Str(r#"\\\""#)]
+        );
+    }
+
+    #[test]
+    fn a_backslash_must_escape_a_quote_or_a_backslash() {
+        assert_eq!(tokenize("\"a\nb\\x\""), Err(PolicyError::Lex { line: 2, found: '\\' }));
+        // a lone backslash at the end of input is an error, not a panic
+        assert_eq!(tokenize("\"abc\\"), Err(PolicyError::Lex { line: 1, found: '\\' }));
+        assert_eq!(tokenize("\"\\"), Err(PolicyError::Lex { line: 1, found: '\\' }));
     }
 
     #[test]

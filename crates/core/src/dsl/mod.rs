@@ -18,6 +18,7 @@
 //!           | "state" "." IDENT ("==" | "!=") value
 //!           | "rate" "(" IDENT ")" "<=" NUMBER
 //! value    := IDENT | STRING
+//! STRING   := '"' (any char but '"' or '\' | '\"' | '\\')* '"'
 //! ```
 //!
 //! Comments run from `#` or `//` to end of line. [`print_policy`] emits the

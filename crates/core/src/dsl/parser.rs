@@ -13,9 +13,24 @@ use std::borrow::Cow;
 /// overflows the stack; shipped policies nest a few levels at most.
 const MAX_CONDITION_DEPTH: u32 = 64;
 
+/// Resolves a string token's `\"` and `\\` escapes (the lexer admits no
+/// others), borrowing the source when the string has none.
+fn unescape(raw: &str) -> Cow<'_, str> {
+    if !raw.contains('\\') {
+        return Cow::Borrowed(raw);
+    }
+    let mut out = String::with_capacity(raw.len());
+    let mut chars = raw.chars();
+    while let Some(c) = chars.next() {
+        out.push(if c == '\\' { chars.next().unwrap_or(c) } else { c });
+    }
+    Cow::Owned(out)
+}
+
 /// Walks the borrowed token stream. Words and strings stay slices of the
 /// source; the parser copies one only into what a [`Policy`] keeps (its
-/// name, patterns, condition operands and interned ids).
+/// name, patterns, condition operands and interned ids), resolving a
+/// string's escapes in that copy.
 struct Parser<'a> {
     tokens: Vec<Token<'a>>,
     pos: usize,
@@ -102,24 +117,24 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn string(&mut self, what: &str) -> Result<&'a str, PolicyError> {
+    fn string(&mut self, what: &str) -> Result<Cow<'a, str>, PolicyError> {
         match self.peek() {
             Some(TokenKind::Str(s)) => {
                 self.pos += 1;
-                Ok(s)
+                Ok(unescape(s))
             }
             _ => Err(self.err(what)),
         }
     }
 
     /// A value position accepts either a bare word or a quoted string.
-    fn value(&mut self, what: &str) -> Result<&'a str, PolicyError> {
+    fn value(&mut self, what: &str) -> Result<Cow<'a, str>, PolicyError> {
         match self.peek() {
-            Some(TokenKind::Word(v) | TokenKind::Str(v)) => {
+            Some(TokenKind::Word(v)) => {
                 self.pos += 1;
-                Ok(v)
+                Ok(Cow::Borrowed(v))
             }
-            _ => Err(self.err(what)),
+            _ => self.string(what),
         }
     }
 
@@ -302,7 +317,7 @@ impl<'a> Parser<'a> {
                 }
             };
             let mode = self.value("mode name")?;
-            let cond = Condition::InMode(mode.to_string());
+            let cond = Condition::InMode(mode.into_owned());
             return Ok(if negated { Condition::Not(Box::new(cond)) } else { cond });
         }
         if let Some(key) = w.strip_prefix("state.") {
@@ -317,7 +332,7 @@ impl<'a> Parser<'a> {
             let value = self.value("state value")?;
             let cond = Condition::StateEquals {
                 key: key.to_string(),
-                value: value.to_string(),
+                value: value.into_owned(),
             };
             return Ok(if negated { Condition::Not(Box::new(cond)) } else { cond });
         }

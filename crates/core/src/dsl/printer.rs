@@ -14,9 +14,23 @@ fn needs_quoting(value: &str) -> bool {
             .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.' | '*'))
 }
 
+/// `value` between double quotes, with `"` and `\` escaped.
+fn quote(value: &str) -> String {
+    let mut out = String::with_capacity(value.len() + 2);
+    out.push('"');
+    for c in value.chars() {
+        if matches!(c, '"' | '\\') {
+            out.push('\\');
+        }
+        out.push(c);
+    }
+    out.push('"');
+    out
+}
+
 fn print_value(value: &str) -> String {
     if needs_quoting(value) {
-        format!("\"{value}\"")
+        quote(value)
     } else {
         value.to_string()
     }
@@ -76,7 +90,7 @@ pub fn print_rule(r: &Rule) -> String {
 
 /// Prints a policy block in canonical form.
 pub fn print_policy(p: &Policy) -> String {
-    let mut out = format!("policy \"{}\" version {} {{\n", p.name(), p.version());
+    let mut out = format!("policy {} version {} {{\n", quote(p.name()), p.version());
     out.push_str(&format!("    default {};\n", p.default_effect()));
     for r in p.rules() {
         out.push_str(&format!("    {}\n", print_rule(r)));
@@ -137,6 +151,32 @@ mod tests {
         assert_eq!(print_value("remote diagnostic"), "\"remote diagnostic\"");
         assert_eq!(print_value(""), "\"\"");
         assert_eq!(print_value("0x100-0x1FF"), "0x100-0x1FF");
+        assert_eq!(print_value(r#"say "hi""#), r#""say \"hi\"""#);
+        assert_eq!(print_value(r"C:\dir"), r#""C:\\dir""#);
+    }
+
+    #[test]
+    fn names_and_values_with_quotes_and_backslashes_round_trip() {
+        let p = Policy::new("a\"b\\c", 1)
+            .add_rule(
+                Rule::new(
+                    "r",
+                    Effect::Allow,
+                    ActionSet::only(Action::Read),
+                    EntityMatcher::anything(),
+                    EntityMatcher::anything(),
+                )
+                .when(
+                    Condition::InMode("\"quoted\" mode".into()).and(Condition::StateEquals {
+                        key: "k".into(),
+                        value: "\\\r\n\\".into(),
+                    }),
+                ),
+            )
+            .unwrap();
+        let text = print_policy(&p);
+        assert!(text.starts_with(r#"policy "a\"b\\c" version 1 {"#), "{text}");
+        assert_eq!(parse_policy(&text).unwrap(), p);
     }
 
     #[test]

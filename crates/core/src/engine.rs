@@ -16,11 +16,18 @@
 //! `decide` takes `&self`, and on a cache hit performs **zero heap
 //! allocations and takes zero contended locks**:
 //!
-//! * entity names, rule ids and modes are interned [`Symbol`]s, so the
-//!   subject index is keyed by two `u32`s and no per-request strings exist;
-//! * rate windows are per-key atomic bucket rings, consulted only when a
-//!   candidate rule actually references [`crate::Condition::RateAtMost`]
-//!   (a rate-dependency map computed at load time);
+//! * entity names, rule ids and modes are interned [`Symbol`]s, so no
+//!   per-request strings exist and an entity's index key is its two
+//!   symbol ids;
+//! * a decide examines only the rules that can match its request. A rule
+//!   is indexed under its exact subject when it has one, else under its
+//!   exact object, else it is unindexed; a decide merges the request's
+//!   subject bucket, its object bucket and the unindexed rules in rule
+//!   order without allocating. Both indexes hash their keys with one
+//!   multiply: only the signed policy inserts keys, so flooding
+//!   resistance would buy nothing;
+//! * rate windows are per-key atomic bucket rings, read only when the walk
+//!   evaluates a [`crate::Condition::RateAtMost`];
 //! * the audit trail is a set of sharded rings picked by thread, merged
 //!   only when read. A shard reserves its whole ring on its first record,
 //!   so appends never reallocate and a shard no thread decides on owns no
@@ -31,10 +38,14 @@
 //!   `GenCache` keyed by
 //!   `(subject, object, action, mode)`; [`PolicyEngine::reload`] bumps the
 //!   generation so stale entries can never answer, and erases the cache
-//!   only when the key's generation tag wraps. Rules whose conditions
-//!   read state or rates are excluded from caching by construction, so a
-//!   decide probes the cache first and hashes into the subject index only
-//!   on a miss.
+//!   only when the key's generation tag wraps. A decide probes the cache
+//!   first and walks rules only on a miss. Cacheability is decided per
+//!   request, during the walk: the decision is cached unless a rule whose
+//!   actions, subject and object all match the request has a condition
+//!   that reads state or rates. That is exact: when the walk meets no
+//!   such rule, every rule it examined either misses the key or reads the
+//!   mode alone, so any context with the same key walks the same way,
+//!   exits early at the same rule, and never reaches the rules after it.
 //!
 //! [`Decision`]s are `Copy` and build their human-readable reason string
 //! lazily, on demand.
@@ -49,6 +60,7 @@ use crate::policy::{Effect, PolicySet, Rule};
 use crate::request::{AccessRequest, EvalContext};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
 
@@ -611,10 +623,80 @@ pub struct RuleCacheability {
     pub cache_safe: bool,
 }
 
-#[derive(Debug, Default)]
-struct Bucket {
-    rules: Vec<u32>,
-    cache_safe: bool,
+/// What a decide's rule walk saw besides its outcome.
+struct Walk {
+    examined: u64,
+    /// Whether no state or rate can change the outcome: see
+    /// [`Walk::applies`].
+    cacheable: bool,
+}
+
+impl Walk {
+    /// Examines one rule: whether it applies to `req`. A rule whose
+    /// actions, subject and object all match `req` but whose condition
+    /// reads state or rates makes the decision uncacheable, whatever the
+    /// condition evaluates to now: another context with the same cache key
+    /// may evaluate it the other way.
+    #[inline]
+    fn applies(
+        &mut self,
+        compiled: &CompiledRule,
+        req: &AccessRequest,
+        ctx: &EvalContext,
+        rates: &dyn RateSource,
+    ) -> bool {
+        self.examined += 1;
+        let rule = &compiled.rule;
+        if !(rule.covers_action(req.action())
+            && rule.subject().matches(req.subject())
+            && rule.object().matches(req.object()))
+        {
+            return false;
+        }
+        self.cacheable &= compiled.cache_safe;
+        rule.condition().eval_with(ctx, rates)
+    }
+}
+
+/// Hashes a rule-index key, an entity's two symbol ids packed by
+/// [`entity_key`], with one multiply and a rotate that brings the mixed
+/// high bits down to where the table takes its slot. Only the signed
+/// policy inserts keys and a request only probes, so SipHash's flooding
+/// resistance would buy nothing here.
+#[derive(Default)]
+struct EntityKeyHasher(u64);
+
+impl Hasher for EntityKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        self.0 = (self.0 ^ key).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// Rule indices in rule order, keyed by one exact side of the rule.
+type RuleIndex = HashMap<u64, Vec<u32>, BuildHasherDefault<EntityKeyHasher>>;
+
+/// An entity's index and cache key: its namespace and name symbols.
+#[inline]
+fn entity_key(namespace: Symbol, name: Symbol) -> u64 {
+    (u64::from(namespace.as_u32()) << 32) | u64::from(name.as_u32())
+}
+
+/// The rules indexed under `key`, or none.
+#[inline]
+fn bucket(index: &RuleIndex, key: u64) -> &[u32] {
+    index.get(&key).map_or(&[], Vec::as_slice)
 }
 
 /// How [`PolicyEngine::load_bundle`] treats the incoming policy set.
@@ -700,12 +782,12 @@ pub struct PolicyEngine {
     strategy: CombiningStrategy,
     indexing: bool,
     caching: bool,
-    // exact-subject index: (namespace, name) symbols → candidate rules
-    subject_index: HashMap<(Symbol, Symbol), Bucket>,
-    // rules whose subject matcher is not an exact key
+    // rules with an exact subject, keyed by it
+    subject_index: RuleIndex,
+    // rules with an exact object but no exact subject, keyed by the object
+    object_index: RuleIndex,
+    // rules with neither: candidates for every request
     unindexed: Vec<u32>,
-    unindexed_cache_safe: bool,
-    all_cache_safe: bool,
     rates: RateTable,
     audit: AuditSink,
     cache: GenCache,
@@ -756,10 +838,9 @@ impl PolicyEngine {
             strategy: CombiningStrategy::default(),
             indexing: true,
             caching: true,
-            subject_index: HashMap::new(),
+            subject_index: RuleIndex::default(),
+            object_index: RuleIndex::default(),
             unindexed: Vec::new(),
-            unindexed_cache_safe: true,
-            all_cache_safe: true,
             rates: RateTable::default(),
             audit: AuditSink::new(audit_capacity),
             cache: GenCache::with_capacity(cache_slots),
@@ -808,7 +889,9 @@ impl PolicyEngine {
         self
     }
 
-    /// Enables or disables the subject index (for the E4 ablation).
+    /// Enables or disables the subject and object indexes (for the E4
+    /// ablation). Without them a decide walks every rule, and caches
+    /// exactly the decisions the indexed walk caches.
     pub fn with_indexing(mut self, enabled: bool) -> Self {
         self.indexing = enabled;
         self
@@ -902,48 +985,27 @@ impl PolicyEngine {
             .collect()
     }
 
-    /// Whether every loaded rule is cache-safe (the whole-table aggregate
-    /// of the load-time cacheability analysis).
-    pub fn all_cache_safe(&self) -> bool {
-        self.all_cache_safe
-    }
-
     fn rebuild(&mut self) {
         self.rules.clear();
         self.subject_index.clear();
+        self.object_index.clear();
         self.unindexed.clear();
-        self.unindexed_cache_safe = true;
-        self.all_cache_safe = true;
         for (owner, rule) in self.set.rules() {
             let idx = self.rules.len() as u32;
-            let cache_safe = rule.condition().is_cache_safe();
-            self.all_cache_safe &= cache_safe;
-            match rule.subject().exact_key_symbols() {
-                Some(key) => {
-                    let bucket = self.subject_index.entry(key).or_insert(Bucket {
-                        rules: Vec::new(),
-                        cache_safe: true,
-                    });
-                    bucket.rules.push(idx);
-                    bucket.cache_safe &= cache_safe;
-                }
-                None => {
-                    self.unindexed.push(idx);
-                    self.unindexed_cache_safe &= cache_safe;
-                }
+            if let Some((ns, name)) = rule.subject().exact_key_symbols() {
+                self.subject_index.entry(entity_key(ns, name)).or_default().push(idx);
+            } else if let Some((ns, name)) = rule.object().exact_key_symbols() {
+                self.object_index.entry(entity_key(ns, name)).or_default().push(idx);
+            } else {
+                self.unindexed.push(idx);
             }
             let qualified = Symbol::intern(&format!("{owner}.{}", rule.id())).as_str();
             self.rules.push(CompiledRule {
                 qualified,
                 id: rule.id(),
                 rule: rule.clone(),
-                cache_safe,
+                cache_safe: rule.condition().is_cache_safe(),
             });
-        }
-        // A decision is cacheable only if every rule that could apply is;
-        // unindexed rules are candidates for every request.
-        for bucket in self.subject_index.values_mut() {
-            bucket.cache_safe &= self.unindexed_cache_safe;
         }
         self.rates
             .rebuild(self.set.rate_keys().iter().map(|k| Symbol::intern(k)));
@@ -984,12 +1046,11 @@ impl PolicyEngine {
     /// Decides a request at an explicit time (microseconds), which both
     /// timestamps the audit record and positions the rate windows.
     pub fn decide_at(&self, req: &AccessRequest, ctx: &EvalContext, now_us: u64) -> Decision {
-        // Entries are inserted only for cacheable requests under the
-        // generation in their key, so a hit needs no cacheability check.
-        // Without the index only a fully cache-safe table inserts any.
-        let probe = self.caching && (self.indexing || self.all_cache_safe);
+        // Entries are inserted only for decisions no state or rate can
+        // change, under the generation in their key, so a hit needs no
+        // cacheability check.
         let key = self.cache_key(req, ctx);
-        if probe {
+        if self.caching {
             if let Some(packed) = self.cache.lookup(key) {
                 let decision = self.unpack(packed);
                 self.audit.record(now_us, *req, decision, 0, CacheUse::Hit);
@@ -997,38 +1058,26 @@ impl PolicyEngine {
             }
         }
 
-        let bucket = if self.indexing {
-            let subject = req.subject();
-            self.subject_index
-                .get(&(subject.namespace_symbol(), subject.name_symbol()))
-        } else {
-            None
-        };
-        let cacheable = probe
-            && (!self.indexing || bucket.map_or(self.unindexed_cache_safe, |b| b.cache_safe));
-
-        let mut examined = 0u64;
+        let mut walk = Walk { examined: 0, cacheable: self.caching };
         let overlay = RateOverlay { table: &self.rates, ctx, now_us };
         let outcome = if self.indexing {
-            let indexed: &[u32] = bucket.map(|b| b.rules.as_slice()).unwrap_or(&[]);
-            self.combine(
-                req,
-                ctx,
-                &overlay,
-                MergeSorted::new(indexed, &self.unindexed),
-                &mut examined,
-            )
+            let candidates = Candidates::new(
+                bucket(&self.subject_index, key[0]),
+                bucket(&self.object_index, key[1]),
+                &self.unindexed,
+            );
+            self.combine(req, ctx, &overlay, candidates, &mut walk)
         } else {
-            self.combine(req, ctx, &overlay, 0..self.rules.len() as u32, &mut examined)
+            self.combine(req, ctx, &overlay, 0..self.rules.len() as u32, &mut walk)
         };
         let decision = self.render(outcome);
-        let cache = if cacheable {
+        let cache = if walk.cacheable {
             self.cache.insert(key, pack_outcome(outcome));
             CacheUse::Miss
         } else {
             CacheUse::Bypass
         };
-        self.audit.record(now_us, *req, decision, examined, cache);
+        self.audit.record(now_us, *req, decision, walk.examined, cache);
         decision
     }
 
@@ -1036,10 +1085,8 @@ impl PolicyEngine {
     fn cache_key(&self, req: &AccessRequest, ctx: &EvalContext) -> [u64; 3] {
         let s = req.subject();
         let o = req.object();
-        let k0 = (u64::from(s.namespace_symbol().as_u32()) << 32)
-            | u64::from(s.name_symbol().as_u32());
-        let k1 = (u64::from(o.namespace_symbol().as_u32()) << 32)
-            | u64::from(o.name_symbol().as_u32());
+        let k0 = entity_key(s.namespace_symbol(), s.name_symbol());
+        let k1 = entity_key(o.namespace_symbol(), o.name_symbol());
         let generation = u64::from(self.generation & GENERATION_TAG_MASK);
         let (mode_present, mode) = match ctx.mode_symbol() {
             Some(m) => (1u64, u64::from(m.as_u32())),
@@ -1104,13 +1151,12 @@ impl PolicyEngine {
         ctx: &EvalContext,
         rates: &dyn RateSource,
         candidates: I,
-        examined: &mut u64,
+        walk: &mut Walk,
     ) -> Outcome {
         match self.strategy {
             CombiningStrategy::FirstMatch => {
                 for i in candidates {
-                    *examined += 1;
-                    if self.rules[i as usize].rule.applies_with(req, ctx, rates) {
+                    if walk.applies(&self.rules[i as usize], req, ctx, rates) {
                         return Outcome::FirstMatch(i);
                     }
                 }
@@ -1119,10 +1165,9 @@ impl PolicyEngine {
             CombiningStrategy::DenyOverrides => {
                 let mut allow: Option<u32> = None;
                 for i in candidates {
-                    *examined += 1;
-                    let rule = &self.rules[i as usize].rule;
-                    if rule.applies_with(req, ctx, rates) {
-                        if rule.effect() == Effect::Deny {
+                    let compiled = &self.rules[i as usize];
+                    if walk.applies(compiled, req, ctx, rates) {
+                        if compiled.rule.effect() == Effect::Deny {
                             return Outcome::DenyOverrides(i);
                         }
                         if allow.is_none() {
@@ -1138,9 +1183,9 @@ impl PolicyEngine {
             CombiningStrategy::PriorityOrder => {
                 let mut best: Option<(i32, Effect, u32)> = None;
                 for i in candidates {
-                    *examined += 1;
-                    let rule = &self.rules[i as usize].rule;
-                    if rule.applies_with(req, ctx, rates) {
+                    let compiled = &self.rules[i as usize];
+                    if walk.applies(compiled, req, ctx, rates) {
+                        let rule = &compiled.rule;
                         let candidate = (rule.priority(), rule.effect(), i);
                         best = Some(match best.take() {
                             None => candidate,
@@ -1219,6 +1264,47 @@ impl Iterator for MergeSorted<'_> {
             }
             (None, Some(&y)) => {
                 self.j += 1;
+                Some(y)
+            }
+            (None, None) => None,
+        }
+    }
+}
+
+/// A decide's candidate rules in rule order, without allocating: the
+/// subject and object buckets merged, and that stream merged with the
+/// unindexed rules. Two two-way merges cost a fraction of one three-way
+/// merge that compares three heads per rule (DESIGN.md §5.1).
+struct Candidates<'a> {
+    buckets: MergeSorted<'a>,
+    next_bucketed: Option<u32>,
+    unindexed: &'a [u32],
+    k: usize,
+}
+
+impl<'a> Candidates<'a> {
+    fn new(subject: &'a [u32], object: &'a [u32], unindexed: &'a [u32]) -> Self {
+        let mut buckets = MergeSorted::new(subject, object);
+        let next_bucketed = buckets.next();
+        Candidates { buckets, next_bucketed, unindexed, k: 0 }
+    }
+}
+
+impl Iterator for Candidates<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        match (self.next_bucketed, self.unindexed.get(self.k)) {
+            (Some(x), Some(&y)) if y < x => {
+                self.k += 1;
+                Some(y)
+            }
+            (Some(x), _) => {
+                self.next_bucketed = self.buckets.next();
+                Some(x)
+            }
+            (None, Some(&y)) => {
+                self.k += 1;
                 Some(y)
             }
             (None, None) => None,
@@ -1728,6 +1814,40 @@ mod tests {
     }
 
     #[test]
+    fn rules_after_an_early_exit_do_not_block_caching() {
+        let p = Policy::new("p", 1)
+            .add_rule(deny_write("no-ecu-write", "ecu"))
+            .unwrap()
+            .add_rule(
+                Rule::new(
+                    "while-parked",
+                    Effect::Allow,
+                    ActionSet::only(Action::Write),
+                    EntityMatcher::anything(),
+                    EntityMatcher::anything(),
+                )
+                .when(Condition::StateEquals { key: "parked".into(), value: "yes".into() }),
+            )
+            .unwrap();
+        let e = PolicyEngine::from_policy(p);
+        let parked = EvalContext::new().with_state("parked", "yes");
+        let cache = |e: &PolicyEngine| (e.stats().cache_hits, e.stats().cache_misses);
+        // Deny-overrides stops at the deny, before the state-gated rule,
+        // so no state can change this outcome: it is cached.
+        let ecu = req("entry:x", "asset:ecu", Action::Write);
+        for _ in 0..2 {
+            assert_eq!(e.decide(&ecu, &parked).rule(), Some("p.no-ecu-write"));
+        }
+        assert_eq!(cache(&e), (1, 1));
+        // A write the deny does not cover reaches the gated rule.
+        let door = req("entry:x", "asset:door", Action::Write);
+        for _ in 0..2 {
+            assert!(e.decide(&door, &parked).is_allow());
+        }
+        assert_eq!(cache(&e), (1, 1));
+    }
+
+    #[test]
     fn rate_conditions_bypass_the_cache() {
         let p = Policy::new("p", 1)
             .add_rule(
@@ -1796,7 +1916,8 @@ mod tests {
         let mix = [
             (req("entry:a", "asset:ecu", Action::Read), EvalContext::new(), true),
             (req("entry:b", "asset:ecu", Action::Read), EvalContext::new(), true),
-            // only the state-conditioned rule's subject is uncacheable
+            // only the request the state-conditioned rule covers is
+            // uncacheable
             (req("entry:service", "asset:ecu", Action::Write), parked, false),
             // no rule applies: the default deny
             (req("entry:a", "asset:unknown", Action::Write), EvalContext::new(), true),
@@ -1853,6 +1974,17 @@ mod tests {
         assert_eq!(collect(&[], &[1]), vec![1]);
         assert_eq!(collect(&[1], &[]), vec![1]);
         assert_eq!(collect(&[], &[]), Vec::<u32>::new());
+    }
+
+    #[test]
+    fn candidates_merge_three_lists_in_rule_order() {
+        let collect =
+            |a: &[u32], b: &[u32], c: &[u32]| Candidates::new(a, b, c).collect::<Vec<u32>>();
+        assert_eq!(collect(&[2, 7], &[0, 5], &[1, 3, 4, 6]), (0..8).collect::<Vec<u32>>());
+        assert_eq!(collect(&[1, 4, 6], &[2, 3, 5], &[]), vec![1, 2, 3, 4, 5, 6]);
+        assert_eq!(collect(&[], &[], &[0, 9]), vec![0, 9]);
+        assert_eq!(collect(&[3], &[], &[]), vec![3]);
+        assert_eq!(collect(&[], &[], &[]), Vec::<u32>::new());
     }
 
     #[test]

@@ -279,7 +279,7 @@ impl EntityMatcher {
     }
 
     /// The interned form of [`EntityMatcher::exact_key`], used to build the
-    /// engine's subject index without owning strings.
+    /// engine's rule indexes without owning strings.
     pub fn exact_key_symbols(&self) -> Option<(Symbol, Symbol)> {
         match (&self.namespace, &self.pattern) {
             (Some(ns), Pattern::Exact(name)) => Some((*ns, Symbol::intern(name))),

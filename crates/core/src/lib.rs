@@ -16,7 +16,8 @@
 //!   syntax,
 //! * [`PolicyEngine`] — the evaluation engine with three combining
 //!   strategies (deny-overrides, first-match, priority-order), an audit
-//!   trail and a subject index,
+//!   trail, exact-subject and exact-object rule indexes and a decision
+//!   cache,
 //! * [`dsl`] — a textual policy language with a lexer, recursive-descent
 //!   parser and canonical printer (round-trip tested),
 //! * [`compile_security_model`] — the bridge from `polsec-model`'s threat

@@ -86,10 +86,29 @@ fn a_service_engine_reserves_its_audit_ring_on_first_decide() {
         EntityId::new("asset", "v2x-platoon"),
         Action::Read,
     );
-    let ctx = EvalContext::new().with_mode("normal");
+    let other = AccessRequest::new(
+        EntityId::new("entry", "sensors"),
+        EntityId::new("asset", "ev-ecu"),
+        Action::Read,
+    );
+    let gated = AccessRequest::new(
+        EntityId::new("entry", "telematics"),
+        EntityId::new("asset", "door-locks"),
+        Action::Write,
+    );
+    let ctx = EvalContext::new()
+        .with_mode("normal")
+        .with_state("vehicle.moving", "false")
+        .with_state("crash", "false");
     let (engine, build) = counted(|| PolicyEngine::new(set));
     let (_, first) = counted(|| engine.decide(&request, &ctx));
     let (_, second) = counted(|| engine.decide(&request, &ctx));
+    // A miss walks the indexes; a state-gated write bypasses the cache.
+    let (_, miss) = counted(|| engine.decide(&other, &ctx));
+    let (_, bypass) = counted(|| engine.decide(&gated, &ctx));
+    let (_, hit) = counted(|| engine.decide(&other, &ctx));
+    let stats = engine.stats();
+    assert_eq!((stats.cache_hits, stats.cache_misses), (2, 2), "{stats:?}");
 
     // The first record reserves this thread's whole ring at once...
     let ring_bytes = first.bytes;
@@ -107,6 +126,9 @@ fn a_service_engine_reserves_its_audit_ring_on_first_decide() {
         build.bytes
     );
     assert_eq!(second.allocations, 0);
+    for (what, spent) in [("miss", miss), ("bypass", bypass), ("hit", hit)] {
+        assert_eq!(spent.allocations, 0, "a {what} allocated: {spent:?}");
+    }
 }
 
 #[test]
