@@ -273,11 +273,6 @@ impl CanNode {
         self.interposer = Some(ip);
     }
 
-    /// Removes the interposer (factory reset; not reachable from firmware).
-    pub fn remove_interposer(&mut self) {
-        self.interposer = None;
-    }
-
     /// Whether a hardware interposer is installed.
     pub fn is_interposed(&self) -> bool {
         self.interposer.is_some()

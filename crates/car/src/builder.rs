@@ -330,11 +330,6 @@ impl Car {
         &self.bus
     }
 
-    /// The bus (mutable access, for direct injection in tests).
-    pub fn bus_mut(&mut self) -> &mut CanBus {
-        &mut self.bus
-    }
-
     /// Component state handles.
     pub fn states(&self) -> &CarStates {
         &self.states

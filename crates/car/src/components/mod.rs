@@ -81,8 +81,9 @@ impl AppPolicy {
             EntityId::new("asset", asset),
             action,
         );
-        let ctx = lock(&self.ctx).clone();
-        self.engine.decide_at(&req, &ctx, now.as_micros()).is_allow()
+        self.engine
+            .decide_at(&req, &lock(&self.ctx), now.as_micros())
+            .is_allow()
     }
 
     /// Scopes this policy point's rate tracking (builder style): every

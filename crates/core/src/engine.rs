@@ -26,13 +26,17 @@
 //!   order without allocating. Both indexes hash their keys with one
 //!   multiply: only the signed policy inserts keys, so flooding
 //!   resistance would buy nothing;
-//! * rate windows are per-key atomic bucket rings, read only when the walk
-//!   evaluates a [`crate::Condition::RateAtMost`];
-//! * the audit trail is a set of sharded rings picked by thread, merged
-//!   only when read. A shard reserves its whole ring on its first record,
-//!   so appends never reallocate and a shard no thread decides on owns no
-//!   ring. Each shard also holds plain `u64` statistics, so a decide locks
-//!   its shard once to append the record and count the decision, and
+//! * rate windows are per-key atomic bucket rings in one table, one set
+//!   per rate scope (the unscoped windows are one more scope), read only
+//!   when the walk evaluates a [`crate::Condition::RateAtMost`]. Only the
+//!   keys the loaded policies declare have windows, and a reload carries
+//!   every scope's windows over by key;
+//! * the audit trail is a set of sharded rings of [`AuditRecord`]s picked
+//!   by thread, merged only when read ([`PolicyEngine::with_audit`]). A
+//!   shard reserves its whole ring on its first record, so appends never
+//!   reallocate and a shard no thread decides on owns no ring. Each shard
+//!   also holds plain `u64` statistics, so a decide locks its shard once
+//!   to append the record and count the decision, and
 //!   [`PolicyEngine::stats`] sums the shards;
 //! * decisions themselves are cached in a generation-tagged lock-free
 //!   `GenCache` keyed by
@@ -50,7 +54,7 @@
 //! [`Decision`]s are `Copy` and build their human-readable reason string
 //! lazily, on demand.
 
-use crate::audit::{AuditLog, AuditRecord};
+use crate::audit::{AuditRecord, DEFAULT_CAPACITY};
 use crate::bundle::SignedBundle;
 use crate::cache::{GenCache, KEY_VALID};
 use crate::condition::RateSource;
@@ -178,10 +182,15 @@ impl AtomicWindow {
         let slot = &self.buckets[epoch as usize % RATE_BUCKETS];
         let mut cur = slot.load(Ordering::Relaxed);
         loop {
-            let next = if (cur >> 32) as u32 == epoch {
+            let slot_epoch = (cur >> 32) as u32;
+            let next = if slot_epoch == epoch {
                 cur + 1 // same epoch: bump the count half
-            } else {
+            } else if slot_epoch < epoch {
                 (u64::from(epoch) << 32) | 1 // stale bucket: restart it
+            } else {
+                // A late event, a whole ring older than the slot's counts:
+                // it has left every window those counts are read in.
+                return;
             };
             match slot.compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Relaxed) {
                 Ok(_) => return,
@@ -206,190 +215,82 @@ impl AtomicWindow {
             })
             .sum()
     }
-
-    fn snapshot_into(&self, other: &AtomicWindow) {
-        for (a, b) in self.buckets.iter().zip(other.buckets.iter()) {
-            b.store(a.load(Ordering::Acquire), Ordering::Release);
-        }
-    }
 }
 
-/// Bound on dynamically-tracked (undeclared) rate keys.
-const MAX_DYNAMIC_RATE_KEYS: usize = 1_024;
-
-/// Exact timestamp tracking for keys the loaded policies do *not* declare.
-/// These never influence decisions directly (only declared keys do) but are
-/// retained — bounded and pruned — so observations made shortly before a
-/// policy reload that declares the key are not lost. Keys are owned
-/// strings, **not** interned: interning leaks one allocation per distinct
-/// string for the process lifetime, which would defeat the bound for
-/// callers feeding per-session keys.
-#[derive(Debug, Default)]
-struct DynamicRates {
-    windows: HashMap<String, VecDeque<u64>>,
-}
-
-impl DynamicRates {
-    fn observe(&mut self, key: &str, now_us: u64) {
-        if let Some(w) = self.windows.get_mut(key) {
-            w.push_back(now_us);
-            Self::prune(w, now_us);
-            return;
-        }
-        if self.windows.len() >= MAX_DYNAMIC_RATE_KEYS {
-            self.sweep(now_us);
-            if self.windows.len() >= MAX_DYNAMIC_RATE_KEYS {
-                // Still full of live keys: evict the one idle the longest.
-                if let Some(stalest) = self
-                    .windows
-                    .iter()
-                    .min_by_key(|(_, w)| w.back().copied().unwrap_or(0))
-                    .map(|(k, _)| k.clone())
-                {
-                    self.windows.remove(&stalest);
-                }
-            }
-        }
-        self.windows
-            .insert(key.to_string(), VecDeque::from([now_us]));
-    }
-
-    /// Prunes every window and drops the empty ones.
-    fn sweep(&mut self, now_us: u64) {
-        self.windows.retain(|_, w| {
-            Self::prune(w, now_us);
-            !w.is_empty()
-        });
-    }
-
-    fn prune(w: &mut VecDeque<u64>, now_us: u64) {
-        let cutoff = now_us.saturating_sub(RATE_WINDOW_US);
-        while w.front().is_some_and(|&t| t < cutoff) {
-            w.pop_front();
-        }
-    }
-
-    fn take(&mut self, key: &str) -> Option<VecDeque<u64>> {
-        self.windows.remove(key)
-    }
-
-    fn len(&self) -> usize {
-        self.windows.len()
-    }
-}
-
-/// Declared-key atomic windows plus the bounded dynamic overflow, and a
-/// lazily-populated per-*scope* replica of the declared windows (one scope
-/// per tenant of a shared engine — e.g. per vehicle in a fleet run), so
-/// scoped rate observations never couple through a global window.
+/// The rate windows behind `rate(...)` conditions: for each scope, one
+/// window per key the loaded policies declare. Scope `None` holds the
+/// unscoped windows; `Some(id)` is one tenant of a shared engine (a
+/// vehicle of a fleet run), so tenants never couple through a window. A
+/// scope gets its windows on its first observation.
 #[derive(Debug, Default)]
 struct RateTable {
     declared: HashMap<Symbol, usize>,
-    windows: Vec<AtomicWindow>,
-    /// Scope id → one window per declared key. Read-locked on the hot
-    /// path; write-locked only the first time a scope is touched.
-    scoped: RwLock<HashMap<u64, Vec<AtomicWindow>>>,
-    dynamic: Mutex<DynamicRates>,
+    scopes: RwLock<HashMap<Option<u64>, Box<[AtomicWindow]>>>,
 }
 
 impl RateTable {
-    fn observe(&self, key: &str, now_us: u64) {
-        // try_get, never intern: undeclared keys must not leak interner
-        // entries (declared keys were interned once at rebuild).
-        if let Some(&i) = Symbol::try_get(key).and_then(|s| self.declared.get(&s)) {
-            self.windows[i].observe(now_us);
-        } else {
-            lock(&self.dynamic).observe(key, now_us);
-        }
+    /// The window slot of a declared key. `try_get`, never intern: an
+    /// undeclared key must not leak an interner entry.
+    fn slot(&self, key: &str) -> Option<usize> {
+        Symbol::try_get(key).and_then(|s| self.declared.get(&s).copied())
     }
 
-    fn observe_scoped(&self, scope: u64, key: &str, now_us: u64) {
-        if let Some(&i) = Symbol::try_get(key).and_then(|s| self.declared.get(&s)) {
-            {
-                let scopes = read(&self.scoped);
-                if let Some(windows) = scopes.get(&scope) {
-                    windows[i].observe(now_us);
-                    return;
-                }
-            }
-            let mut scopes = write(&self.scoped);
-            let windows = scopes
-                .entry(scope)
-                .or_insert_with(|| (0..self.windows.len()).map(|_| AtomicWindow::default()).collect());
+    /// Counts one event. An undeclared key is dropped: no loaded rule
+    /// reads it.
+    fn observe(&self, scope: Option<u64>, key: &str, now_us: u64) {
+        let Some(i) = self.slot(key) else { return };
+        if let Some(windows) = read(&self.scopes).get(&scope) {
             windows[i].observe(now_us);
+            return;
         }
-        // Undeclared scoped keys are dropped: no decision path reads them
-        // (the overlay falls back to the *context's* rates, never to the
-        // dynamic table, for scoped lookups), and parking them in the
-        // bounded dynamic table could only evict unscoped keys whose
-        // pre-declaration history is actually replayed on reload.
+        let mut scopes = write(&self.scopes);
+        let windows = scopes
+            .entry(scope)
+            .or_insert_with(|| empty_windows(self.declared.len()));
+        windows[i].observe(now_us);
     }
 
-    fn declared_rate(&self, key: &str, now_us: u64) -> Option<f64> {
-        let sym = Symbol::try_get(key)?;
-        let &i = self.declared.get(&sym)?;
-        Some(self.windows[i].count(now_us) as f64)
+    /// The events in `key`'s window of `scope`; 0 for a scope that has
+    /// observed nothing.
+    fn rate(&self, scope: Option<u64>, key: &str, now_us: u64) -> f64 {
+        let Some(i) = self.slot(key) else { return 0.0 };
+        read(&self.scopes)
+            .get(&scope)
+            .map_or(0.0, |windows| windows[i].count(now_us) as f64)
     }
 
-    /// Like [`RateTable::declared_rate`] but reading the scope's windows.
-    /// A declared key with an untouched scope reads as rate 0 (the scope
-    /// simply has not observed any events yet).
-    fn declared_rate_scoped(&self, scope: u64, key: &str, now_us: u64) -> Option<f64> {
-        let sym = Symbol::try_get(key)?;
-        let &i = self.declared.get(&sym)?;
-        let scopes = read(&self.scoped);
-        Some(
-            scopes
-                .get(&scope)
-                .map(|windows| windows[i].count(now_us) as f64)
-                .unwrap_or(0.0),
-        )
-    }
-
-    /// Rebuilds the declared set, carrying over windows for keys that stay
-    /// declared and replaying recent dynamic observations for keys that
-    /// become declared. Scoped windows are indexed by declared-key slot,
-    /// so they are reset wholesale (a reload starts every scope's windows
-    /// empty — documented on `observe_rate_event_scoped`).
+    /// Declares `keys`. Every scope keeps the window of each key that
+    /// stays declared; a newly declared key starts from zero.
     fn rebuild(&mut self, keys: impl Iterator<Item = Symbol>) {
-        let old_declared = std::mem::take(&mut self.declared);
-        let old_windows = std::mem::take(&mut self.windows);
-        write(&self.scoped).clear();
-        let mut dynamic = lock(&self.dynamic);
-        for sym in keys {
-            let idx = self.windows.len();
-            let window = AtomicWindow::default();
-            if let Some(&old) = old_declared.get(&sym) {
-                old_windows[old].snapshot_into(&window);
-            } else if let Some(times) = dynamic.take(sym.as_str()) {
-                for t in times {
-                    window.observe(t);
+        let old = std::mem::replace(&mut self.declared, keys.zip(0..).collect());
+        let scopes = self.scopes.get_mut().unwrap_or_else(|e| e.into_inner());
+        for windows in scopes.values_mut() {
+            let mut kept = empty_windows(self.declared.len());
+            for (sym, &i) in &self.declared {
+                if let Some(&was) = old.get(sym) {
+                    kept[i] = std::mem::take(&mut windows[was]);
                 }
             }
-            self.windows.push(window);
-            self.declared.insert(sym, idx);
+            *windows = kept;
         }
-    }
-
-    fn dynamic_key_count(&self) -> usize {
-        lock(&self.dynamic).len()
     }
 }
 
-/// The engine's live rates layered over the caller's context rates.
-struct RateOverlay<'a> {
+fn empty_windows(n: usize) -> Box<[AtomicWindow]> {
+    (0..n).map(|_| AtomicWindow::default()).collect()
+}
+
+/// The live rates one decide reads: its context's scope of the table.
+/// `rebuild` declares every key a loaded rule names, so no lookup misses.
+struct LiveRates<'a> {
     table: &'a RateTable,
-    ctx: &'a EvalContext,
+    scope: Option<u64>,
     now_us: u64,
 }
 
-impl RateSource for RateOverlay<'_> {
+impl RateSource for LiveRates<'_> {
     fn rate_per_sec(&self, key: &str) -> f64 {
-        let declared = match self.ctx.rate_scope() {
-            Some(scope) => self.table.declared_rate_scoped(scope, key, self.now_us),
-            None => self.table.declared_rate(key, self.now_us),
-        };
-        declared.unwrap_or_else(|| self.ctx.rate_per_sec(key))
+        self.table.rate(self.scope, key, self.now_us)
     }
 }
 
@@ -477,29 +378,21 @@ impl EngineStats {
 /// deciding threads, audit appends effectively never contend.
 const AUDIT_SHARDS: usize = 8;
 
-#[derive(Debug, Clone, Copy)]
-struct CompactAudit {
-    seq: u64,
-    time_us: u64,
-    request: AccessRequest,
-    effect: Effect,
-    rule: Option<&'static str>,
-}
-
 /// One audit shard: its ring of records and the statistics of the
 /// decisions it recorded, both written under the shard's one lock.
 struct AuditShard {
-    records: VecDeque<CompactAudit>,
+    records: VecDeque<AuditRecord>,
     stats: EngineStats,
 }
 
 /// Sharded audit rings: `decide` never blocks `decide` on the audit
-/// trail. A shard reserves its `per_shard` records on its first record,
-/// so later appends never allocate and an engine that never decides (a
-/// validator's, or one about to be replaced) owns no ring at all.
+/// trail. Each shard keeps the newest `capacity` records, so a
+/// one-thread engine, which writes one shard, still keeps `capacity`. A
+/// shard reserves its ring on its first record, so later appends never
+/// allocate and an engine that never decides (a validator's, or one
+/// about to be replaced) owns no ring at all.
 struct AuditSink {
     shards: Box<[Mutex<AuditShard>]>,
-    per_shard: usize,
     capacity: usize,
     /// Orders records across shards.
     seq: AtomicU64,
@@ -515,10 +408,6 @@ fn shard_index() -> usize {
 
 impl AuditSink {
     fn new(capacity: usize) -> Self {
-        // Each shard retains the full capacity: a single-threaded engine
-        // writes one shard only and must still keep `capacity` records
-        // (the merged snapshot truncates to the newest `capacity`).
-        let per_shard = capacity.max(1);
         AuditSink {
             shards: (0..AUDIT_SHARDS)
                 .map(|_| {
@@ -528,7 +417,6 @@ impl AuditSink {
                     })
                 })
                 .collect(),
-            per_shard,
             capacity,
             seq: AtomicU64::new(0),
         }
@@ -548,12 +436,12 @@ impl AuditSink {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let mut shard = lock(&self.shards[shard_index() % AUDIT_SHARDS]);
         shard.stats.count(&decision, examined, cache);
-        if shard.records.len() >= self.per_shard {
+        if shard.records.len() >= self.capacity {
             shard.records.pop_front();
         } else if shard.records.capacity() == 0 {
-            shard.records.reserve_exact(self.per_shard);
+            shard.records.reserve_exact(self.capacity);
         }
-        shard.records.push_back(CompactAudit {
+        shard.records.push_back(AuditRecord {
             seq,
             time_us,
             request,
@@ -570,31 +458,15 @@ impl AuditSink {
         total
     }
 
-    fn snapshot(&self) -> AuditLog {
-        let mut all: Vec<CompactAudit> = Vec::new();
-        let mut stats = EngineStats::default();
+    /// The newest `capacity` records of all shards, oldest first.
+    fn merged(&self) -> Vec<AuditRecord> {
+        let mut all = Vec::new();
         for shard in self.shards.iter() {
-            let shard = lock(shard);
-            all.extend(shard.records.iter().copied());
-            stats.add(&shard.stats);
+            all.extend(lock(shard).records.iter().copied());
         }
         all.sort_unstable_by_key(|r| r.seq);
-        if all.len() > self.capacity {
-            let cut = all.len() - self.capacity;
-            all.drain(..cut);
-        }
-        let mut log = AuditLog::with_capacity(self.capacity);
-        for r in all {
-            log.push_materialised(AuditRecord {
-                seq: r.seq,
-                time_us: r.time_us,
-                request: r.request,
-                effect: r.effect,
-                rule: r.rule.map(str::to_string),
-            });
-        }
-        log.set_aggregates(stats.decisions, stats.allows, stats.denies, stats.defaults);
-        log
+        all.drain(..all.len().saturating_sub(self.capacity));
+        all
     }
 }
 
@@ -721,6 +593,14 @@ impl fmt::Debug for LoadMode<'_> {
 /// Default decision-cache capacity (slots).
 const DECISION_CACHE_SLOTS: usize = 8_192;
 
+/// Audit capacity for [`PolicyEngine::compact`] engines: enough for the
+/// per-device decision tails the V2X scenarios inspect.
+const COMPACT_AUDIT_CAPACITY: usize = 64;
+
+/// Decision-cache slots for [`PolicyEngine::compact`] engines (the cache
+/// floors this at its 64-slot minimum).
+const COMPACT_CACHE_SLOTS: usize = 256;
+
 /// The generation bits a cache key carries (see `PolicyEngine::cache_key`).
 const GENERATION_TAG_MASK: u32 = 0xF_FFFF;
 
@@ -811,27 +691,21 @@ impl fmt::Debug for PolicyEngine {
 impl PolicyEngine {
     /// Creates an engine over a policy set with the default strategy
     /// (deny-overrides), indexing and decision caching enabled, sized for a
-    /// shared, service-scale deployment ([`AuditLog::DEFAULT_CAPACITY`]
-    /// audit records per shard, `DECISION_CACHE_SLOTS` (8192) cache slots).
-    /// The cache (~320 KB) is initialised here; an audit shard reserves its
-    /// ring (~0.9 MB) on its first record, so only the shards of deciding
+    /// shared, service-scale deployment ([`DEFAULT_CAPACITY`] audit records
+    /// per shard, `DECISION_CACHE_SLOTS` (8192) cache slots). The cache
+    /// (~320 KB) is initialised here; an audit shard reserves its ring
+    /// (~0.9 MB) on its first record, so only the shards of deciding
     /// threads cost memory.
+    ///
+    /// [`DEFAULT_CAPACITY`]: crate::audit::DEFAULT_CAPACITY
     pub fn new(set: PolicySet) -> Self {
-        PolicyEngine::with_footprint(set, AuditLog::DEFAULT_CAPACITY, DECISION_CACHE_SLOTS)
+        PolicyEngine::with_footprint(set, DEFAULT_CAPACITY, DECISION_CACHE_SLOTS)
     }
 
-    /// Creates an engine with explicit audit and decision-cache sizing.
-    ///
-    /// [`PolicyEngine::new`] sizes for a fleet-shared engine serving
-    /// millions of decisions: an eagerly initialised 8k-slot cache, and
-    /// `AUDIT_SHARDS` rings of 16k records, each reserved on its shard's
-    /// first record. Workloads that build one engine *per simulated device*
-    /// (the V2X ingest path spins up hundreds per run, and rebuilds on every
-    /// OTA apply), or an engine only to inspect its rule table, want
-    /// [`PolicyEngine::compact`] instead; this constructor is the shared
-    /// base. `cache_slots` is rounded up to a power of two with a floor of
-    /// 64 by the cache itself.
-    pub fn with_footprint(set: PolicySet, audit_capacity: usize, cache_slots: usize) -> Self {
+    /// The shared base of [`PolicyEngine::new`] and
+    /// [`PolicyEngine::compact`]. `cache_slots` is rounded up to a power of
+    /// two with a floor of 64 by the cache itself.
+    fn with_footprint(set: PolicySet, audit_capacity: usize, cache_slots: usize) -> Self {
         let mut engine = PolicyEngine {
             rules: Vec::new(),
             default_effect: set.default_effect(),
@@ -851,14 +725,6 @@ impl PolicyEngine {
         engine
     }
 
-    /// Audit capacity for [`PolicyEngine::compact`] engines: enough for the
-    /// per-device decision tails the V2X scenarios inspect.
-    pub const COMPACT_AUDIT_CAPACITY: usize = 64;
-
-    /// Decision-cache slots for [`PolicyEngine::compact`] engines (the
-    /// cache floors this at its 64-slot minimum).
-    pub const COMPACT_CACHE_SLOTS: usize = 256;
-
     /// Creates a per-device engine: identical decisions and rule table to
     /// [`PolicyEngine::new`], but a 256-slot cache (~10 KB) and 64-record
     /// audit rings. Use for simulations that construct an engine per
@@ -866,21 +732,12 @@ impl PolicyEngine {
     /// only to read their load-time analysis (the strict-load validator's
     /// cacheability cross-check).
     pub fn compact(set: PolicySet) -> Self {
-        PolicyEngine::with_footprint(
-            set,
-            PolicyEngine::COMPACT_AUDIT_CAPACITY,
-            PolicyEngine::COMPACT_CACHE_SLOTS,
-        )
+        PolicyEngine::with_footprint(set, COMPACT_AUDIT_CAPACITY, COMPACT_CACHE_SLOTS)
     }
 
     /// Creates an engine from a single policy.
     pub fn from_policy(p: crate::policy::Policy) -> Self {
         PolicyEngine::new(PolicySet::from_policy(p))
-    }
-
-    /// [`PolicyEngine::compact`] over a single policy.
-    pub fn compact_from_policy(p: crate::policy::Policy) -> Self {
-        PolicyEngine::compact(PolicySet::from_policy(p))
     }
 
     /// Sets the combining strategy (builder style).
@@ -920,14 +777,12 @@ impl PolicyEngine {
         self.generation
     }
 
-    /// Number of dynamically-tracked (undeclared) rate keys currently held.
-    pub fn dynamic_rate_keys(&self) -> usize {
-        self.rates.dynamic_key_count()
-    }
-
     /// Replaces the policy set (a policy update taking effect), rebuilds
     /// indexes and invalidates the decision cache by bumping its
-    /// generation. Audit history and rate windows are preserved.
+    /// generation. Audit history and statistics are preserved, and so are
+    /// the rate windows of every scope, by key: a key the new set still
+    /// declares keeps its counts, and a key it drops is forgotten, so it
+    /// starts from zero if a later set declares it again.
     pub fn reload(&mut self, set: PolicySet) {
         self.default_effect = set.default_effect();
         self.set = set;
@@ -1017,25 +872,27 @@ impl PolicyEngine {
     }
 
     /// Notes an event for a rate key at `now_us` (drives `RateAtMost`
-    /// conditions). Call once per observed event (e.g. per frame). Keys
-    /// declared by the loaded policies update lock-free atomic windows;
-    /// undeclared keys fall into a bounded, pruned side table.
+    /// conditions) in the unscoped windows, which a decide under a context
+    /// without a rate scope reads. Call once per observed event (e.g. per
+    /// frame). An event for a key the loaded policies do not declare is
+    /// dropped: no decision reads it, and it allocates nothing. An event
+    /// more than a window older than the newest one counted in its bucket
+    /// is dropped too, so a late event cannot erase newer counts.
     pub fn observe_rate_event(&self, key: &str, now_us: u64) {
-        self.rates.observe(key, now_us);
+        self.rates.observe(None, key, now_us);
     }
 
     /// Notes an event for a rate key inside a *scope*: an independent set
     /// of per-key windows identified by `scope`. A decision evaluated
     /// under an [`EvalContext`] carrying the same scope
     /// ([`EvalContext::with_rate_scope`]) reads these windows instead of
-    /// the global ones, so tenants of one shared engine (e.g. the
+    /// the unscoped ones, so tenants of one shared engine (e.g. the
     /// vehicles of a fleet simulation) get fully independent rate
-    /// tracking. Scoped windows are reset by [`PolicyEngine::reload`],
-    /// and — unlike the unscoped path — events for keys the loaded
-    /// policies do not declare are dropped rather than parked, since no
-    /// decision path ever reads them.
+    /// tracking. Events are kept and dropped as in
+    /// [`PolicyEngine::observe_rate_event`], and [`PolicyEngine::reload`]
+    /// carries a scope's windows over as it does the unscoped ones.
     pub fn observe_rate_event_scoped(&self, scope: u64, key: &str, now_us: u64) {
-        self.rates.observe_scoped(scope, key, now_us);
+        self.rates.observe(Some(scope), key, now_us);
     }
 
     /// Decides a request at time 0.
@@ -1059,16 +916,16 @@ impl PolicyEngine {
         }
 
         let mut walk = Walk { examined: 0, cacheable: self.caching };
-        let overlay = RateOverlay { table: &self.rates, ctx, now_us };
+        let rates = LiveRates { table: &self.rates, scope: ctx.rate_scope(), now_us };
         let outcome = if self.indexing {
             let candidates = Candidates::new(
                 bucket(&self.subject_index, key[0]),
                 bucket(&self.object_index, key[1]),
                 &self.unindexed,
             );
-            self.combine(req, ctx, &overlay, candidates, &mut walk)
+            self.combine(req, ctx, &rates, candidates, &mut walk)
         } else {
-            self.combine(req, ctx, &overlay, 0..self.rules.len() as u32, &mut walk)
+            self.combine(req, ctx, &rates, 0..self.rules.len() as u32, &mut walk)
         };
         let decision = self.render(outcome);
         let cache = if walk.cacheable {
@@ -1213,9 +1070,15 @@ impl PolicyEngine {
         self.audit.stats()
     }
 
-    /// Runs a closure over a merged snapshot of the audit log.
-    pub fn with_audit<R>(&self, f: impl FnOnce(&AuditLog) -> R) -> R {
-        f(&self.audit.snapshot())
+    /// Runs a closure over the audit trail: the newest records of every
+    /// thread's shard merged, at most the engine's audit capacity of them
+    /// ([`DEFAULT_CAPACITY`] for [`PolicyEngine::new`], 64 for
+    /// [`PolicyEngine::compact`]), oldest first by `seq`. Counts of every
+    /// decision, evicted ones included, are [`PolicyEngine::stats`].
+    ///
+    /// [`DEFAULT_CAPACITY`]: crate::audit::DEFAULT_CAPACITY
+    pub fn with_audit<R>(&self, f: impl FnOnce(&[AuditRecord]) -> R) -> R {
+        f(&self.audit.merged())
     }
 }
 
@@ -1357,6 +1220,27 @@ mod tests {
         PolicyEngine::from_policy(p).with_strategy(strategy)
     }
 
+    /// An engine whose one rule allows any write while `rate(key)` is at
+    /// most `max_per_sec`.
+    fn rate_limited(key: &str, max_per_sec: u32) -> PolicyEngine {
+        PolicyEngine::from_policy(rate_limited_policy(key, max_per_sec))
+    }
+
+    fn rate_limited_policy(key: &str, max_per_sec: u32) -> Policy {
+        Policy::new("p", 1)
+            .add_rule(
+                Rule::new(
+                    "rate-limited",
+                    Effect::Allow,
+                    ActionSet::only(Action::Write),
+                    EntityMatcher::anything(),
+                    EntityMatcher::anything(),
+                )
+                .when(Condition::RateAtMost { key: key.into(), max_per_sec }),
+            )
+            .unwrap()
+    }
+
     #[test]
     fn default_deny_when_no_rule_applies() {
         let e = demo_engine(CombiningStrategy::DenyOverrides);
@@ -1494,19 +1378,7 @@ mod tests {
 
     #[test]
     fn rate_condition_with_tracker() {
-        let p = Policy::new("p", 1)
-            .add_rule(
-                Rule::new(
-                    "rate-limited",
-                    Effect::Allow,
-                    ActionSet::only(Action::Write),
-                    EntityMatcher::anything(),
-                    EntityMatcher::anything(),
-                )
-                .when(Condition::RateAtMost { key: "w".into(), max_per_sec: 2 }),
-            )
-            .unwrap();
-        let e = PolicyEngine::from_policy(p);
+        let e = rate_limited("w", 2);
         let r = req("entry:x", "asset:y", Action::Write);
         let ctx = EvalContext::new();
         // two events within the window: still allowed
@@ -1521,20 +1393,26 @@ mod tests {
     }
 
     #[test]
+    fn a_late_rate_event_does_not_erase_newer_counts() {
+        let e = rate_limited("k", 2);
+        let r = req("entry:x", "asset:y", Action::Write);
+        let ctx = EvalContext::new();
+        let bucket = |b: u64| b * RATE_BUCKET_US;
+        for _ in 0..5 {
+            e.observe_rate_event("k", bucket(19));
+        }
+        assert!(!e.decide_at(&r, &ctx, bucket(19)).is_allow());
+        // Bucket 3 shares bucket 19's slot, a whole ring earlier.
+        e.observe_rate_event("k", bucket(3));
+        assert!(
+            !e.decide_at(&r, &ctx, bucket(19)).is_allow(),
+            "the flood was forgotten"
+        );
+    }
+
+    #[test]
     fn scoped_rate_windows_are_independent() {
-        let p = Policy::new("p", 1)
-            .add_rule(
-                Rule::new(
-                    "rate-limited",
-                    Effect::Allow,
-                    ActionSet::only(Action::Write),
-                    EntityMatcher::anything(),
-                    EntityMatcher::anything(),
-                )
-                .when(Condition::RateAtMost { key: "cmd".into(), max_per_sec: 2 }),
-            )
-            .unwrap();
-        let e = PolicyEngine::from_policy(p);
+        let e = rate_limited("cmd", 2);
         let r = req("entry:x", "asset:y", Action::Write);
         let scope_a = EvalContext::new().with_rate_scope(0);
         let scope_b = EvalContext::new().with_rate_scope(1);
@@ -1555,44 +1433,33 @@ mod tests {
     }
 
     #[test]
-    fn scoped_undeclared_keys_are_dropped_not_parked() {
-        // No decision path reads scoped undeclared keys, so they must not
-        // occupy (or evict from) the bounded dynamic table.
-        let e = PolicyEngine::from_policy(Policy::new("empty", 1));
-        e.observe_rate_event_scoped(3, "burst", 1_000);
-        e.observe_rate_event_scoped(4, "burst", 1_000);
-        assert_eq!(e.dynamic_rate_keys(), 0);
-        // unscoped undeclared keys still get their replay-on-declare slot
-        e.observe_rate_event("burst", 1_000);
-        assert_eq!(e.dynamic_rate_keys(), 1);
-    }
-
-    #[test]
-    fn reload_resets_scoped_windows() {
-        let rate_rule = |key: &str| {
-            Policy::new("p", 1)
-                .add_rule(
-                    Rule::new(
-                        "rl",
-                        Effect::Allow,
-                        ActionSet::only(Action::Write),
-                        EntityMatcher::anything(),
-                        EntityMatcher::anything(),
-                    )
-                    .when(Condition::RateAtMost { key: key.into(), max_per_sec: 1 }),
-                )
-                .unwrap()
-        };
-        let mut e = PolicyEngine::from_policy(rate_rule("k"));
-        let scoped = EvalContext::new().with_rate_scope(7);
-        e.observe_rate_event_scoped(7, "k", 1_000);
-        e.observe_rate_event_scoped(7, "k", 1_001);
+    fn reload_keeps_every_scopes_windows() {
+        let mut e = rate_limited("k", 1);
         let r = req("entry:x", "asset:y", Action::Write);
-        assert!(!e.decide_at(&r, &scoped, 2_000).is_allow());
-        e.reload(PolicySet::from_policy(rate_rule("k")));
-        assert!(
-            e.decide_at(&r, &scoped, 2_000).is_allow(),
-            "a reload starts every scope's windows empty"
+        let contexts = [EvalContext::new(), EvalContext::new().with_rate_scope(7)];
+        let over_limit = |e: &PolicyEngine| {
+            contexts
+                .each_ref()
+                .map(|ctx| !e.decide_at(&r, ctx, 2_000).is_allow())
+        };
+        for t in [1_000, 1_001] {
+            e.observe_rate_event("k", t);
+            e.observe_rate_event_scoped(7, "k", t);
+        }
+        assert_eq!(over_limit(&e), [true, true]);
+        e.reload(PolicySet::from_policy(rate_limited_policy("k", 1)));
+        assert_eq!(
+            over_limit(&e),
+            [true, true],
+            "a reload that still declares k keeps its counts"
+        );
+        // A set that drops k forgets its windows.
+        e.reload(PolicySet::from_policy(rate_limited_policy("other", 1)));
+        e.reload(PolicySet::from_policy(rate_limited_policy("k", 1)));
+        assert_eq!(
+            over_limit(&e),
+            [false, false],
+            "a redeclared key starts from zero"
         );
     }
 
@@ -1639,9 +1506,10 @@ mod tests {
         assert_eq!(s.decisions, 2);
         assert_eq!(s.allows, 1);
         assert_eq!(s.denies, 1);
-        e.with_audit(|log| {
-            assert_eq!(log.len(), 2);
-            assert_eq!(log.denies(), 1);
+        e.with_audit(|records| {
+            assert_eq!(records.len(), 2);
+            assert_eq!(records[1].effect, Effect::Deny);
+            assert_eq!(records[1].rule, Some("demo.r-nowrite"));
         });
     }
 
@@ -1665,7 +1533,7 @@ mod tests {
         e.reload(PolicySet::from_policy(p2));
         assert!(e.decide(&r, &EvalContext::new()).is_allow());
         // audit survives the reload
-        e.with_audit(|log| assert_eq!(log.len(), 2));
+        e.with_audit(|records| assert_eq!(records.len(), 2));
     }
 
     #[test]
@@ -1697,9 +1565,9 @@ mod tests {
         assert_eq!(s.decisions, 5);
         assert_eq!(s.denies, 5);
         assert_eq!(s.cache_hits, 4);
-        e.with_audit(|log| {
-            assert_eq!(log.len(), 5);
-            assert_eq!(log.denies(), 5);
+        e.with_audit(|records| {
+            assert_eq!(records.len(), 5);
+            assert!(records.iter().all(|r| r.effect == Effect::Deny));
         });
     }
 
@@ -1849,19 +1717,7 @@ mod tests {
 
     #[test]
     fn rate_conditions_bypass_the_cache() {
-        let p = Policy::new("p", 1)
-            .add_rule(
-                Rule::new(
-                    "flood-gate",
-                    Effect::Allow,
-                    ActionSet::only(Action::Write),
-                    EntityMatcher::anything(),
-                    EntityMatcher::anything(),
-                )
-                .when(Condition::RateAtMost { key: "f".into(), max_per_sec: 1 }),
-            )
-            .unwrap();
-        let e = PolicyEngine::from_policy(p);
+        let e = rate_limited("f", 1);
         let r = req("entry:x", "asset:y", Action::Write);
         let ctx = EvalContext::new();
         assert!(e.decide_at(&r, &ctx, 1_000).is_allow());
@@ -1945,26 +1801,33 @@ mod tests {
         assert_eq!(s.allows + s.denies, s.decisions);
         assert_eq!(s.defaults, THREADS * PER_THREAD / n);
         assert_eq!(s.cache_hits + s.cache_misses, cacheable);
-        engine.with_audit(|log| {
-            assert_eq!(log.total(), s.decisions);
-            assert_eq!((log.allows(), log.denies(), log.defaults()), (s.allows, s.denies, s.defaults));
+        // The merged trail is the newest records of every shard, trimmed
+        // to the capacity, in `seq` order.
+        engine.with_audit(|records| {
+            assert_eq!(records.len(), DEFAULT_CAPACITY);
+            assert!(records.windows(2).all(|w| w[0].seq < w[1].seq));
+            assert_eq!(records.last().map(|r| r.seq), Some(s.decisions - 1));
         });
     }
 
     #[test]
-    fn dynamic_rate_keys_are_bounded_and_pruned(){
-        let e = demo_engine(CombiningStrategy::DenyOverrides);
-        // Undeclared keys go to the bounded side table...
-        for i in 0..2_000 {
-            e.observe_rate_event(&format!("burst-key-{i}"), 1_000 + i);
-        }
-        assert!(e.dynamic_rate_keys() <= 1_024, "dynamic keys must stay bounded");
-        // ...and a sweep far in the future prunes idle windows entirely.
-        e.observe_rate_event("late-key", 10_000_000_000);
-        for i in 0..1_100 {
-            e.observe_rate_event(&format!("late-{i}"), 10_000_000_000 + i);
-        }
-        assert!(e.dynamic_rate_keys() <= 1_024);
+    fn audit_keeps_the_newest_records_of_every_thread() {
+        let e = PolicyEngine::compact(demo_engine(CombiningStrategy::DenyOverrides).set);
+        let r = req("entry:a", "asset:ecu", Action::Read);
+        let decide_100 = || {
+            for _ in 0..100 {
+                e.decide(&r, &EvalContext::new());
+            }
+        };
+        decide_100();
+        std::thread::scope(|s| {
+            s.spawn(decide_100);
+        });
+        e.with_audit(|records| {
+            let seqs: Vec<u64> = records.iter().map(|r| r.seq).collect();
+            let newest = 200 - COMPACT_AUDIT_CAPACITY as u64..200;
+            assert_eq!(seqs, newest.collect::<Vec<_>>());
+        });
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub mod sign;
 pub mod update;
 
 pub use action::{Action, ActionSet};
-pub use audit::{AuditLog, AuditRecord};
+pub use audit::AuditRecord;
 pub use bundle::{PolicyBundle, SignedBundle};
 pub use compiler::compile_security_model;
 pub use condition::{Condition, RateSource};

@@ -97,11 +97,6 @@ impl Rule {
         self.id.as_str()
     }
 
-    /// The interned rule id.
-    pub fn id_symbol(&self) -> Symbol {
-        self.id
-    }
-
     /// The rule's effect.
     pub fn effect(&self) -> Effect {
         self.effect

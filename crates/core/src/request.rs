@@ -60,10 +60,11 @@ impl fmt::Display for AccessRequest {
 /// state variables and rate counters.
 ///
 /// Contexts are cheap to clone and carry no interior mutability; stateful
-/// tracking (rates over time) is the engine's job, which consults its own
-/// per-key counters during rule evaluation and falls back to the rates set
-/// here. The operating mode is interned so the engine's decision-cache key
-/// can include it without touching strings.
+/// tracking (rates over time) is the engine's job: a decide reads its own
+/// per-key windows, in the context's rate scope, and never the rates set
+/// here (see [`EvalContext::set_rate`]). The operating mode is interned
+/// so the engine's decision-cache key can include it without touching
+/// strings.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct EvalContext {
     mode: Option<Symbol>,
@@ -139,8 +140,10 @@ impl EvalContext {
         self.rates.get(key).copied().unwrap_or(0.0)
     }
 
-    /// Writes a caller-provided rate (the engine's own counters take
-    /// precedence for keys declared by the loaded policies).
+    /// Writes a caller-provided rate. Only a standalone
+    /// [`Condition::eval`](crate::Condition::eval) reads it: an engine
+    /// never reads context rates, since every key a loaded rule names has
+    /// a window of its own (fed by `PolicyEngine::observe_rate_event`).
     pub fn set_rate(&mut self, key: impl Into<String>, per_sec: f64) {
         self.rates.insert(key.into(), per_sec);
     }

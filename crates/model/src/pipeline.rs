@@ -87,10 +87,9 @@ impl SecurityModel {
     }
 }
 
-/// The six-stage pipeline with its configuration.
+/// The six-stage pipeline with its threat catalog.
 #[derive(Debug, Clone)]
 pub struct ThreatModelPipeline {
-    matrix: RiskMatrix,
     catalog: ThreatCatalog,
 }
 
@@ -104,15 +103,8 @@ impl ThreatModelPipeline {
     /// Creates a pipeline with the default risk matrix and standard catalog.
     pub fn new() -> Self {
         ThreatModelPipeline {
-            matrix: RiskMatrix::new(),
             catalog: ThreatCatalog::standard(),
         }
-    }
-
-    /// Overrides the risk matrix thresholds.
-    pub fn with_matrix(mut self, m: RiskMatrix) -> Self {
-        self.matrix = m;
-        self
     }
 
     /// Runs all six stages over a use case.
@@ -179,6 +171,7 @@ impl ThreatModelPipeline {
         });
 
         // Stage 5: threat rating (DREAD + risk matrix).
+        let matrix = RiskMatrix::new();
         let prioritised = use_case.threats_by_risk();
         let mut rating_items: Vec<String> = prioritised
             .iter()
@@ -187,14 +180,14 @@ impl ThreatModelPipeline {
                     "{} — DREAD {} [{}]",
                     t.id(),
                     t.dread(),
-                    self.matrix.classify(t.dread())
+                    matrix.classify(t.dread())
                 )
             })
             .collect();
         let priority_count = use_case
             .threats()
             .iter()
-            .filter(|t| self.matrix.classify(t.dread()) == RiskQuadrant::Priority)
+            .filter(|t| matrix.classify(t.dread()) == RiskQuadrant::Priority)
             .count();
         rating_items.push(format!("{priority_count} threats in the priority quadrant"));
         stages.push(StageReport {

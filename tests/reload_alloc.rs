@@ -4,18 +4,18 @@
 //! runs the Layer-1 validator (which builds an engine to cross-check
 //! cacheability) and reloads the engine. None of these steps may pay for
 //! a service-scale engine it only reads, the lexer may not copy the words
-//! it scans, and a service engine reserves an audit ring only once a
-//! thread decides on it. A counting global allocator checks this, per
-//! thread, in calls and in bytes requested: the test harness's own thread
-//! allocates while the tests run.
+//! it scans, a service engine reserves an audit ring only once a thread
+//! decides on it, and an event for a rate key no loaded policy declares
+//! is dropped without allocating. A counting global allocator checks
+//! this, per thread, in calls and in bytes requested: the test harness's
+//! own thread allocates while the tests run.
 
 use polsec::analyze::layer1::strict_validator;
 use polsec::analyze::AnalysisOptions;
 use polsec::car::v2x::{rollout_bundle, v2x_shared_policy_set, OEM_KEY};
+use polsec::policy::audit::DEFAULT_CAPACITY;
 use polsec::policy::dsl::tokenize;
-use polsec::policy::{
-    AccessRequest, Action, AuditLog, EntityId, EvalContext, LoadMode, PolicyEngine,
-};
+use polsec::policy::{AccessRequest, Action, EntityId, EvalContext, LoadMode, PolicyEngine};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -114,9 +114,8 @@ fn a_service_engine_reserves_its_audit_ring_on_first_decide() {
     let ring_bytes = first.bytes;
     assert_eq!(first.allocations, 1, "first decide: {first:?}");
     assert!(
-        ring_bytes >= AuditLog::DEFAULT_CAPACITY as u64 * 32,
-        "a {}-record ring in {ring_bytes} bytes",
-        AuditLog::DEFAULT_CAPACITY
+        ring_bytes >= DEFAULT_CAPACITY as u64 * 32,
+        "a {DEFAULT_CAPACITY}-record ring in {ring_bytes} bytes"
     );
     // ...so the build reserved none of the eight, and later records
     // allocate nothing.
@@ -152,6 +151,23 @@ fn a_strict_load_stays_within_its_byte_budget() {
         spent.allocations,
         STRICT_LOAD_BUDGET_BYTES
     );
+}
+
+#[test]
+fn undeclared_rate_keys_allocate_nothing() {
+    let engine = PolicyEngine::new(v2x_shared_policy_set());
+    let keys: Vec<String> = (0..2_000).map(|i| format!("burst-key-{i}")).collect();
+    for scope in [None, Some(3)] {
+        let (_, spent) = counted(|| {
+            for (t, key) in (1_000..).zip(&keys) {
+                match scope {
+                    Some(scope) => engine.observe_rate_event_scoped(scope, key, t),
+                    None => engine.observe_rate_event(key, t),
+                }
+            }
+        });
+        assert_eq!(spent.allocations, 0, "scope {scope:?}: {spent:?}");
+    }
 }
 
 #[test]
