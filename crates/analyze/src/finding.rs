@@ -65,8 +65,6 @@ pub enum FindingKind {
     /// Layer 2: a gateway whitelist entry whose forwarded frames the
     /// downstream policy layer statically always denies.
     DeadWhitelist,
-    /// An exported AVC entry that disagrees with a fresh policy answer.
-    StaleAvcEntry,
 }
 
 impl FindingKind {
@@ -81,7 +79,6 @@ impl FindingKind {
             FindingKind::RedundantRule => "redundant-rule",
             FindingKind::CoverageHole => "coverage-hole",
             FindingKind::DeadWhitelist => "dead-whitelist",
-            FindingKind::StaleAvcEntry => "stale-avc-entry",
         }
     }
 }

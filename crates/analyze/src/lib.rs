@@ -27,7 +27,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod avc_lint;
 pub mod finding;
 pub mod lattice;
 pub mod layer1;
@@ -35,7 +34,6 @@ pub mod layer2;
 pub mod modes;
 pub mod sat;
 
-pub use avc_lint::lint_avc;
 pub use finding::{Finding, FindingKind, Report, Severity};
 pub use layer1::{
     analyze_set, analyze_with_engine, cacheability_crosscheck, strict_validator, AnalysisOptions,

@@ -255,7 +255,7 @@ proptest! {
             ctx = ctx.with_state(k.clone(), v.clone());
         }
         let rates = FixedRates(rate as f64);
-        if cond.eval_with(&ctx, &rates) {
+        if cond.eval(&ctx, &rates) {
             prop_assert!(
                 satisfiable(&cond, None),
                 "context-satisfied condition reported unsat: {cond:?}"

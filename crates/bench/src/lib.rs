@@ -15,7 +15,7 @@
 //! | `fleet` | fleet-scale scenario (DESIGN.md §7): deterministic replay + leak accounting + optional fps floor |
 //!
 //! Criterion benches (`cargo bench`) cover E2/E4/E5/E6: HPE lookup cost,
-//! policy-engine throughput (with the indexing ablation), MAC AVC hit/miss,
+//! policy-engine throughput (with the indexing ablation), MAC check cost,
 //! and the CAN codec.
 
 #![forbid(unsafe_code)]

@@ -100,12 +100,8 @@ impl AppPolicy {
     /// Notes an event for a rate-limited key (in this policy point's rate
     /// scope, when one is set).
     pub fn observe_rate(&self, key: &str, now: SimTime) {
-        match lock(&self.ctx).rate_scope() {
-            Some(scope) => self
-                .engine
-                .observe_rate_event_scoped(scope, key, now.as_micros()),
-            None => self.engine.observe_rate_event(key, now.as_micros()),
-        }
+        let scope = lock(&self.ctx).rate_scope();
+        self.engine.observe_rate_event(scope, key, now.as_micros());
     }
 
     /// Sets a situational state variable (e.g. `crash = true`).

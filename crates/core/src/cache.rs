@@ -1,10 +1,9 @@
 //! A fixed-size, lock-free, generation-tagged decision cache.
 //!
-//! [`GenCache`] backs the policy engine's decision cache (the idiom is
-//! mirrored, in map form, by `polsec-mac`'s AVC): entries are tagged with the
-//! policy **generation** they were computed under, and a reload invalidates
-//! by bumping the generation — stale entries can never answer, they are
-//! simply overwritten.
+//! [`GenCache`] backs the policy engine's decision cache: entries are tagged
+//! with the policy **generation** they were computed under, and a reload
+//! invalidates by bumping the generation — stale entries can never answer,
+//! they are simply overwritten.
 //!
 //! The table is direct-mapped and every slot is a tiny seqlock built purely
 //! from atomics (no `unsafe`): a writer claims a slot by CAS-ing its

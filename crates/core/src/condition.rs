@@ -12,9 +12,8 @@ use std::fmt;
 /// A provider of live event rates, consulted by
 /// [`Condition::RateAtMost`] during evaluation.
 ///
-/// [`EvalContext`] implements this over its caller-set rates; the engine
-/// implements it over its per-key atomic counters (falling back to the
-/// context), so rate conditions read fresh values without the context
+/// The engine implements it over its per-key windows in the context's
+/// rate scope, so rate conditions read fresh values without the context
 /// being cloned or mutated per decision.
 pub trait RateSource {
     /// The sustained events-per-second for `key` (0.0 when unknown).
@@ -54,15 +53,9 @@ pub enum Condition {
 }
 
 impl Condition {
-    /// Evaluates the condition against a context, reading rates from the
-    /// context itself.
-    pub fn eval(&self, ctx: &EvalContext) -> bool {
-        self.eval_with(ctx, ctx)
-    }
-
-    /// Evaluates the condition against a context with rates supplied by an
-    /// explicit [`RateSource`] (the engine's live counters).
-    pub fn eval_with(&self, ctx: &EvalContext, rates: &dyn RateSource) -> bool {
+    /// Evaluates the condition against a context, with rates read from
+    /// `rates` (the engine's live windows).
+    pub fn eval(&self, ctx: &EvalContext, rates: &dyn RateSource) -> bool {
         match self {
             Condition::Always => true,
             Condition::InMode(m) => ctx.mode() == Some(m.as_str()),
@@ -70,9 +63,9 @@ impl Condition {
             Condition::RateAtMost { key, max_per_sec } => {
                 rates.rate_per_sec(key) <= *max_per_sec as f64
             }
-            Condition::All(cs) => cs.iter().all(|c| c.eval_with(ctx, rates)),
-            Condition::AnyOf(cs) => cs.iter().any(|c| c.eval_with(ctx, rates)),
-            Condition::Not(c) => !c.eval_with(ctx, rates),
+            Condition::All(cs) => cs.iter().all(|c| c.eval(ctx, rates)),
+            Condition::AnyOf(cs) => cs.iter().any(|c| c.eval(ctx, rates)),
+            Condition::Not(c) => !c.eval(ctx, rates),
         }
     }
 
@@ -156,35 +149,46 @@ mod tests {
     use super::*;
     use crate::request::EvalContext;
 
+    /// Every key at the same rate.
+    struct Rates(f64);
+
+    impl RateSource for Rates {
+        fn rate_per_sec(&self, _key: &str) -> f64 {
+            self.0
+        }
+    }
+
+    const QUIET: &Rates = &Rates(0.0);
+
     #[test]
     fn always_and_mode() {
         let ctx = EvalContext::new().with_mode("normal");
-        assert!(Condition::Always.eval(&ctx));
-        assert!(Condition::InMode("normal".into()).eval(&ctx));
-        assert!(!Condition::InMode("fail-safe".into()).eval(&ctx));
+        assert!(Condition::Always.eval(&ctx, QUIET));
+        assert!(Condition::InMode("normal".into()).eval(&ctx, QUIET));
+        assert!(!Condition::InMode("fail-safe".into()).eval(&ctx, QUIET));
         // no mode set ⇒ InMode is false
-        assert!(!Condition::InMode("normal".into()).eval(&EvalContext::new()));
+        assert!(!Condition::InMode("normal".into()).eval(&EvalContext::new(), QUIET));
     }
 
     #[test]
     fn state_equals() {
         let ctx = EvalContext::new().with_state("vehicle.moving", "true");
         assert!(Condition::StateEquals { key: "vehicle.moving".into(), value: "true".into() }
-            .eval(&ctx));
+            .eval(&ctx, QUIET));
         assert!(!Condition::StateEquals { key: "vehicle.moving".into(), value: "false".into() }
-            .eval(&ctx));
-        assert!(!Condition::StateEquals { key: "missing".into(), value: "x".into() }.eval(&ctx));
+            .eval(&ctx, QUIET));
+        assert!(!Condition::StateEquals { key: "missing".into(), value: "x".into() }
+            .eval(&ctx, QUIET));
     }
 
     #[test]
     fn rate_at_most() {
-        let mut ctx = EvalContext::new();
-        ctx.set_rate("burst", 5.0);
-        assert!(Condition::RateAtMost { key: "burst".into(), max_per_sec: 5 }.eval(&ctx));
-        assert!(Condition::RateAtMost { key: "burst".into(), max_per_sec: 6 }.eval(&ctx));
-        assert!(!Condition::RateAtMost { key: "burst".into(), max_per_sec: 4 }.eval(&ctx));
-        // unknown keys have rate 0 ⇒ condition holds
-        assert!(Condition::RateAtMost { key: "quiet".into(), max_per_sec: 0 }.eval(&ctx));
+        let ctx = EvalContext::new();
+        let burst = |max_per_sec| Condition::RateAtMost { key: "burst".into(), max_per_sec };
+        assert!(burst(5).eval(&ctx, &Rates(5.0)));
+        assert!(burst(6).eval(&ctx, &Rates(5.0)));
+        assert!(!burst(4).eval(&ctx, &Rates(5.0)));
+        assert!(burst(0).eval(&ctx, QUIET));
     }
 
     #[test]
@@ -192,19 +196,19 @@ mod tests {
         let ctx = EvalContext::new().with_mode("normal");
         let in_normal = Condition::InMode("normal".into());
         let in_failsafe = Condition::InMode("fail-safe".into());
-        assert!(Condition::All(vec![in_normal.clone(), Condition::Always]).eval(&ctx));
-        assert!(!Condition::All(vec![in_normal.clone(), in_failsafe.clone()]).eval(&ctx));
-        assert!(Condition::AnyOf(vec![in_failsafe.clone(), in_normal.clone()]).eval(&ctx));
-        assert!(!Condition::AnyOf(vec![in_failsafe.clone()]).eval(&ctx));
-        assert!(Condition::Not(Box::new(in_failsafe)).eval(&ctx));
-        assert!(!Condition::Not(Box::new(in_normal)).eval(&ctx));
+        assert!(Condition::All(vec![in_normal.clone(), Condition::Always]).eval(&ctx, QUIET));
+        assert!(!Condition::All(vec![in_normal.clone(), in_failsafe.clone()]).eval(&ctx, QUIET));
+        assert!(Condition::AnyOf(vec![in_failsafe.clone(), in_normal.clone()]).eval(&ctx, QUIET));
+        assert!(!Condition::AnyOf(vec![in_failsafe.clone()]).eval(&ctx, QUIET));
+        assert!(Condition::Not(Box::new(in_failsafe)).eval(&ctx, QUIET));
+        assert!(!Condition::Not(Box::new(in_normal)).eval(&ctx, QUIET));
     }
 
     #[test]
     fn empty_combinators_follow_logic_identities() {
         let ctx = EvalContext::new();
-        assert!(Condition::All(vec![]).eval(&ctx), "empty conjunction is true");
-        assert!(!Condition::AnyOf(vec![]).eval(&ctx), "empty disjunction is false");
+        assert!(Condition::All(vec![]).eval(&ctx, QUIET), "empty conjunction is true");
+        assert!(!Condition::AnyOf(vec![]).eval(&ctx, QUIET), "empty disjunction is false");
     }
 
     #[test]
@@ -269,21 +273,5 @@ mod tests {
             value: "v".into()
         }))
         .is_cache_safe());
-    }
-
-    #[test]
-    fn eval_with_overrides_rate_source() {
-        struct Fixed(f64);
-        impl RateSource for Fixed {
-            fn rate_per_sec(&self, _key: &str) -> f64 {
-                self.0
-            }
-        }
-        let c = Condition::RateAtMost { key: "burst".into(), max_per_sec: 5 };
-        let ctx = EvalContext::new();
-        assert!(c.eval_with(&ctx, &Fixed(5.0)));
-        assert!(!c.eval_with(&ctx, &Fixed(6.0)));
-        // plain eval falls back to the context's own rates
-        assert!(c.eval(&ctx), "unknown key reads 0.0");
     }
 }

@@ -526,7 +526,7 @@ impl Walk {
             return false;
         }
         self.cacheable &= compiled.cache_safe;
-        rule.condition().eval_with(ctx, rates)
+        rule.condition().eval(ctx, rates)
     }
 }
 
@@ -872,27 +872,22 @@ impl PolicyEngine {
     }
 
     /// Notes an event for a rate key at `now_us` (drives `RateAtMost`
-    /// conditions) in the unscoped windows, which a decide under a context
-    /// without a rate scope reads. Call once per observed event (e.g. per
-    /// frame). An event for a key the loaded policies do not declare is
-    /// dropped: no decision reads it, and it allocates nothing. An event
-    /// more than a window older than the newest one counted in its bucket
-    /// is dropped too, so a late event cannot erase newer counts.
-    pub fn observe_rate_event(&self, key: &str, now_us: u64) {
-        self.rates.observe(None, key, now_us);
-    }
-
-    /// Notes an event for a rate key inside a *scope*: an independent set
-    /// of per-key windows identified by `scope`. A decision evaluated
-    /// under an [`EvalContext`] carrying the same scope
-    /// ([`EvalContext::with_rate_scope`]) reads these windows instead of
-    /// the unscoped ones, so tenants of one shared engine (e.g. the
-    /// vehicles of a fleet simulation) get fully independent rate
-    /// tracking. Events are kept and dropped as in
-    /// [`PolicyEngine::observe_rate_event`], and [`PolicyEngine::reload`]
-    /// carries a scope's windows over as it does the unscoped ones.
-    pub fn observe_rate_event_scoped(&self, scope: u64, key: &str, now_us: u64) {
-        self.rates.observe(Some(scope), key, now_us);
+    /// conditions). Call once per observed event (e.g. per frame).
+    ///
+    /// `scope` picks an independent set of per-key windows, so tenants of
+    /// one shared engine (e.g. the vehicles of a fleet simulation) get
+    /// fully independent rate tracking: a decide under an [`EvalContext`]
+    /// carrying the same scope ([`EvalContext::with_rate_scope`]) reads
+    /// them, and `None` names the unscoped windows that a context without
+    /// a scope reads. [`PolicyEngine::reload`] carries every scope's
+    /// windows over.
+    ///
+    /// An event for a key the loaded policies do not declare is dropped: no
+    /// decision reads it, and it allocates nothing. An event more than a
+    /// window older than the newest one counted in its bucket is dropped
+    /// too, so a late event cannot erase newer counts.
+    pub fn observe_rate_event(&self, scope: Option<u64>, key: &str, now_us: u64) {
+        self.rates.observe(scope, key, now_us);
     }
 
     /// Decides a request at time 0.
@@ -1382,11 +1377,11 @@ mod tests {
         let r = req("entry:x", "asset:y", Action::Write);
         let ctx = EvalContext::new();
         // two events within the window: still allowed
-        e.observe_rate_event("w", 1_000);
-        e.observe_rate_event("w", 2_000);
+        e.observe_rate_event(None, "w", 1_000);
+        e.observe_rate_event(None, "w", 2_000);
         assert!(e.decide_at(&r, &ctx, 3_000).is_allow());
         // third event pushes over the limit
-        e.observe_rate_event("w", 3_000);
+        e.observe_rate_event(None, "w", 3_000);
         assert!(!e.decide_at(&r, &ctx, 4_000).is_allow());
         // a second later the window has drained
         assert!(e.decide_at(&r, &ctx, 1_200_000).is_allow());
@@ -1399,11 +1394,11 @@ mod tests {
         let ctx = EvalContext::new();
         let bucket = |b: u64| b * RATE_BUCKET_US;
         for _ in 0..5 {
-            e.observe_rate_event("k", bucket(19));
+            e.observe_rate_event(None, "k", bucket(19));
         }
         assert!(!e.decide_at(&r, &ctx, bucket(19)).is_allow());
         // Bucket 3 shares bucket 19's slot, a whole ring earlier.
-        e.observe_rate_event("k", bucket(3));
+        e.observe_rate_event(None, "k", bucket(3));
         assert!(
             !e.decide_at(&r, &ctx, bucket(19)).is_allow(),
             "the flood was forgotten"
@@ -1418,7 +1413,7 @@ mod tests {
         let scope_b = EvalContext::new().with_rate_scope(1);
         // flood scope 0 only
         for t in 0..5 {
-            e.observe_rate_event_scoped(0, "cmd", 1_000 + t);
+            e.observe_rate_event(Some(0), "cmd", 1_000 + t);
         }
         assert!(!e.decide_at(&r, &scope_a, 2_000).is_allow(), "scope 0 over limit");
         assert!(e.decide_at(&r, &scope_b, 2_000).is_allow(), "scope 1 untouched");
@@ -1426,7 +1421,7 @@ mod tests {
         assert!(e.decide_at(&r, &EvalContext::new(), 2_000).is_allow());
         // and global observations do not bleed into scopes
         for t in 0..5 {
-            e.observe_rate_event("cmd", 10_000 + t);
+            e.observe_rate_event(None, "cmd", 10_000 + t);
         }
         assert!(e.decide_at(&r, &scope_b, 11_000).is_allow());
         assert!(!e.decide_at(&r, &EvalContext::new(), 11_000).is_allow());
@@ -1443,8 +1438,8 @@ mod tests {
                 .map(|ctx| !e.decide_at(&r, ctx, 2_000).is_allow())
         };
         for t in [1_000, 1_001] {
-            e.observe_rate_event("k", t);
-            e.observe_rate_event_scoped(7, "k", t);
+            e.observe_rate_event(None, "k", t);
+            e.observe_rate_event(Some(7), "k", t);
         }
         assert_eq!(over_limit(&e), [true, true]);
         e.reload(PolicySet::from_policy(rate_limited_policy("k", 1)));
@@ -1721,8 +1716,8 @@ mod tests {
         let r = req("entry:x", "asset:y", Action::Write);
         let ctx = EvalContext::new();
         assert!(e.decide_at(&r, &ctx, 1_000).is_allow());
-        e.observe_rate_event("f", 2_000);
-        e.observe_rate_event("f", 3_000);
+        e.observe_rate_event(None, "f", 2_000);
+        e.observe_rate_event(None, "f", 3_000);
         assert!(!e.decide_at(&r, &ctx, 4_000).is_allow(), "rate change must be seen");
         assert_eq!(e.stats().cache_hits, 0);
     }

@@ -127,15 +127,9 @@ impl Rule {
         self.priority
     }
 
-    /// Whether the rule applies to `req` in `ctx`.
-    pub fn applies(&self, req: &AccessRequest, ctx: &EvalContext) -> bool {
-        self.applies_with(req, ctx, ctx)
-    }
-
-    /// Whether the rule applies, with rates read from an explicit
-    /// [`RateSource`](crate::condition::RateSource) (the engine's live
-    /// counters) instead of the context.
-    pub fn applies_with(
+    /// Whether the rule applies to `req` in `ctx`, with rates read from
+    /// `rates` (the engine's live windows).
+    pub fn applies(
         &self,
         req: &AccessRequest,
         ctx: &EvalContext,
@@ -144,7 +138,7 @@ impl Rule {
         self.actions.contains(req.action())
             && self.subject.matches(req.subject())
             && self.object.matches(req.object())
-            && self.condition.eval_with(ctx, rates)
+            && self.condition.eval(ctx, rates)
     }
 
     /// Whether the rule covers `action` at all (context-independent).
@@ -353,7 +347,17 @@ impl FromIterator<Policy> for PolicySet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::condition::RateSource;
     use crate::entity::{EntityId, Pattern};
+
+    /// No key has seen an event.
+    struct Quiet;
+
+    impl RateSource for Quiet {
+        fn rate_per_sec(&self, _key: &str) -> f64 {
+            0.0
+        }
+    }
 
     fn rule(id: &str, effect: Effect) -> Rule {
         Rule::new(
@@ -391,25 +395,26 @@ mod tests {
             EntityMatcher::new("asset", Pattern::Exact("ecu".into())),
         )
         .when(Condition::InMode("normal".into()));
-        assert!(r.applies(&req(Action::Read), &ctx));
+        assert!(r.applies(&req(Action::Read), &ctx, &Quiet));
         // wrong action
-        assert!(!r.applies(&req(Action::Write), &ctx));
+        assert!(!r.applies(&req(Action::Write), &ctx, &Quiet));
         // wrong mode
-        assert!(!r.applies(&req(Action::Read), &EvalContext::new().with_mode("fail-safe")));
+        let fail_safe = EvalContext::new().with_mode("fail-safe");
+        assert!(!r.applies(&req(Action::Read), &fail_safe, &Quiet));
         // wrong object
         let other = AccessRequest::new(
             EntityId::new("entry", "sensors"),
             EntityId::new("asset", "eps"),
             Action::Read,
         );
-        assert!(!r.applies(&other, &ctx));
+        assert!(!r.applies(&other, &ctx, &Quiet));
         // wrong subject namespace
         let alien = AccessRequest::new(
             EntityId::new("proc", "sensors"),
             EntityId::new("asset", "ecu"),
             Action::Read,
         );
-        assert!(!r.applies(&alien, &ctx));
+        assert!(!r.applies(&alien, &ctx, &Quiet));
     }
 
     #[test]

@@ -57,19 +57,17 @@ impl fmt::Display for AccessRequest {
 }
 
 /// The situational context a request is evaluated in: operating mode, named
-/// state variables and rate counters.
+/// state variables and a rate scope.
 ///
 /// Contexts are cheap to clone and carry no interior mutability; stateful
 /// tracking (rates over time) is the engine's job: a decide reads its own
-/// per-key windows, in the context's rate scope, and never the rates set
-/// here (see [`EvalContext::set_rate`]). The operating mode is interned
-/// so the engine's decision-cache key can include it without touching
-/// strings.
+/// per-key windows, in the context's rate scope. The operating mode is
+/// interned so the engine's decision-cache key can include it without
+/// touching strings.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct EvalContext {
     mode: Option<Symbol>,
     state: BTreeMap<String, String>,
-    rates: BTreeMap<String, f64>,
     rate_scope: Option<u64>,
 }
 
@@ -135,22 +133,9 @@ impl EvalContext {
         }
     }
 
-    /// The tracked rate for a key (0.0 when unknown).
-    pub fn rate_per_sec(&self, key: &str) -> f64 {
-        self.rates.get(key).copied().unwrap_or(0.0)
-    }
-
-    /// Writes a caller-provided rate. Only a standalone
-    /// [`Condition::eval`](crate::Condition::eval) reads it: an engine
-    /// never reads context rates, since every key a loaded rule names has
-    /// a window of its own (fed by `PolicyEngine::observe_rate_event`).
-    pub fn set_rate(&mut self, key: impl Into<String>, per_sec: f64) {
-        self.rates.insert(key.into(), per_sec);
-    }
-
     /// Selects a rate *scope* for this context (builder style): decisions
     /// evaluated under a scoped context read the engine's per-scope rate
-    /// windows (fed by `PolicyEngine::observe_rate_event_scoped`) instead
+    /// windows (fed by `PolicyEngine::observe_rate_event`) instead
     /// of the global ones. Scopes keep rate trackers independent between
     /// tenants of one shared engine — e.g. one scope per vehicle of a
     /// fleet, so concurrently simulated vehicles cannot couple through a
@@ -168,12 +153,6 @@ impl EvalContext {
     /// The active rate scope, if any.
     pub fn rate_scope(&self) -> Option<u64> {
         self.rate_scope
-    }
-}
-
-impl crate::condition::RateSource for EvalContext {
-    fn rate_per_sec(&self, key: &str) -> f64 {
-        EvalContext::rate_per_sec(self, key)
     }
 }
 
@@ -230,14 +209,6 @@ mod tests {
         // A shorter value fully replaces the longer one.
         b.set_state_in_place("implausible", "f");
         assert_eq!(b.state("implausible"), Some("f"));
-    }
-
-    #[test]
-    fn rates_default_zero() {
-        let mut ctx = EvalContext::new();
-        assert_eq!(ctx.rate_per_sec("x"), 0.0);
-        ctx.set_rate("x", 2.5);
-        assert_eq!(ctx.rate_per_sec("x"), 2.5);
     }
 
     #[test]

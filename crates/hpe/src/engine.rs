@@ -37,7 +37,6 @@ use polsec_can::node::{InterposeVerdict, Interposer};
 use polsec_can::{CanFrame, CanId};
 use polsec_core::SignedBundle;
 use polsec_sim::SimTime;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -57,21 +56,22 @@ fn add(counter: &AtomicU64, delta: u64) {
 }
 
 /// Slots in a lane's blocked-id table. Each engine's approved lists cover
-/// at most a few dozen identifiers, so collisions are rare and the overflow
-/// map is effectively never touched.
+/// at most a few dozen identifiers, so a fleet HPE blocks far fewer
+/// distinct ids than this.
 const BLOCKED_SLOTS: usize = 128;
 
 /// A fixed open-addressed `(id → count)` table with one writer. The writer
 /// stores a new slot's count before it publishes the key (Release), and
 /// readers load the key with Acquire, so a published key always has its
-/// count. A handle that has blocked more than `BLOCKED_SLOTS` distinct ids
-/// falls back to a mutexed overflow map: the one lock left on the lookup
-/// path, reached only then.
+/// count. Once every slot holds an id, blocks of any further id add to
+/// `other` alone: a sender spraying the 2^29 extended ids cannot grow the
+/// table, and the lookup path takes no lock.
 struct BlockedIdTable {
     /// `(raw id + 1, count)`; key 0 marks an empty slot. A slot's key and
     /// count share a cache line.
     slots: Box<[(AtomicU64, AtomicU64)]>,
-    overflow: Mutex<BTreeMap<u32, u64>>,
+    /// Blocks of ids that found no slot.
+    other: AtomicU64,
 }
 
 impl std::fmt::Debug for BlockedIdTable {
@@ -86,7 +86,7 @@ impl Default for BlockedIdTable {
             slots: (0..BLOCKED_SLOTS)
                 .map(|_| (AtomicU64::new(0), AtomicU64::new(0)))
                 .collect(),
-            overflow: Mutex::new(BTreeMap::new()),
+            other: AtomicU64::new(0),
         }
     }
 }
@@ -110,19 +110,16 @@ impl BlockedIdTable {
             }
             slot = (slot + 1) & (BLOCKED_SLOTS - 1);
         }
-        *lock(&self.overflow).entry(id).or_insert(0) += n;
+        add(&self.other, n);
     }
 
-    /// Calls `f(id, count)` for every id the table has counted.
+    /// Calls `f(id, count)` for every id the table has a slot for.
     fn for_each(&self, mut f: impl FnMut(u32, u64)) {
         for (k, count) in self.slots.iter() {
             let key = k.load(Ordering::Acquire);
             if key != 0 {
                 f((key - 1) as u32, count.load(Ordering::Relaxed));
             }
-        }
-        for (&id, &n) in lock(&self.overflow).iter() {
-            f(id, n);
         }
     }
 }
@@ -157,6 +154,7 @@ impl Lane {
         }
         add(&self.cycles, other.cycles.load(Ordering::Relaxed));
         other.blocked_by_id.for_each(|id, n| self.blocked_by_id.bump(id, n));
+        add(&self.blocked_by_id.other, other.blocked_by_id.other.load(Ordering::Relaxed));
     }
 
     fn add_to(&self, t: &mut HpeTelemetry) {
@@ -168,6 +166,7 @@ impl Lane {
         t.total_cycles += self.cycles.load(Ordering::Relaxed);
         self.blocked_by_id
             .for_each(|id, n| *t.blocked_by_id.entry(id).or_insert(0) += n);
+        t.blocked_other += self.blocked_by_id.other.load(Ordering::Relaxed);
     }
 }
 
@@ -497,6 +496,7 @@ mod tests {
     use polsec_core::dsl::parse_policy;
     use polsec_core::PolicyBundle;
     use polsec_can::{CanBus, CanId, CanNode};
+    use std::collections::BTreeMap;
 
     const KEY: &[u8] = b"oem-hpe-key";
 
@@ -786,5 +786,29 @@ mod tests {
         );
         assert_eq!(t.blocked_by_id, BTreeMap::from([(0x200, HANDLES / 2)]));
         assert!(lock(&hpe.shared.lanes).live.is_empty(), "dropped handles unregister");
+    }
+
+    #[test]
+    fn an_id_spray_keeps_the_block_table_bounded_and_exact() {
+        const IDS: u32 = 10_000;
+        let hpe = engine_allowing(&[], &[]);
+        let mut inline = hpe.clone();
+        for i in 0..IDS {
+            let id = CanId::extended(0x100_0000 + i * 7).unwrap();
+            inline.on_ingress(SimTime::ZERO, &CanFrame::data(id, &[0xEE]).unwrap());
+        }
+        let check = |t: HpeTelemetry| {
+            assert_eq!(t.read_blocked, u64::from(IDS));
+            assert!(t.blocked_by_id.len() <= BLOCKED_SLOTS);
+            assert!(t.blocked_by_id.values().all(|&n| n == 1));
+            assert_eq!(
+                t.blocked_by_id.values().sum::<u64>() + t.blocked_other,
+                t.read_blocked + t.write_blocked
+            );
+        };
+        check(hpe.telemetry());
+        // A dropped handle's lane folds into the retired totals as exactly.
+        drop(inline);
+        check(hpe.telemetry());
     }
 }

@@ -18,8 +18,14 @@ pub struct HpeTelemetry {
     pub tamper_attempts: u64,
     /// Total modelled lookup cycles spent.
     pub total_cycles: u64,
-    /// Block counts per raw identifier (top offenders view).
+    /// Block counts per raw identifier (top offenders view). Each handle
+    /// counts at most 128 distinct ids; blocks of the rest count in
+    /// `blocked_other`.
     pub blocked_by_id: BTreeMap<u32, u64>,
+    /// Blocks of identifiers that found no slot in a handle's fixed per-id
+    /// table: Σ `blocked_by_id` + `blocked_other` = `read_blocked` +
+    /// `write_blocked`.
+    pub blocked_other: u64,
 }
 
 impl HpeTelemetry {

@@ -74,11 +74,6 @@ impl SecurityContext {
         self.type_.as_str()
     }
 
-    /// The interned type handle (the AVC's key material).
-    pub fn type_symbol(&self) -> Symbol {
-        self.type_
-    }
-
     /// A copy with a different type (domain transition result).
     pub fn with_type(&self, type_: impl AsRef<str>) -> Self {
         SecurityContext {

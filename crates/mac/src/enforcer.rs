@@ -1,15 +1,21 @@
 //! The enforcement entry point.
 //!
-//! [`Enforcer::check`] is the `avc_has_perm` of this MAC: consult the cache,
-//! fall back to the linked policy, audit what policy says to audit, and —
-//! in **permissive** mode — log would-be denials while letting them
-//! through (how real deployments stage new policy before enforcing it).
+//! [`Enforcer::check`] is the `avc_has_perm` of this MAC: ask the linked
+//! policy, audit what policy says to audit, and — in **permissive** mode —
+//! log would-be denials while letting them through (how real deployments
+//! stage new policy before enforcing it). There is no access-vector cache:
+//! every check reads the policy as it is now, so a module load or unload
+//! decides the very next check, and a check allocates nothing unless it
+//! writes an audit line.
 
-use crate::avc::{AccessVector, Avc, AvcStats};
 use crate::context::SecurityContext;
 use crate::policy::MacPolicy;
-use polsec_core::Symbol;
 use std::fmt;
+
+/// Audit lines an enforcer keeps. Later ones are only counted
+/// ([`Enforcer::audit_dropped`]), so a flood of audited checks holds
+/// bounded memory.
+const AUDIT_CAPACITY: usize = 1024;
 
 /// Enforcing vs permissive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -35,7 +41,6 @@ impl fmt::Display for EnforcementMode {
 pub struct CheckResult {
     permitted: bool,
     policy_allowed: bool,
-    cached: bool,
 }
 
 impl CheckResult {
@@ -48,11 +53,6 @@ impl CheckResult {
     /// What the policy itself said.
     pub fn policy_allowed(&self) -> bool {
         self.policy_allowed
-    }
-
-    /// Whether the AVC answered without a policy walk.
-    pub fn cached(&self) -> bool {
-        self.cached
     }
 }
 
@@ -92,9 +92,9 @@ impl fmt::Display for AvcMessage {
 #[derive(Debug, Clone, Default)]
 pub struct Enforcer {
     policy: MacPolicy,
-    avc: Avc,
     mode: EnforcementMode,
     audit: Vec<AvcMessage>,
+    audit_dropped: u64,
 }
 
 impl Enforcer {
@@ -102,9 +102,9 @@ impl Enforcer {
     pub fn new(policy: MacPolicy) -> Self {
         Enforcer {
             policy,
-            avc: Avc::new(),
             mode: EnforcementMode::Enforcing,
             audit: Vec::new(),
+            audit_dropped: 0,
         }
     }
 
@@ -123,20 +123,21 @@ impl Enforcer {
         &self.policy
     }
 
-    /// Mutable access to the policy (module load/unload). The AVC's
-    /// generation tagging makes stale entries invisible automatically.
+    /// Mutable access to the policy (module load/unload). The next check
+    /// reads the changed policy.
     pub fn policy_mut(&mut self) -> &mut MacPolicy {
         &mut self.policy
     }
 
-    /// AVC statistics.
-    pub fn avc_stats(&self) -> AvcStats {
-        self.avc.stats()
-    }
-
-    /// Audit messages so far.
+    /// The first 1024 audit messages, in order.
     pub fn audit(&self) -> &[AvcMessage] {
         &self.audit
+    }
+
+    /// Audit messages counted but not kept once [`Enforcer::audit`] was
+    /// full.
+    pub fn audit_dropped(&self) -> u64 {
+        self.audit_dropped
     }
 
     /// Checks whether `scontext` may perform `perm` on `tcontext` of
@@ -148,51 +149,32 @@ impl Enforcer {
         class: &str,
         perm: &str,
     ) -> CheckResult {
-        let generation = self.policy.generation();
         let (source, target) = (scontext.type_(), tcontext.type_());
-        let key = (
-            scontext.type_symbol(),
-            tcontext.type_symbol(),
-            Symbol::intern(class),
-            Symbol::intern(perm),
-        );
-        // A hit answers allow *and* audit directives from the cached
-        // vector, so repeated checks never walk policy at all.
-        let (vector, cached) =
-            match self.avc.lookup_symbols(key.0, key.1, key.2, key.3, generation) {
-                Some(v) => (v, true),
-                None => {
-                    let allowed = self.policy.allows(source, target, class, perm);
-                    let vector = AccessVector {
-                        allowed,
-                        audit_grant: allowed
-                            && self.policy.audits_grant(source, target, class, perm),
-                        audit_deny: !allowed
-                            && self.policy.audits_denial(source, target, class, perm),
-                    };
-                    self.avc
-                        .insert_symbols(key.0, key.1, key.2, key.3, generation, vector);
-                    (vector, false)
-                }
-            };
-        let allowed = vector.allowed;
-
+        let allowed = self.policy.allows(source, target, class, perm);
+        let audited = if allowed {
+            self.policy.audits_grant(source, target, class, perm)
+        } else {
+            self.policy.audits_denial(source, target, class, perm)
+        };
         let permissive = self.mode == EnforcementMode::Permissive;
-        if (!allowed && vector.audit_deny) || (allowed && vector.audit_grant) {
-            self.audit.push(AvcMessage {
-                granted: allowed,
-                scontext: scontext.to_string(),
-                tcontext: tcontext.to_string(),
-                class: class.to_string(),
-                perm: perm.to_string(),
-                permissive,
-            });
+        if audited {
+            if self.audit.len() < AUDIT_CAPACITY {
+                self.audit.push(AvcMessage {
+                    granted: allowed,
+                    scontext: scontext.to_string(),
+                    tcontext: tcontext.to_string(),
+                    class: class.to_string(),
+                    perm: perm.to_string(),
+                    permissive,
+                });
+            } else {
+                self.audit_dropped += 1;
+            }
         }
 
         CheckResult {
             permitted: allowed || permissive,
             policy_allowed: allowed,
-            cached,
         }
     }
 
@@ -273,25 +255,28 @@ mod tests {
     }
 
     #[test]
-    fn avc_caches_repeat_checks() {
+    fn module_load_and_unload_decide_the_next_check() {
         let mut e = enforcer();
-        let first = e.check(&media(), &ecu(), "can_socket", "read");
-        assert!(!first.cached());
-        let second = e.check(&media(), &ecu(), "can_socket", "read");
-        assert!(second.cached());
-        assert_eq!(e.avc_stats().hits, 1);
+        assert!(!e.check(&media(), &ecu(), "can_socket", "write").permitted());
+        let mut grant = PolicyModule::new("grant-write", 1);
+        grant.add_allow(TeRule::allow("media_t", "ecu_t", "can_socket", &["write"]));
+        e.policy_mut().load_module(grant).unwrap();
+        assert!(e.check(&media(), &ecu(), "can_socket", "write").permitted());
+        e.policy_mut().unload_module("grant-write").unwrap();
+        assert!(!e.check(&media(), &ecu(), "can_socket", "write").permitted());
     }
 
     #[test]
-    fn policy_reload_invalidates_cache() {
+    fn audit_keeps_the_first_lines_and_counts_the_rest() {
         let mut e = enforcer();
-        e.check(&media(), &ecu(), "can_socket", "read");
-        // load a new module bumps the generation
-        let mut extra = PolicyModule::new("extra", 1);
-        extra.declare_type("radio_t");
-        e.policy_mut().load_module(extra).unwrap();
-        let after = e.check(&media(), &ecu(), "can_socket", "read");
-        assert!(!after.cached(), "generation bump must force a policy walk");
+        e.check(&media(), &ecu(), "can_socket", "write");
+        let first = e.audit()[0].clone();
+        for _ in 1..10_000 {
+            e.check(&media(), &ecu(), "can_socket", "write");
+        }
+        assert_eq!(e.audit().len(), AUDIT_CAPACITY);
+        assert_eq!(e.audit_dropped(), 10_000 - AUDIT_CAPACITY as u64);
+        assert_eq!(e.audit()[0], first);
     }
 
     #[test]

@@ -11,10 +11,9 @@
 //! * [`PolicyModule`] / [`MacPolicy`] — modular policy with load/unload and
 //!   neverallow validation at link time,
 //! * [`TypeTransition`] — domain transitions on exec,
-//! * [`Avc`] — the access-vector cache with hit/miss statistics and reload
-//!   invalidation (benched in E5),
-//! * [`Enforcer`] — enforcing/permissive check entry point with AVC audit
-//!   messages,
+//! * [`Enforcer`] — enforcing/permissive check entry point that reads the
+//!   linked policy directly (no access-vector cache; its cost is E5) and
+//!   keeps the first 1024 `avc:` audit messages,
 //! * [`adapter`] — compiles `polsec-core` process-facing policies into a
 //!   [`PolicyModule`], so one threat model drives both enforcement points.
 //!
@@ -43,7 +42,6 @@
 #![warn(missing_docs)]
 
 pub mod adapter;
-pub mod avc;
 pub mod context;
 pub mod enforcer;
 pub mod error;
@@ -51,7 +49,6 @@ pub mod policy;
 pub mod te;
 
 pub use adapter::module_from_core_policy;
-pub use avc::{AccessVector, Avc, AvcExportEntry, AvcStats};
 pub use context::SecurityContext;
 pub use enforcer::{CheckResult, Enforcer, EnforcementMode};
 pub use error::MacError;

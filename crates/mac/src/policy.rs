@@ -102,20 +102,12 @@ impl fmt::Display for PolicyModule {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MacPolicy {
     modules: Vec<PolicyModule>,
-    /// Monotonic counter bumped on every load/unload; the AVC uses it to
-    /// detect staleness.
-    generation: u64,
 }
 
 impl MacPolicy {
     /// Creates an empty policy.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The link generation (bumps on every change).
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Loaded module names in load order.
@@ -184,7 +176,6 @@ impl MacPolicy {
             }
         }
         self.modules.push(module);
-        self.generation += 1;
         Ok(())
     }
 
@@ -198,7 +189,6 @@ impl MacPolicy {
             .iter()
             .position(|m| m.name() == name)
             .ok_or_else(|| MacError::ModuleNotFound { name: name.to_string() })?;
-        self.generation += 1;
         Ok(self.modules.remove(idx))
     }
 
@@ -264,7 +254,6 @@ mod tests {
         p.load_module(base_module()).unwrap();
         assert!(p.allows("media_t", "ecu_t", "can_socket", "read"));
         assert!(!p.allows("media_t", "ecu_t", "can_socket", "write"));
-        assert_eq!(p.generation(), 1);
         assert_eq!(p.rule_count(), 1);
         assert_eq!(p.module_names(), vec!["base"]);
     }
@@ -333,7 +322,6 @@ mod tests {
         let removed = p.unload_module("base").unwrap();
         assert_eq!(removed.name(), "base");
         assert!(!p.allows("media_t", "ecu_t", "can_socket", "read"));
-        assert_eq!(p.generation(), 2);
         assert!(matches!(
             p.unload_module("base"),
             Err(MacError::ModuleNotFound { .. })

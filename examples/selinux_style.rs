@@ -61,6 +61,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // into the confined updater domain.
     let updater = enforcer.exec_transition(&browser, "updater_exec_t");
     println!("exec transition: {browser} -> {updater}");
-    println!("avc stats: {:?}", enforcer.avc_stats());
     Ok(())
 }

@@ -1,8 +1,7 @@
 //! Property-based tests spanning the enforcement crates: HPE id/mask cover
-//! soundness, DREAD invariants, and AVC/policy coherence.
+//! soundness and DREAD invariants.
 
 use polsec::hpe::synthesize_id_mask_cover;
-use polsec::mac::{Enforcer, MacPolicy, PolicyModule, SecurityContext, TeRule};
 use polsec::model::{DreadScore, RiskRating, StrideSet};
 use proptest::prelude::*;
 
@@ -74,32 +73,5 @@ proptest! {
         prop_assume!(!set.is_empty());
         let parsed: StrideSet = set.to_string().parse().expect("canonical form parses");
         prop_assert_eq!(parsed, set);
-    }
-
-    #[test]
-    fn avc_agrees_with_direct_policy_walks(
-        queries in prop::collection::vec((0usize..8, 0usize..8, any::<bool>()), 1..64)
-    ) {
-        // an enforcer with a diagonal allow pattern; cached and uncached
-        // answers must agree across arbitrary interleavings
-        let mut module = PolicyModule::new("grid", 1);
-        module.declare_type("obj_t");
-        for i in 0..8 {
-            module.declare_type(format!("sub{i}_t"));
-            if i % 2 == 0 {
-                module.add_allow(TeRule::allow(format!("sub{i}_t"), "obj_t", "res", &["use"]));
-            }
-        }
-        let mut policy = MacPolicy::new();
-        policy.load_module(module).expect("loads");
-        let reference = policy.clone();
-        let mut enforcer = Enforcer::new(policy);
-        let tcon = SecurityContext::object("obj_t");
-        for (s, _o, _) in queries {
-            let scon = SecurityContext::new("u", "r", format!("sub{s}_t"));
-            let got = enforcer.check(&scon, &tcon, "res", "use").permitted();
-            let want = reference.allows(&format!("sub{s}_t"), "obj_t", "res", "use");
-            prop_assert_eq!(got, want, "avc diverged for sub{}", s);
-        }
     }
 }

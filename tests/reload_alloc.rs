@@ -160,10 +160,7 @@ fn undeclared_rate_keys_allocate_nothing() {
     for scope in [None, Some(3)] {
         let (_, spent) = counted(|| {
             for (t, key) in (1_000..).zip(&keys) {
-                match scope {
-                    Some(scope) => engine.observe_rate_event_scoped(scope, key, t),
-                    None => engine.observe_rate_event(key, t),
-                }
+                engine.observe_rate_event(scope, key, t);
             }
         });
         assert_eq!(spent.allocations, 0, "scope {scope:?}: {spent:?}");
