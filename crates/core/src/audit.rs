@@ -2,7 +2,8 @@
 //!
 //! Every decision the engine takes is recorded for repudiation defence
 //! (the "R" in STRIDE). The engine keeps the newest records in bounded
-//! per-thread rings and hands them out merged through
+//! per-thread lanes, each record five words that only the deciding thread
+//! writes, and hands them out merged, as [`AuditRecord`]s, through
 //! [`PolicyEngine::with_audit`](crate::PolicyEngine::with_audit); its
 //! counts of every decision are [`PolicyEngine::stats`](crate::PolicyEngine::stats).
 //! No attack-matrix test asserts on audit contents: the experiments read
@@ -13,7 +14,7 @@ use crate::request::AccessRequest;
 use std::fmt;
 
 /// Audit records a [`PolicyEngine::new`](crate::PolicyEngine::new) engine
-/// retains (per thread's shard, and in the merged trail).
+/// retains (per thread's lane, and in the merged trail).
 pub const DEFAULT_CAPACITY: usize = 16_384;
 
 /// One audited decision.

@@ -31,13 +31,17 @@
 //!   when the walk evaluates a [`crate::Condition::RateAtMost`]. Only the
 //!   keys the loaded policies declare have windows, and a reload carries
 //!   every scope's windows over by key;
-//! * the audit trail is a set of sharded rings of [`AuditRecord`]s picked
-//!   by thread, merged only when read ([`PolicyEngine::with_audit`]). A
-//!   shard reserves its whole ring on its first record, so appends never
-//!   reallocate and a shard no thread decides on owns no ring. Each shard
-//!   also holds plain `u64` statistics, so a decide locks its shard once
-//!   to append the record and count the decision, and
-//!   [`PolicyEngine::stats`] sums the shards;
+//! * the audit trail is one lane per deciding thread. A thread takes a
+//!   slot no other live thread holds on its first decide and gives it
+//!   back when it exits; the engine's lane for that slot holds a ring of
+//!   five-word records and the seven statistics, and only the slot's
+//!   thread writes it, with Relaxed loads and stores. A decide's one
+//!   locked operation is the `seq` fetch-add that orders records across
+//!   lanes. A lane reserves its whole ring on its first record, so
+//!   records never reallocate and a lane no thread decides on owns no
+//!   ring. [`PolicyEngine::with_audit`] merges the lanes without a lock,
+//!   dropping any record the writer began to overwrite while it was read,
+//!   and [`PolicyEngine::stats`] sums them;
 //! * decisions themselves are cached in a generation-tagged lock-free
 //!   `GenCache` keyed by
 //!   `(subject, object, action, mode)`; [`PolicyEngine::reload`] bumps the
@@ -54,19 +58,22 @@
 //! [`Decision`]s are `Copy` and build their human-readable reason string
 //! lazily, on demand.
 
+use crate::action::Action;
 use crate::audit::{AuditRecord, DEFAULT_CAPACITY};
 use crate::bundle::SignedBundle;
 use crate::cache::{GenCache, KEY_VALID};
 use crate::condition::RateSource;
+use crate::entity::EntityId;
 use crate::error::PolicyError;
 use crate::intern::Symbol;
 use crate::policy::{Effect, PolicySet, Rule};
 use crate::request::{AccessRequest, EvalContext};
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock, RwLock};
 
 /// How applying rules combine into one decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -113,10 +120,11 @@ pub struct Decision {
     kind: ReasonKind,
 }
 
+/// The determining rule: its interned `policy.rule` name and rule id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct RuleTag {
-    qualified: &'static str,
-    id: &'static str,
+    qualified: Symbol,
+    id: Symbol,
 }
 
 impl Decision {
@@ -133,7 +141,7 @@ impl Decision {
     /// The determining rule as `policy.rule`, or `None` for a default
     /// decision.
     pub fn rule(&self) -> Option<&'static str> {
-        self.rule.map(|t| t.qualified)
+        self.rule.map(|t| t.qualified.as_str())
     }
 
     /// Human-readable explanation, built on demand.
@@ -348,82 +356,239 @@ impl EngineStats {
             ("cache_misses", self.cache_misses),
         ]
     }
+}
 
-    /// Counts one decision; runs under the decision's audit-shard lock.
+/// Adds `delta` to a counter that only one thread writes: a Relaxed load
+/// and store, which compile to plain moves, not a locked read-modify-write.
+#[inline]
+fn add(counter: &AtomicU64, delta: u64) {
+    counter.store(counter.load(Ordering::Relaxed).wrapping_add(delta), Ordering::Relaxed);
+}
+
+/// The audit slots of live deciding threads. A thread takes the lowest
+/// free slot on its first decide, on any engine, and its [`SLOT`] guard
+/// gives it back when the thread exits, so no two live threads hold one
+/// slot and slots stay below the peak count of live deciding threads.
+struct SlotRegistry {
+    next: usize,
+    free: BinaryHeap<Reverse<usize>>,
+}
+
+static SLOTS: Mutex<SlotRegistry> = Mutex::new(SlotRegistry { next: 0, free: BinaryHeap::new() });
+
+/// A held audit slot; dropping it frees the slot.
+struct SlotGuard(usize);
+
+impl SlotGuard {
+    fn take() -> SlotGuard {
+        let mut slots = lock(&SLOTS);
+        let slot = match slots.free.pop() {
+            Some(Reverse(slot)) => slot,
+            None => {
+                slots.next += 1;
+                slots.next - 1
+            }
+        };
+        SlotGuard(slot)
+    }
+}
+
+impl Drop for SlotGuard {
+    fn drop(&mut self) {
+        lock(&SLOTS).free.push(Reverse(self.0));
+    }
+}
+
+thread_local! {
+    /// This thread's audit slot, taken on its first decide.
+    static SLOT: SlotGuard = SlotGuard::take();
+}
+
+/// Words per audit record: seq, time, subject key, object key and the
+/// packed verdict (see [`pack_verdict`]).
+const RECORD_WORDS: usize = 5;
+
+/// Lanes built with every engine. Bucket `b` of the lane table holds
+/// `FIRST_LANES << b` lanes, so bucket 0 serves the first eight slots.
+const FIRST_LANES: usize = 8;
+
+/// Lane-table buckets: room for 8 × (2^20 − 1), about 8.4 million, live
+/// deciding threads, twice the 2^22 tasks a Linux system can run at once.
+const LANE_BUCKETS: usize = 20;
+
+/// The lane-table bucket and index of `slot`.
+fn locate_lane(slot: usize) -> (usize, usize) {
+    let adjusted = slot + FIRST_LANES;
+    let bucket = (adjusted.ilog2() - FIRST_LANES.ilog2()) as usize;
+    (bucket, adjusted - (FIRST_LANES << bucket))
+}
+
+/// One slot's audit lane: its ring of records and the statistics of the
+/// decisions it recorded. Only the thread holding the slot writes it, with
+/// Relaxed stores (a counter as `store(load + x)`), so a decide runs no
+/// locked operation here; `with_audit` and `stats()` read it without a
+/// lock. Aligned so that two threads' lanes never share a cache line.
+#[derive(Default)]
+#[repr(align(128))]
+struct Lane {
+    /// `RECORD_WORDS` words per record, reserved on the lane's first record.
+    ring: OnceLock<Box<[AtomicU64]>>,
+    /// Records the writer has begun. Stored before a record's words, it
+    /// tells a reader which records it read while their slot was being
+    /// overwritten.
+    started: AtomicU64,
+    /// Decisions recorded, which is also the count of finished records:
+    /// stored last, with Release, it publishes the record just written.
+    decisions: AtomicU64,
+    allows: AtomicU64,
+    denies: AtomicU64,
+    defaults: AtomicU64,
+    rules_examined: AtomicU64,
+    cache_hits: AtomicU64,
+    cache_misses: AtomicU64,
+}
+
+impl Lane {
+    /// Writes one record and counts its decision; only the slot's holder
+    /// calls this.
     #[inline]
-    fn count(&mut self, decision: &Decision, examined: u64, cache: CacheUse) {
-        self.decisions += 1;
-        self.rules_examined += examined;
-        match decision.effect {
-            Effect::Allow => self.allows += 1,
-            Effect::Deny => self.denies += 1,
+    fn record(
+        &self,
+        capacity: usize,
+        words: [u64; RECORD_WORDS],
+        decision: &Decision,
+        examined: u64,
+        cache: CacheUse,
+    ) {
+        // One zeroed allocation: fresh pages from the system are written
+        // only as records land on them (recycled memory is cleared first).
+        let ring = self.ring.get_or_init(|| {
+            vec![0u64; capacity * RECORD_WORDS].into_iter().map(AtomicU64::new).collect()
+        });
+        let n = self.decisions.load(Ordering::Relaxed);
+        self.started.store(n + 1, Ordering::Relaxed);
+        fence(Ordering::Release);
+        let at = (n as usize & (capacity - 1)) * RECORD_WORDS;
+        for (word, value) in ring[at..at + RECORD_WORDS].iter().zip(words) {
+            word.store(value, Ordering::Relaxed);
         }
-        self.defaults += u64::from(decision.rule.is_none());
-        self.cache_hits += u64::from(cache == CacheUse::Hit);
-        self.cache_misses += u64::from(cache == CacheUse::Miss);
+        match decision.effect {
+            Effect::Allow => add(&self.allows, 1),
+            Effect::Deny => add(&self.denies, 1),
+        }
+        add(&self.defaults, u64::from(decision.rule.is_none()));
+        add(&self.rules_examined, examined);
+        add(&self.cache_hits, u64::from(cache == CacheUse::Hit));
+        add(&self.cache_misses, u64::from(cache == CacheUse::Miss));
+        self.decisions.store(n + 1, Ordering::Release);
     }
 
-    fn add(&mut self, other: &EngineStats) {
-        self.decisions += other.decisions;
-        self.allows += other.allows;
-        self.denies += other.denies;
-        self.defaults += other.defaults;
-        self.rules_examined += other.rules_examined;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
+    /// Appends the lane's newest records, at most `capacity`, to `out`,
+    /// less any whose slot the writer began to overwrite while it was read.
+    fn read_into(&self, capacity: usize, out: &mut Vec<AuditRecord>) {
+        let Some(ring) = self.ring.get() else { return };
+        let written = self.decisions.load(Ordering::Acquire);
+        let first = written.saturating_sub(capacity as u64);
+        let start = out.len();
+        // Each word is atomic, so even a record read mid-overwrite unpacks
+        // to valid handles; the check below drops it.
+        out.extend((first..written).map(|i| {
+            let at = (i as usize & (capacity - 1)) * RECORD_WORDS;
+            unpack_record(std::array::from_fn(|w| ring[at + w].load(Ordering::Relaxed)))
+        }));
+        // Pairs with the writer's Release fence: a word of a later record
+        // read above implies that record's `started` store is seen here.
+        fence(Ordering::Acquire);
+        let intact_from = self.started.load(Ordering::Relaxed).saturating_sub(capacity as u64);
+        let overwritten = intact_from.saturating_sub(first).min(written - first);
+        out.drain(start..start + overwritten as usize);
+    }
+
+    fn add_to(&self, total: &mut EngineStats) {
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        total.decisions += get(&self.decisions);
+        total.allows += get(&self.allows);
+        total.denies += get(&self.denies);
+        total.defaults += get(&self.defaults);
+        total.rules_examined += get(&self.rules_examined);
+        total.cache_hits += get(&self.cache_hits);
+        total.cache_misses += get(&self.cache_misses);
     }
 }
 
-/// Number of audit shards (power of two). With at least as many shards as
-/// deciding threads, audit appends effectively never contend.
-const AUDIT_SHARDS: usize = 8;
-
-/// One audit shard: its ring of records and the statistics of the
-/// decisions it recorded, both written under the shard's one lock.
-struct AuditShard {
-    records: VecDeque<AuditRecord>,
-    stats: EngineStats,
+/// The fifth record word: the rule's `policy.rule` symbol in the high
+/// half, then whether there is one, the effect and the action.
+fn pack_verdict(action: Action, decision: &Decision) -> u64 {
+    let rule = decision.rule.map_or(0, |t| u64::from(t.qualified.as_u32()) << 32 | 1 << 9);
+    rule | u64::from(decision.effect == Effect::Deny) << 8 | action as u64
 }
 
-/// Sharded audit rings: `decide` never blocks `decide` on the audit
-/// trail. Each shard keeps the newest `capacity` records, so a
-/// one-thread engine, which writes one shard, still keeps `capacity`. A
-/// shard reserves its ring on its first record, so later appends never
-/// allocate and an engine that never decides (a validator's, or one
-/// about to be replaced) owns no ring at all.
+fn unpack_record([seq, time_us, subject, object, verdict]: [u64; RECORD_WORDS]) -> AuditRecord {
+    let entity = |key: u64| {
+        EntityId::from_symbols(Symbol::from_u32((key >> 32) as u32), Symbol::from_u32(key as u32))
+    };
+    AuditRecord {
+        seq,
+        time_us,
+        request: AccessRequest::new(
+            entity(subject),
+            entity(object),
+            Action::ALL[(verdict & 0xFF) as usize],
+        ),
+        effect: if verdict >> 8 & 1 == 1 { Effect::Deny } else { Effect::Allow },
+        rule: (verdict >> 9 & 1 == 1).then(|| Symbol::from_u32((verdict >> 32) as u32).as_str()),
+    }
+}
+
+/// The audit trail: one lane per slot, so a decide records without a
+/// lock, and the one `seq` that orders records across lanes. Each lane
+/// keeps the newest `capacity` records, so a one-thread engine, which
+/// writes one lane, still keeps `capacity`. The first eight lanes are
+/// built with the engine and later buckets on a first decide from a slot
+/// they hold. A lane reserves its ring on its first record, so later
+/// records never allocate and an engine that never decides (a
+/// validator's, or one about to be replaced) owns no ring at all.
 struct AuditSink {
-    shards: Box<[Mutex<AuditShard>]>,
+    lanes: [OnceLock<Box<[Lane]>>; LANE_BUCKETS],
+    /// A power of two, so a record's ring position is a mask.
     capacity: usize,
-    /// Orders records across shards.
-    seq: AtomicU64,
+    /// Orders records across lanes.
+    seq: SeqCounter,
 }
 
-fn shard_index() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SHARD: usize = NEXT.fetch_add(1, Ordering::Relaxed);
-    }
-    SHARD.with(|s| *s)
-}
+/// The `seq` counter on a cache line of its own: every decide's fetch-add
+/// takes the line from the other deciding threads, which must not lose
+/// the fields they only read along with it.
+#[derive(Default)]
+#[repr(align(128))]
+struct SeqCounter(AtomicU64);
 
 impl AuditSink {
     fn new(capacity: usize) -> Self {
-        AuditSink {
-            shards: (0..AUDIT_SHARDS)
-                .map(|_| {
-                    Mutex::new(AuditShard {
-                        records: VecDeque::new(),
-                        stats: EngineStats::default(),
-                    })
-                })
-                .collect(),
+        assert!(capacity.is_power_of_two(), "audit capacity {capacity}");
+        let sink = AuditSink {
+            lanes: [const { OnceLock::new() }; LANE_BUCKETS],
             capacity,
-            seq: AtomicU64::new(0),
-        }
+            seq: SeqCounter::default(),
+        };
+        sink.lane(0);
+        sink
     }
 
-    /// Appends one decision's record and counts it, under one lock of
-    /// this thread's shard.
+    /// The lane of `slot`, building its bucket on first use.
+    #[inline]
+    fn lane(&self, slot: usize) -> &Lane {
+        let (bucket, i) = locate_lane(slot);
+        &self.lanes[bucket]
+            .get_or_init(|| (0..FIRST_LANES << bucket).map(|_| Lane::default()).collect())[i]
+    }
+
+    fn built_lanes(&self) -> impl Iterator<Item = &Lane> {
+        self.lanes.iter().filter_map(OnceLock::get).flat_map(|bucket| bucket.iter())
+    }
+
+    /// Records one decision in this thread's lane. The `seq` fetch-add is
+    /// the record's one locked operation.
     #[inline]
     fn record(
         &self,
@@ -433,36 +598,38 @@ impl AuditSink {
         examined: u64,
         cache: CacheUse,
     ) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let mut shard = lock(&self.shards[shard_index() % AUDIT_SHARDS]);
-        shard.stats.count(&decision, examined, cache);
-        if shard.records.len() >= self.capacity {
-            shard.records.pop_front();
-        } else if shard.records.capacity() == 0 {
-            shard.records.reserve_exact(self.capacity);
-        }
-        shard.records.push_back(AuditRecord {
+        let seq = self.seq.0.fetch_add(1, Ordering::Relaxed);
+        let (s, o) = (request.subject(), request.object());
+        let words = [
             seq,
             time_us,
-            request,
-            effect: decision.effect,
-            rule: decision.rule.map(|t| t.qualified),
-        });
+            entity_key(s.namespace_symbol(), s.name_symbol()),
+            entity_key(o.namespace_symbol(), o.name_symbol()),
+            pack_verdict(request.action(), &decision),
+        ];
+        let write = |slot: usize| {
+            self.lane(slot).record(self.capacity, words, &decision, examined, cache);
+        };
+        if SLOT.try_with(|held| write(held.0)).is_err() {
+            // A decide from a thread-local destructor that runs after this
+            // thread's guard: hold a free slot for this one record.
+            write(SlotGuard::take().0);
+        }
     }
 
     fn stats(&self) -> EngineStats {
         let mut total = EngineStats::default();
-        for shard in self.shards.iter() {
-            total.add(&lock(shard).stats);
+        for lane in self.built_lanes() {
+            lane.add_to(&mut total);
         }
         total
     }
 
-    /// The newest `capacity` records of all shards, oldest first.
+    /// The newest `capacity` records of all lanes, oldest first.
     fn merged(&self) -> Vec<AuditRecord> {
         let mut all = Vec::new();
-        for shard in self.shards.iter() {
-            all.extend(lock(shard).records.iter().copied());
+        for lane in self.built_lanes() {
+            lane.read_into(self.capacity, &mut all);
         }
         all.sort_unstable_by_key(|r| r.seq);
         all.drain(..all.len().saturating_sub(self.capacity));
@@ -475,8 +642,7 @@ impl AuditSink {
 #[derive(Debug)]
 struct CompiledRule {
     rule: Rule,
-    qualified: &'static str,
-    id: &'static str,
+    tag: RuleTag,
     cache_safe: bool,
 }
 
@@ -518,15 +684,11 @@ impl Walk {
         rates: &dyn RateSource,
     ) -> bool {
         self.examined += 1;
-        let rule = &compiled.rule;
-        if !(rule.covers_action(req.action())
-            && rule.subject().matches(req.subject())
-            && rule.object().matches(req.object()))
-        {
+        if !compiled.rule.matches(req) {
             return false;
         }
         self.cacheable &= compiled.cache_safe;
-        rule.condition().eval(ctx, rates)
+        compiled.rule.condition().eval(ctx, rates)
     }
 }
 
@@ -692,9 +854,9 @@ impl PolicyEngine {
     /// Creates an engine over a policy set with the default strategy
     /// (deny-overrides), indexing and decision caching enabled, sized for a
     /// shared, service-scale deployment ([`DEFAULT_CAPACITY`] audit records
-    /// per shard, `DECISION_CACHE_SLOTS` (8192) cache slots). The cache
-    /// (~320 KB) is initialised here; an audit shard reserves its ring
-    /// (~0.9 MB) on its first record, so only the shards of deciding
+    /// per lane, `DECISION_CACHE_SLOTS` (8192) cache slots). The cache
+    /// (~320 KB) is initialised here; an audit lane reserves its ring
+    /// (~655 KB) on its first record, so only the lanes of deciding
     /// threads cost memory.
     ///
     /// [`DEFAULT_CAPACITY`]: crate::audit::DEFAULT_CAPACITY
@@ -833,8 +995,8 @@ impl PolicyEngine {
         self.rules
             .iter()
             .map(|r| RuleCacheability {
-                qualified: r.qualified,
-                rule_id: r.id,
+                qualified: r.tag.qualified.as_str(),
+                rule_id: r.tag.id.as_str(),
                 cache_safe: r.cache_safe,
             })
             .collect()
@@ -854,10 +1016,9 @@ impl PolicyEngine {
             } else {
                 self.unindexed.push(idx);
             }
-            let qualified = Symbol::intern(&format!("{owner}.{}", rule.id())).as_str();
+            let qualified = Symbol::intern(&format!("{owner}.{}", rule.id()));
             self.rules.push(CompiledRule {
-                qualified,
-                id: rule.id(),
+                tag: RuleTag { qualified, id: rule.id_symbol() },
                 rule: rule.clone(),
                 cache_safe: rule.condition().is_cache_safe(),
             });
@@ -964,10 +1125,7 @@ impl PolicyEngine {
     }
 
     fn render(&self, outcome: Outcome) -> Decision {
-        let tag = |idx: u32| {
-            let r = &self.rules[idx as usize];
-            RuleTag { qualified: r.qualified, id: r.id }
-        };
+        let tag = |idx: u32| self.rules[idx as usize].tag;
         match outcome {
             Outcome::Default => Decision {
                 effect: self.default_effect,
@@ -1060,13 +1218,13 @@ impl PolicyEngine {
         }
     }
 
-    /// Snapshot of evaluation statistics, summed over the audit shards.
+    /// Snapshot of evaluation statistics, summed over the audit lanes.
     pub fn stats(&self) -> EngineStats {
         self.audit.stats()
     }
 
     /// Runs a closure over the audit trail: the newest records of every
-    /// thread's shard merged, at most the engine's audit capacity of them
+    /// thread's lane merged, at most the engine's audit capacity of them
     /// ([`DEFAULT_CAPACITY`] for [`PolicyEngine::new`], 64 for
     /// [`PolicyEngine::compact`]), oldest first by `seq`. Counts of every
     /// decision, evicted ones included, are [`PolicyEngine::stats`].
@@ -1823,6 +1981,114 @@ mod tests {
             let newest = 200 - COMPACT_AUDIT_CAPACITY as u64..200;
             assert_eq!(seqs, newest.collect::<Vec<_>>());
         });
+    }
+
+    #[test]
+    fn audit_reads_beside_a_writer_return_no_torn_record() {
+        use std::sync::atomic::AtomicBool;
+        let e = PolicyEngine::compact(demo_engine(CombiningStrategy::DenyOverrides).set);
+        // Request k is requests[k % 28]: records k and k + 64, which share a
+        // ring slot, differ in subject, time and seq, so a record put
+        // together from both matches neither.
+        let requests: Vec<AccessRequest> = (0..28)
+            .map(|k| {
+                let subject = format!("entry:s{}", k % 7);
+                req(&subject, "asset:ecu", Action::ALL[k % 4])
+            })
+            .collect();
+        let check = |records: &[AuditRecord]| -> Result<(), String> {
+            for r in records {
+                if r.seq != r.time_us || r.request != requests[(r.time_us % 28) as usize] {
+                    return Err(format!("torn record {r}"));
+                }
+            }
+            match records.windows(2).find(|w| w[0].seq >= w[1].seq) {
+                Some(w) => Err(format!("seq {} then {}", w[0].seq, w[1].seq)),
+                None => Ok(()),
+            }
+        };
+        /// Stops the writer when the reader ends, failed or not.
+        struct Stop<'a>(&'a AtomicBool);
+        impl Drop for Stop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Relaxed);
+            }
+        }
+        // The writer laps the ring thousands of times while the reader
+        // reads it thousands of times.
+        let (reads, stop, done) = (AtomicU64::new(0), AtomicBool::new(false), AtomicBool::new(false));
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let ctx = EvalContext::new();
+                let mut k = 0;
+                while !stop.load(Ordering::Relaxed)
+                    && (k < 200_000 || reads.load(Ordering::Relaxed) < 5_000)
+                {
+                    e.decide_at(&requests[(k % 28) as usize], &ctx, k);
+                    k += 1;
+                }
+                done.store(true, Ordering::Release);
+            });
+            let _stop = Stop(&stop);
+            while !done.load(Ordering::Acquire) {
+                e.with_audit(check).unwrap();
+                reads.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        e.with_audit(|records| {
+            assert_eq!(records.len(), COMPACT_AUDIT_CAPACITY);
+            check(records).unwrap();
+        });
+    }
+
+    #[test]
+    fn a_decide_after_the_slot_guard_still_records() {
+        use std::cell::RefCell;
+        use std::sync::{mpsc, Arc};
+        /// Decides once when this thread's thread-locals are destroyed.
+        struct DecideOnExit(Option<(Arc<PolicyEngine>, mpsc::Sender<bool>)>);
+        impl Drop for DecideOnExit {
+            fn drop(&mut self) {
+                if let Some((e, done)) = self.0.take() {
+                    let guard_gone = SLOT.try_with(|_| ()).is_err();
+                    e.decide_at(&req("entry:late", "asset:ecu", Action::Read), &EvalContext::new(), 3);
+                    done.send(guard_gone).unwrap();
+                }
+            }
+        }
+        thread_local! {
+            static ON_EXIT: RefCell<DecideOnExit> = const { RefCell::new(DecideOnExit(None)) };
+        }
+        let e = Arc::new(PolicyEngine::compact(demo_engine(CombiningStrategy::DenyOverrides).set));
+        let ctx = EvalContext::new();
+        e.decide_at(&req("entry:main", "asset:ecu", Action::Read), &ctx, 1);
+        let (done, guard_gone) = mpsc::channel();
+        let worker = Arc::clone(&e);
+        std::thread::spawn(move || {
+            // Registered before the slot guard, so destroyed after it.
+            ON_EXIT.with(|d| d.borrow_mut().0 = Some((Arc::clone(&worker), done)));
+            worker.decide_at(&req("entry:worker", "asset:ecu", Action::Read), &ctx, 2);
+        })
+        .join()
+        .unwrap();
+        assert!(guard_gone.recv().unwrap(), "the decide ran before the guard's destructor");
+        assert_eq!(e.stats().decisions, 3);
+        e.with_audit(|records| {
+            let times: Vec<u64> = records.iter().map(|r| r.time_us).collect();
+            assert_eq!(times, [1, 2, 3]);
+        });
+        // The late record took a free slot, not the one this live thread holds.
+        let mine = e.audit.lane(SLOT.with(|s| s.0));
+        assert_eq!(mine.decisions.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn lane_buckets_double() {
+        assert_eq!(locate_lane(0), (0, 0));
+        assert_eq!(locate_lane(7), (0, 7));
+        assert_eq!(locate_lane(8), (1, 0));
+        assert_eq!(locate_lane(23), (1, 15));
+        assert_eq!(locate_lane(24), (2, 0));
     }
 
     #[test]

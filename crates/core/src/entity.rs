@@ -42,6 +42,11 @@ impl EntityId {
         }
     }
 
+    /// The entity of two interned handles.
+    pub(crate) fn from_symbols(namespace: Symbol, name: Symbol) -> Self {
+        EntityId { namespace, name }
+    }
+
     /// Parses `namespace:name`.
     ///
     /// # Errors
@@ -187,37 +192,39 @@ impl fmt::Display for Pattern {
 
 /// A subject/object matcher: a namespace (exact or any) plus a name pattern.
 ///
-/// The namespace constraint is stored interned, so the namespace test on
-/// the match path is a single integer comparison.
+/// The namespace constraint and an exact pattern's name are stored
+/// interned, so the match path compares integers: an exact matcher never
+/// resolves the entity's name.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EntityMatcher {
     namespace: Option<Symbol>,
     pattern: Pattern,
+    /// The name of a [`Pattern::Exact`], interned when the matcher is built.
+    exact_name: Option<Symbol>,
 }
 
 impl EntityMatcher {
+    fn build(namespace: Option<Symbol>, pattern: Pattern) -> Self {
+        let exact_name = match &pattern {
+            Pattern::Exact(name) => Some(Symbol::intern(name)),
+            _ => None,
+        };
+        EntityMatcher { namespace, pattern, exact_name }
+    }
+
     /// Matcher for a specific namespace and pattern.
     pub fn new(namespace: impl AsRef<str>, pattern: Pattern) -> Self {
-        EntityMatcher {
-            namespace: Some(Symbol::intern(namespace.as_ref())),
-            pattern,
-        }
+        EntityMatcher::build(Some(Symbol::intern(namespace.as_ref())), pattern)
     }
 
     /// Matcher crossing all namespaces.
     pub fn any_namespace(pattern: Pattern) -> Self {
-        EntityMatcher {
-            namespace: None,
-            pattern,
-        }
+        EntityMatcher::build(None, pattern)
     }
 
     /// Matches everything (`*:*`).
     pub fn anything() -> Self {
-        EntityMatcher {
-            namespace: None,
-            pattern: Pattern::Any,
-        }
+        EntityMatcher::build(None, Pattern::Any)
     }
 
     /// Matcher for exactly one entity.
@@ -225,6 +232,7 @@ impl EntityMatcher {
         EntityMatcher {
             namespace: Some(e.namespace_symbol()),
             pattern: Pattern::Exact(e.name().to_string()),
+            exact_name: Some(e.name_symbol()),
         }
     }
 
@@ -266,7 +274,10 @@ impl EntityMatcher {
                 return false;
             }
         }
-        self.pattern.matches(e.name())
+        match self.exact_name {
+            Some(name) => name == e.name_symbol(),
+            None => self.pattern.matches(e.name()),
+        }
     }
 
     /// Whether this matcher can only ever match a single exact entity —
@@ -281,10 +292,7 @@ impl EntityMatcher {
     /// The interned form of [`EntityMatcher::exact_key`], used to build the
     /// engine's rule indexes without owning strings.
     pub fn exact_key_symbols(&self) -> Option<(Symbol, Symbol)> {
-        match (&self.namespace, &self.pattern) {
-            (Some(ns), Pattern::Exact(name)) => Some((*ns, Symbol::intern(name))),
-            _ => None,
-        }
+        Some((self.namespace?, self.exact_name?))
     }
 }
 

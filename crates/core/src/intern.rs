@@ -42,6 +42,12 @@ impl Symbol {
     pub fn as_u32(self) -> u32 {
         self.0
     }
+
+    /// The handle whose raw index is `raw`: the inverse of
+    /// [`Symbol::as_u32`], for words the engine packed itself.
+    pub(crate) fn from_u32(raw: u32) -> Symbol {
+        Symbol(raw)
+    }
 }
 
 impl std::fmt::Display for Symbol {

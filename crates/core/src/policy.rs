@@ -5,7 +5,7 @@ use crate::condition::Condition;
 use crate::entity::EntityMatcher;
 use crate::error::PolicyError;
 use crate::intern::Symbol;
-use crate::request::{AccessRequest, EvalContext};
+use crate::request::AccessRequest;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -127,18 +127,18 @@ impl Rule {
         self.priority
     }
 
-    /// Whether the rule applies to `req` in `ctx`, with rates read from
-    /// `rates` (the engine's live windows).
-    pub fn applies(
-        &self,
-        req: &AccessRequest,
-        ctx: &EvalContext,
-        rates: &dyn crate::condition::RateSource,
-    ) -> bool {
+    /// The interned rule id.
+    pub(crate) fn id_symbol(&self) -> Symbol {
+        self.id
+    }
+
+    /// Whether the rule's actions, subject and object all match `req`:
+    /// what applying asks besides the condition, and what no context can
+    /// change.
+    pub fn matches(&self, req: &AccessRequest) -> bool {
         self.actions.contains(req.action())
             && self.subject.matches(req.subject())
             && self.object.matches(req.object())
-            && self.condition.eval(ctx, rates)
     }
 
     /// Whether the rule covers `action` at all (context-independent).
@@ -349,6 +349,7 @@ mod tests {
     use super::*;
     use crate::condition::RateSource;
     use crate::entity::{EntityId, Pattern};
+    use crate::request::EvalContext;
 
     /// No key has seen an event.
     struct Quiet;
@@ -395,26 +396,31 @@ mod tests {
             EntityMatcher::new("asset", Pattern::Exact("ecu".into())),
         )
         .when(Condition::InMode("normal".into()));
-        assert!(r.applies(&req(Action::Read), &ctx, &Quiet));
+        let applies = |req: &AccessRequest, ctx: &EvalContext| {
+            r.matches(req) && r.condition().eval(ctx, &Quiet)
+        };
+        assert!(applies(&req(Action::Read), &ctx));
         // wrong action
-        assert!(!r.applies(&req(Action::Write), &ctx, &Quiet));
+        assert!(!r.matches(&req(Action::Write)));
+        assert!(!applies(&req(Action::Write), &ctx));
         // wrong mode
         let fail_safe = EvalContext::new().with_mode("fail-safe");
-        assert!(!r.applies(&req(Action::Read), &fail_safe, &Quiet));
+        assert!(r.matches(&req(Action::Read)));
+        assert!(!applies(&req(Action::Read), &fail_safe));
         // wrong object
         let other = AccessRequest::new(
             EntityId::new("entry", "sensors"),
             EntityId::new("asset", "eps"),
             Action::Read,
         );
-        assert!(!r.applies(&other, &ctx, &Quiet));
+        assert!(!applies(&other, &ctx));
         // wrong subject namespace
         let alien = AccessRequest::new(
             EntityId::new("proc", "sensors"),
             EntityId::new("asset", "ecu"),
             Action::Read,
         );
-        assert!(!r.applies(&alien, &ctx, &Quiet));
+        assert!(!applies(&alien, &ctx));
     }
 
     #[test]
