@@ -13,6 +13,7 @@ use polsec_core::{compile_security_model, Policy};
 use polsec_model::{
     Asset, Criticality, EntryPoint, InterfaceKind, SecurityModel, ThreatModelPipeline, UseCase,
 };
+use std::sync::OnceLock;
 
 /// Builds the connected-car use case of the paper's §V.
 ///
@@ -147,12 +148,16 @@ policy "car-baseline" version 1 {
 }
 "#;
 
-/// Parses the shipped car policy.
+/// The shipped car policy, parsed on the first call in the process; every
+/// call returns a clone that shares the parsed rules.
 ///
 /// # Panics
 /// Never: the embedded DSL is parsed in tests.
 pub fn car_policy() -> Policy {
-    parse_policy(CAR_POLICY_DSL).expect("embedded car policy parses")
+    static POLICY: OnceLock<Policy> = OnceLock::new();
+    POLICY
+        .get_or_init(|| parse_policy(CAR_POLICY_DSL).expect("embedded car policy parses"))
+        .clone()
 }
 
 #[cfg(test)]

@@ -402,26 +402,38 @@ impl V2xConfig {
 /// weakened in-vehicle ladder is the same honest ID-filtering limitation
 /// as Table I row 2 (value spoofing from a legitimate sender), not a
 /// V2X-plane leak.
+///
+/// Both policies are parsed once per process; the set shares their rules.
 pub fn v2x_shared_policy_set() -> PolicySet {
-    let boundary = parse_policy(
-        r#"policy "v2x-boundary" version 1 {
-            allow read on asset:v2x-platoon from entry:telematics as v2x-relay-read;
-        }"#,
-    )
-    .expect("embedded v2x boundary policy parses");
-    [car_policy(), boundary].into_iter().collect()
+    static BOUNDARY: OnceLock<Policy> = OnceLock::new();
+    let boundary = BOUNDARY.get_or_init(|| {
+        parse_policy(
+            r#"policy "v2x-boundary" version 1 {
+                allow read on asset:v2x-platoon from entry:telematics as v2x-relay-read;
+            }"#,
+        )
+        .expect("embedded v2x boundary policy parses")
+    });
+    [car_policy(), boundary.clone()].into_iter().collect()
 }
 
 /// The policy the OTA rollout ships: platoon following becomes permitted
-/// for the authenticated lead origin, in normal mode only.
+/// for the authenticated lead origin, in normal mode only. Parsed on the
+/// first call in the process; every call returns a clone that shares the
+/// parsed rules.
 pub fn v2x_platoon_policy() -> Policy {
-    parse_policy(
-        r#"policy "v2x-platoon" version 1 {
-            allow write on asset:v2x-platoon from entry:v2x-lead when mode == "normal"
-                as platoon-follow;
-        }"#,
-    )
-    .expect("embedded v2x platoon policy parses")
+    static POLICY: OnceLock<Policy> = OnceLock::new();
+    POLICY
+        .get_or_init(|| {
+            parse_policy(
+                r#"policy "v2x-platoon" version 1 {
+                    allow write on asset:v2x-platoon from entry:v2x-lead when mode == "normal"
+                        as platoon-follow;
+                }"#,
+            )
+            .expect("embedded v2x platoon policy parses")
+        })
+        .clone()
 }
 
 /// Builds the rollout bundle (version 1 against the factory store's

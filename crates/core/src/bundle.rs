@@ -7,11 +7,28 @@
 //! canonical text payload (a small header plus the policies in canonical
 //! DSL form, which round-trips by construction) plus an HMAC-SHA-256 tag
 //! under the OEM key.
+//!
+//! A received bundle is checked in a fixed order, and each step runs only
+//! if every earlier one passed:
+//!
+//! 1. **tag** — the signature must be exactly 64 hex digits, decoded on
+//!    the stack, and equal the payload's HMAC ([`PolicyError::BadSignature`]);
+//! 2. **header** — magic, version and rationale lines
+//!    ([`PolicyError::MalformedBundle`]);
+//! 3. **version** — only [`DevicePolicyStore::apply`] asks this: a version
+//!    that does not advance the store's is rejected here
+//!    ([`PolicyError::StaleVersion`]), before any policy is parsed;
+//! 4. **body** — the policies ([`PolicyError::MalformedBundle`]).
+//!
+//! [`SignedBundle::verify`] runs steps 1, 2 and 4 and returns the whole
+//! bundle.
+//!
+//! [`DevicePolicyStore::apply`]: crate::update::DevicePolicyStore::apply
 
 use crate::dsl::{parse_policies, print_policy};
 use crate::error::PolicyError;
 use crate::policy::Policy;
-use crate::sign::{digests_equal, from_hex, hmac_sha256, to_hex};
+use crate::sign::{digests_equal, from_hex, hmac_sha256, to_hex, DIGEST_LEN};
 use std::fmt;
 
 /// Magic first line of the canonical payload.
@@ -95,36 +112,7 @@ impl PolicyBundle {
     /// [`PolicyError::MalformedBundle`] when the header or any policy does
     /// not parse.
     pub fn from_payload(payload: &[u8]) -> Result<Self, PolicyError> {
-        let text = std::str::from_utf8(payload).map_err(|_| PolicyError::MalformedBundle {
-            detail: "payload is not utf-8".into(),
-        })?;
-        let malformed = |detail: &str| PolicyError::MalformedBundle { detail: detail.into() };
-        // Three header lines, ended by '\n' as `payload` writes them; the
-        // policies are the rest, parsed in place so a '\r' inside a quoted
-        // name survives byte for byte.
-        let mut lines = text.splitn(4, '\n');
-        if lines.next() != Some(BUNDLE_MAGIC) {
-            return Err(malformed("missing bundle magic"));
-        }
-        let version = lines
-            .next()
-            .and_then(|l| l.strip_prefix("version "))
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .ok_or_else(|| malformed("missing or invalid version line"))?;
-        let rationale = lines
-            .next()
-            .and_then(|l| l.strip_prefix("rationale "))
-            .map(unescape_line)
-            .ok_or_else(|| malformed("missing rationale line"))?;
-        let rest = lines.next().unwrap_or("");
-        let policies = if rest.trim().is_empty() {
-            Vec::new()
-        } else {
-            parse_policies(rest).map_err(|e| PolicyError::MalformedBundle {
-                detail: e.to_string(),
-            })?
-        };
-        Ok(PolicyBundle { version, rationale, policies })
+        Header::parse(payload)?.into_bundle()
     }
 
     /// Signs the bundle under `key`, producing the wire artefact.
@@ -156,6 +144,80 @@ impl fmt::Display for PolicyBundle {
     }
 }
 
+/// A payload's three header lines, read without touching the policies
+/// after them: what a device needs to decide whether the body is worth
+/// parsing.
+pub(crate) struct Header<'a> {
+    /// The bundle version.
+    pub(crate) version: u64,
+    /// The rationale as the payload writes it: escaped.
+    rationale: &'a str,
+    /// The policies, unparsed.
+    body: &'a [u8],
+}
+
+fn malformed(detail: &str) -> PolicyError {
+    PolicyError::MalformedBundle { detail: detail.into() }
+}
+
+fn utf8(bytes: &[u8]) -> Result<&str, PolicyError> {
+    std::str::from_utf8(bytes).map_err(|_| malformed("payload is not utf-8"))
+}
+
+impl<'a> Header<'a> {
+    /// Reads the header lines, ended by '\n' as [`PolicyBundle::payload`]
+    /// writes them; the body is the rest.
+    ///
+    /// # Errors
+    /// [`PolicyError::MalformedBundle`] when a header line is missing, not
+    /// utf-8 or not of its form.
+    pub(crate) fn parse(payload: &'a [u8]) -> Result<Self, PolicyError> {
+        let mut lines = payload.splitn(4, |&b| b == b'\n');
+        let mut line = || lines.next().map(utf8).transpose();
+        if line()? != Some(BUNDLE_MAGIC) {
+            return Err(malformed("missing bundle magic"));
+        }
+        let version = line()?
+            .and_then(|l| l.strip_prefix("version "))
+            .and_then(|v| v.trim().parse::<u64>().ok())
+            .ok_or_else(|| malformed("missing or invalid version line"))?;
+        let rationale = line()?
+            .and_then(|l| l.strip_prefix("rationale "))
+            .ok_or_else(|| malformed("missing rationale line"))?;
+        let body = lines.next().unwrap_or_default();
+        Ok(Header { version, rationale, body })
+    }
+
+    /// The rationale, unescaped.
+    pub(crate) fn rationale(&self) -> String {
+        unescape_line(self.rationale)
+    }
+
+    /// Parses the body: the policies in place, so a '\r' inside a quoted
+    /// name survives byte for byte.
+    ///
+    /// # Errors
+    /// [`PolicyError::MalformedBundle`] when the body is not utf-8 or a
+    /// policy does not parse.
+    pub(crate) fn policies(&self) -> Result<Vec<Policy>, PolicyError> {
+        let body = utf8(self.body)?;
+        if body.trim().is_empty() {
+            return Ok(Vec::new());
+        }
+        parse_policies(body).map_err(|e| PolicyError::MalformedBundle {
+            detail: e.to_string(),
+        })
+    }
+
+    fn into_bundle(self) -> Result<PolicyBundle, PolicyError> {
+        Ok(PolicyBundle {
+            version: self.version,
+            policies: self.policies()?,
+            rationale: self.rationale(),
+        })
+    }
+}
+
 /// A signed bundle as distributed to devices.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignedBundle {
@@ -174,18 +236,30 @@ impl SignedBundle {
         &self.signature_hex
     }
 
-    /// Verifies the signature under `key` and deserialises the bundle.
+    /// Verifies the signature under `key` and deserialises the bundle:
+    /// tag, then header, then body (see the [module docs](self)).
     ///
     /// # Errors
-    /// * [`PolicyError::BadSignature`] — tag mismatch or undecodable tag;
+    /// * [`PolicyError::BadSignature`] — tag mismatch or a tag that is not
+    ///   64 hex digits;
     /// * [`PolicyError::MalformedBundle`] — payload not a valid bundle.
     pub fn verify(&self, key: &[u8]) -> Result<PolicyBundle, PolicyError> {
-        let expected = hmac_sha256(key, &self.payload);
-        let given = from_hex(&self.signature_hex).ok_or(PolicyError::BadSignature)?;
-        if !digests_equal(&expected, &given) {
+        self.authentic_header(key)?.into_bundle()
+    }
+
+    /// Checks the tag under `key`, then reads the header; the body stays
+    /// unparsed.
+    ///
+    /// # Errors
+    /// [`PolicyError::BadSignature`] or, for a header that does not parse,
+    /// [`PolicyError::MalformedBundle`].
+    pub(crate) fn authentic_header(&self, key: &[u8]) -> Result<Header<'_>, PolicyError> {
+        let given =
+            from_hex::<DIGEST_LEN>(&self.signature_hex).ok_or(PolicyError::BadSignature)?;
+        if !digests_equal(&hmac_sha256(key, &self.payload), &given) {
             return Err(PolicyError::BadSignature);
         }
-        PolicyBundle::from_payload(&self.payload)
+        Header::parse(&self.payload)
     }
 
     /// Builds a signed bundle from raw parts (e.g. received bytes) without

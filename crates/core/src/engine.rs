@@ -1004,9 +1004,11 @@ impl PolicyEngine {
 
     fn rebuild(&mut self) {
         self.rules.clear();
+        self.rules.reserve(self.set.rule_count());
         self.subject_index.clear();
         self.object_index.clear();
         self.unindexed.clear();
+        let mut qualified = String::new();
         for (owner, rule) in self.set.rules() {
             let idx = self.rules.len() as u32;
             if let Some((ns, name)) = rule.subject().exact_key_symbols() {
@@ -1016,9 +1018,12 @@ impl PolicyEngine {
             } else {
                 self.unindexed.push(idx);
             }
-            let qualified = Symbol::intern(&format!("{owner}.{}", rule.id()));
+            qualified.clear();
+            qualified.push_str(owner);
+            qualified.push('.');
+            qualified.push_str(rule.id());
             self.rules.push(CompiledRule {
-                tag: RuleTag { qualified, id: rule.id_symbol() },
+                tag: RuleTag { qualified: Symbol::intern(&qualified), id: rule.id_symbol() },
                 rule: rule.clone(),
                 cache_safe: rule.condition().is_cache_safe(),
             });

@@ -8,6 +8,7 @@ use crate::intern::Symbol;
 use crate::request::AccessRequest;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// The outcome a rule (or the engine) prescribes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -165,12 +166,16 @@ impl fmt::Display for Rule {
 }
 
 /// A named, versioned collection of rules with a default effect.
+///
+/// The rules sit behind an [`Arc`]: a policy is built once and then
+/// shared, so a clone — into a [`PolicySet`], an engine or a rollback
+/// slot — copies its name and no rule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Policy {
     name: String,
     version: u64,
     default_effect: Effect,
-    rules: Vec<Rule>,
+    rules: Arc<Vec<Rule>>,
 }
 
 impl Policy {
@@ -180,7 +185,7 @@ impl Policy {
             name: name.into(),
             version,
             default_effect: Effect::Deny,
-            rules: Vec::new(),
+            rules: Arc::default(),
         }
     }
 
@@ -190,15 +195,16 @@ impl Policy {
         self
     }
 
-    /// Appends a rule (builder style).
+    /// Appends a rule (builder style). The rules are copied first only if
+    /// a clone of this policy shares them.
     ///
     /// # Errors
     /// [`PolicyError::DuplicateRule`] when a rule with the same id exists.
     pub fn add_rule(mut self, rule: Rule) -> Result<Self, PolicyError> {
-        if self.rules.iter().any(|r| r.id() == rule.id()) {
+        if self.rules.iter().any(|r| r.id == rule.id) {
             return Err(PolicyError::DuplicateRule { id: rule.id().to_string() });
         }
-        self.rules.push(rule);
+        Arc::make_mut(&mut self.rules).push(rule);
         Ok(self)
     }
 
@@ -243,7 +249,7 @@ impl fmt::Display for Policy {
             self.default_effect,
             self.rules.len()
         )?;
-        for r in &self.rules {
+        for r in self.rules.iter() {
             writeln!(f, "  {r}")?;
         }
         Ok(())

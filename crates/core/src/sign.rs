@@ -284,21 +284,24 @@ pub fn to_hex(bytes: &[u8]) -> String {
     s
 }
 
-/// Decodes lowercase/uppercase hex into bytes. Returns `None` on odd length
-/// or any character outside `[0-9a-fA-F]` (signs and non-ASCII included:
-/// signature strings arrive from outside the device).
-pub fn from_hex(s: &str) -> Option<Vec<u8>> {
+/// Decodes exactly `2 * N` lowercase/uppercase hex digits into `N` bytes
+/// on the stack. Returns `None` for any other length, which is checked
+/// before a digit is read, and for any character outside `[0-9a-fA-F]`
+/// (signs and non-ASCII included). Signature strings arrive from outside
+/// the device, so whatever their size, decoding one allocates nothing.
+pub fn from_hex<const N: usize>(s: &str) -> Option<[u8; N]> {
     fn nibble(c: u8) -> Option<u8> {
         (c as char).to_digit(16).map(|d| d as u8)
     }
     let bytes = s.as_bytes();
-    if !bytes.len().is_multiple_of(2) {
+    if bytes.len() != 2 * N {
         return None;
     }
-    bytes
-        .chunks_exact(2)
-        .map(|pair| Some((nibble(pair[0])? << 4) | nibble(pair[1])?))
-        .collect()
+    let mut out = [0u8; N];
+    for (byte, pair) in out.iter_mut().zip(bytes.chunks_exact(2)) {
+        *byte = (nibble(pair[0])? << 4) | nibble(pair[1])?;
+    }
+    Some(out)
 }
 
 /// Constant-shape comparison of two digests (length then bytes; the timing
@@ -552,19 +555,21 @@ than block-size data. The key needs to be hashed before being used by the HMAC a
     fn hex_round_trip() {
         let data = [0u8, 1, 0xAB, 0xFF, 0x7f];
         let hex = to_hex(&data);
-        assert_eq!(from_hex(&hex).unwrap(), data.to_vec());
-        assert_eq!(from_hex("abc"), None, "odd length");
-        assert_eq!(from_hex("zz"), None, "non-hex");
-        assert_eq!(from_hex("").unwrap(), Vec::<u8>::new());
-        assert_eq!(from_hex("AbCd").unwrap(), vec![0xAB, 0xCD], "either case");
+        assert_eq!(from_hex::<5>(&hex), Some(data));
+        assert_eq!(from_hex::<2>("abc"), None, "odd length");
+        assert_eq!(from_hex::<1>("zz"), None, "non-hex");
+        assert_eq!(from_hex::<0>(""), Some([]));
+        assert_eq!(from_hex::<2>("AbCd"), Some([0xAB, 0xCD]), "either case");
+        assert_eq!(from_hex::<2>("ab"), None, "too short");
+        assert_eq!(from_hex::<2>("abcdef"), None, "too long");
     }
 
     #[test]
     fn from_hex_rejects_signs_and_non_ascii() {
-        assert_eq!(from_hex("+f"), None, "a sign is not a hex digit");
-        assert_eq!(from_hex("-f"), None);
+        assert_eq!(from_hex::<1>("+f"), None, "a sign is not a hex digit");
+        assert_eq!(from_hex::<1>("-f"), None);
         // four bytes, even length, but 'é' straddles the pair boundary
-        assert_eq!(from_hex("a\u{e9}a"), None);
+        assert_eq!(from_hex::<2>("a\u{e9}a"), None);
     }
 
     #[test]

@@ -5,6 +5,12 @@
 //! [`SignedBundle`]s (verifying authenticity and version monotonicity),
 //! keeps the previous set for one-step rollback, and records a bounded
 //! update history for audit.
+//!
+//! [`DevicePolicyStore::apply`] checks an offered bundle in the order
+//! tag → header → version → body, and stops at the first failure: a
+//! forged bundle is rejected before its header is read, and a stale or
+//! replayed one — an authentic bundle whose version does not advance the
+//! store's — before any of its policies is parsed.
 
 use crate::bundle::SignedBundle;
 use crate::error::PolicyError;
@@ -117,38 +123,46 @@ impl DevicePolicyStore {
         });
     }
 
+    /// Records a rejection at the current version and hands `e` back.
+    fn reject(&mut self, e: PolicyError, rationale: String) -> PolicyError {
+        let outcome = match e {
+            PolicyError::BadSignature => UpdateOutcome::RejectedSignature,
+            PolicyError::StaleVersion { .. } => UpdateOutcome::RejectedStale,
+            _ => UpdateOutcome::RejectedMalformed,
+        };
+        self.record(self.version, outcome, rationale);
+        e
+    }
+
     /// Applies a signed bundle: verifies the signature, requires the version
-    /// to strictly advance, retains the outgoing set for rollback.
+    /// to strictly advance, retains the outgoing set for rollback. The
+    /// order is tag → header → version → body, so a stale bundle is
+    /// rejected from its header, and its policies are never parsed.
     ///
     /// # Errors
     /// [`PolicyError::BadSignature`], [`PolicyError::StaleVersion`] or
     /// [`PolicyError::MalformedBundle`]; every rejection is also recorded in
-    /// the history.
+    /// the history, a stale one with the bundle's rationale.
     pub fn apply(&mut self, signed: &SignedBundle) -> Result<(), PolicyError> {
-        let bundle = match signed.verify(&self.key) {
-            Ok(b) => b,
-            Err(e) => {
-                let outcome = match &e {
-                    PolicyError::BadSignature => UpdateOutcome::RejectedSignature,
-                    PolicyError::MalformedBundle { .. } => UpdateOutcome::RejectedMalformed,
-                    _ => UpdateOutcome::RejectedMalformed,
-                };
-                self.record(self.version, outcome, String::new());
-                return Err(e);
-            }
+        let header = match signed.authentic_header(&self.key) {
+            Ok(header) => header,
+            Err(e) => return Err(self.reject(e, String::new())),
         };
-        if bundle.version <= self.version {
-            self.record(self.version, UpdateOutcome::RejectedStale, bundle.rationale);
-            return Err(PolicyError::StaleVersion {
+        if header.version <= self.version {
+            let stale = PolicyError::StaleVersion {
                 current: self.version,
-                offered: bundle.version,
-            });
+                offered: header.version,
+            };
+            return Err(self.reject(stale, header.rationale()));
         }
-        let incoming: PolicySet = bundle.policies.into_iter().collect();
+        let incoming: PolicySet = match header.policies() {
+            Ok(policies) => policies.into_iter().collect(),
+            Err(e) => return Err(self.reject(e, String::new())),
+        };
         let outgoing = std::mem::replace(&mut self.active, incoming);
         self.previous = Some((outgoing, self.version));
-        self.version = bundle.version;
-        self.record(bundle.version, UpdateOutcome::Applied, bundle.rationale);
+        self.version = header.version;
+        self.record(header.version, UpdateOutcome::Applied, header.rationale());
         Ok(())
     }
 
@@ -173,8 +187,11 @@ impl DevicePolicyStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::action::{Action, ActionSet};
     use crate::bundle::PolicyBundle;
-    use crate::policy::Policy;
+    use crate::entity::EntityMatcher;
+    use crate::policy::{Effect, Policy, Rule};
+    use crate::sign::{hmac_sha256, to_hex};
 
     const KEY: &[u8] = b"device-key";
 
@@ -226,6 +243,8 @@ mod tests {
         let mut s = store();
         let signed = bundle(1, "a").sign(KEY);
         assert_eq!(s.apply(&signed.tampered()).unwrap_err(), PolicyError::BadSignature);
+        let last = s.history().last().unwrap();
+        assert_eq!((last.outcome, last.version), (UpdateOutcome::RejectedSignature, 0));
     }
 
     #[test]
@@ -277,6 +296,77 @@ mod tests {
             UpdateOutcome::RejectedSignature
         );
         assert_eq!(s.version(), 1);
+    }
+
+    /// `payload` under a valid tag: authentic, whatever it says.
+    fn signed_raw(payload: &str) -> SignedBundle {
+        let tag = to_hex(&hmac_sha256(KEY, payload.as_bytes()));
+        SignedBundle::from_parts(payload.as_bytes().to_vec(), tag)
+    }
+
+    #[test]
+    fn a_valid_tag_on_a_malformed_header_is_malformed() {
+        let mut s = store();
+        for payload in ["not a bundle", "polsec-bundle/1\nversion x\nrationale r\n"] {
+            assert!(matches!(
+                s.apply(&signed_raw(payload)).unwrap_err(),
+                PolicyError::MalformedBundle { .. }
+            ));
+            assert_eq!(s.history().last().unwrap().outcome, UpdateOutcome::RejectedMalformed);
+        }
+        assert_eq!(s.version(), 0);
+    }
+
+    #[test]
+    fn a_stale_version_is_rejected_before_its_body_is_parsed() {
+        let mut s = store();
+        s.apply(&bundle(3, "a").sign(KEY)).unwrap();
+        let replay =
+            signed_raw("polsec-bundle/1\nversion 2\nrationale replayed\\nadvisory\npolicy {{{");
+        assert_eq!(
+            s.apply(&replay).unwrap_err(),
+            PolicyError::StaleVersion { current: 3, offered: 2 }
+        );
+        let last = s.history().last().unwrap();
+        assert_eq!(last.outcome, UpdateOutcome::RejectedStale);
+        assert_eq!(last.version, 3);
+        assert_eq!(last.rationale, "replayed\nadvisory", "recorded unescaped");
+    }
+
+    #[test]
+    fn a_fresh_version_with_a_broken_body_changes_nothing() {
+        let mut s = store();
+        s.apply(&bundle(1, "a").sign(KEY)).unwrap();
+        let before = s.active().clone();
+        let broken = signed_raw("polsec-bundle/1\nversion 2\nrationale r\npolicy {{{");
+        assert!(matches!(
+            s.apply(&broken).unwrap_err(),
+            PolicyError::MalformedBundle { .. }
+        ));
+        assert_eq!(s.history().last().unwrap().outcome, UpdateOutcome::RejectedMalformed);
+        assert_eq!(s.version(), 1);
+        assert_eq!(s.active(), &before);
+    }
+
+    #[test]
+    fn rollback_after_an_apply_restores_the_factory_set() {
+        let factory = PolicySet::from_policy(
+            Policy::new("factory", 0)
+                .add_rule(Rule::new(
+                    "r",
+                    Effect::Allow,
+                    ActionSet::only(Action::Read),
+                    EntityMatcher::anything(),
+                    EntityMatcher::anything(),
+                ))
+                .unwrap(),
+        );
+        let mut s = DevicePolicyStore::new(factory.clone(), KEY.to_vec());
+        s.apply(&bundle(1, "a").sign(KEY)).unwrap();
+        assert_ne!(s.active(), &factory);
+        s.rollback().unwrap();
+        assert_eq!(s.active(), &factory);
+        assert_eq!(s.version(), 0);
     }
 
     #[test]
