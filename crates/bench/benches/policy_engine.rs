@@ -1,16 +1,20 @@
 //! E4: policy-engine evaluation throughput.
 //!
-//! Sweeps rule count, compares combining strategies, and ablates both the
-//! exact-side indexes and the generation-tagged decision cache (DESIGN.md §5.1;
-//! the fast-path mechanics — interning, single-writer counters,
-//! `GenCache` — are described in DESIGN.md §6).
+//! Sweeps rule count, compares combining strategies, ablates both the
+//! exact-side indexes and the generation-tagged decision cache, and times
+//! a reload that carries the cache over (DESIGN.md §5.1; the fast-path
+//! mechanics — interning, single-writer counters, `GenCache` — are
+//! described in DESIGN.md §6).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use polsec_car::v2x::v2x_platoon_policy;
+use polsec_car::{car_policy, CarMode};
 use polsec_core::{
     AccessRequest, Action, ActionSet, CombiningStrategy, EntityId, EntityMatcher, EvalContext,
     Pattern, Policy, PolicyEngine, PolicySet, Rule,
 };
 use polsec_core::Effect;
+use std::collections::BTreeSet;
 use std::hint::black_box;
 
 fn policy_with_rules(n: usize) -> Policy {
@@ -150,11 +154,55 @@ fn bench_strategies(c: &mut Criterion) {
     group.finish();
 }
 
+/// An OTA update's reload in the shape of stackbench's `policy_update`:
+/// the car baseline swapped for itself plus the one-rule platoon policy,
+/// or back, then every request the two sets name decided again in each
+/// car mode. The reload walks the decision cache and carries over every
+/// decision the platoon rule cannot change (DESIGN.md §6.3).
+fn bench_reload_retention(c: &mut Criterion) {
+    let car: PolicySet = [car_policy()].into_iter().collect();
+    let platoon: PolicySet = [car_policy(), v2x_platoon_policy()].into_iter().collect();
+    let named = |side: fn(&Rule) -> &EntityMatcher| -> BTreeSet<String> {
+        platoon.rules().filter_map(|(_, rule)| side(rule).exact_key().map(|(_, n)| n)).collect()
+    };
+    let assets = named(Rule::object);
+    let requests: Vec<AccessRequest> = named(Rule::subject)
+        .iter()
+        .flat_map(|entry| assets.iter().map(move |asset| (entry, asset)))
+        .flat_map(|(entry, asset)| {
+            let (subject, object) = (EntityId::new("entry", entry), EntityId::new("asset", asset));
+            Action::ALL.map(|action| AccessRequest::new(subject, object, action))
+        })
+        .collect();
+    let contexts = CarMode::ALL.map(|mode| {
+        EvalContext::new()
+            .with_mode(mode.name())
+            .with_state("vehicle.moving", "false")
+            .with_state("crash", "false")
+            .with_state("stolen", "false")
+    });
+    let sets = [car, platoon];
+    let mut engine = PolicyEngine::new(sets[0].clone());
+    let mut next = 1;
+    c.bench_function("policy_engine/reload_retention", |b| {
+        b.iter(|| {
+            engine.reload(sets[next].clone());
+            next ^= 1;
+            for req in &requests {
+                for ctx in &contexts {
+                    black_box(engine.decide(req, ctx));
+                }
+            }
+        });
+    });
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default()
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(2))
         .sample_size(30);
-    targets = bench_rule_count_sweep, bench_cache_ablation, bench_index_ablation, bench_strategies);
+    targets = bench_rule_count_sweep, bench_cache_ablation, bench_index_ablation, bench_strategies,
+        bench_reload_retention);
 criterion_main!(benches);

@@ -81,11 +81,13 @@ impl Gate {
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let vehicles: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(12);
-    let epochs: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(40).max(18);
-    let frames_per_epoch: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(200);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(42);
+    let mut args = polsec_bench::Args::from_env(
+        "chaos [vehicles] [epochs] [frames_per_epoch] [seed]",
+    );
+    let vehicles: usize = args.next_or("vehicles", 12);
+    let epochs: u64 = args.next_or("epochs", 40).max(18);
+    let frames_per_epoch: u64 = args.next_or("frames_per_epoch", 200);
+    let seed: u64 = args.next_or("seed", 42);
     let mut gate = Gate { failed: false };
 
     // ---- scenario 1: faulted rollout, replay + thread invariance --------

@@ -75,13 +75,15 @@ fn median3(mut xs: [f64; 3]) -> f64 {
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let vehicles: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(100);
-    let frames_total: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(1_000_000);
-    let threads: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(0);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(42);
-    let min_fps: f64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(0.0);
-    let max_allocs_per_frame: f64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(0.0);
+    let mut args = polsec_bench::Args::from_env(
+        "fleet [vehicles] [frames_total] [threads] [seed] [min_fps] [max_allocs_per_frame]",
+    );
+    let vehicles: usize = args.next_or("vehicles", 100);
+    let frames_total: u64 = args.next_or("frames_total", 1_000_000);
+    let threads: usize = args.next_or("threads", 0);
+    let seed: u64 = args.next_or("seed", 42);
+    let min_fps: f64 = args.next_or("min_fps", 0.0);
+    let max_allocs_per_frame: f64 = args.next_or("max_allocs_per_frame", 0.0);
 
     let frames_per_vehicle = (frames_total / vehicles.max(1) as u64).max(1);
     let mut cfg = FleetConfig::new(vehicles, frames_per_vehicle);

@@ -95,13 +95,15 @@ fn synthetic_routing_allocs(shards: usize, threads: usize, epochs: u64) -> u64 {
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let vehicles: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(100);
-    let epochs: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(10);
-    let frames_per_epoch: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(1_000);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(42);
-    let min_fps: f64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(0.0);
-    let min_ratio: f64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(0.0);
+    let mut args = polsec_bench::Args::from_env(
+        "scaling [vehicles] [epochs] [frames_per_epoch] [seed] [min_fps] [min_ratio]",
+    );
+    let vehicles: usize = args.next_or("vehicles", 100);
+    let epochs: u64 = args.next_or("epochs", 10);
+    let frames_per_epoch: u64 = args.next_or("frames_per_epoch", 1_000);
+    let seed: u64 = args.next_or("seed", 42);
+    let min_fps: f64 = args.next_or("min_fps", 0.0);
+    let min_ratio: f64 = args.next_or("min_ratio", 0.0);
 
     let host_parallelism = resolve_threads(0);
     polsec_bench::banner(&format!(

@@ -71,10 +71,12 @@ fn policy_with_rules(n: usize) -> Policy {
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let threads: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(4);
-    let rules: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(1_000);
-    let seconds: f64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(1.0);
+    let mut args = polsec_bench::Args::from_env(
+        "throughput [threads] [rules] [seconds]",
+    );
+    let threads: usize = args.next_or("threads", 4);
+    let rules: usize = args.next_or("rules", 1_000);
+    let seconds: f64 = args.next_or("seconds", 1.0);
 
     let engine = Arc::new(PolicyEngine::new(PolicySet::from_policy(policy_with_rules(rules))));
     let ctx = EvalContext::new().with_mode("normal");

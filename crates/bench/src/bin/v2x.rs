@@ -45,12 +45,14 @@ fn median3(mut xs: [f64; 3]) -> f64 {
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let vehicles: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(100);
-    let epochs: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(10);
-    let frames_per_epoch: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(1_000);
-    let threads: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(0);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(42);
+    let mut args = polsec_bench::Args::from_env(
+        "v2x [vehicles] [epochs] [frames_per_epoch] [threads] [seed]",
+    );
+    let vehicles: usize = args.next_or("vehicles", 100);
+    let epochs: u64 = args.next_or("epochs", 10);
+    let frames_per_epoch: u64 = args.next_or("frames_per_epoch", 1_000);
+    let threads: usize = args.next_or("threads", 0);
+    let seed: u64 = args.next_or("seed", 42);
     let resolved_threads = resolve_threads(threads);
 
     let mut cfg = V2xConfig::new(vehicles, epochs, frames_per_epoch);

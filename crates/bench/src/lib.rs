@@ -22,6 +22,7 @@
 #![warn(missing_docs)]
 
 use polsec_sim::json_quote;
+use std::str::FromStr;
 
 /// Prints a section header used by all harness binaries.
 pub fn banner(title: &str) {
@@ -74,6 +75,43 @@ pub fn host_stamp() -> String {
     format!("{{{}}}", body.join(","))
 }
 
+/// A harness binary's positional arguments, read in order. A missing
+/// argument keeps its default; one that does not parse ends the process
+/// with exit code 2 and the binary's usage line, so a mistyped gate such
+/// as `fleet … 1,185,000` fails the run instead of turning the gate off.
+pub struct Args<I = std::iter::Skip<std::env::Args>> {
+    args: I,
+    usage: &'static str,
+}
+
+impl Args {
+    /// The process's arguments after the program name; `usage` is the
+    /// line printed when one does not parse.
+    pub fn from_env(usage: &'static str) -> Self {
+        Args { args: std::env::args().skip(1), usage }
+    }
+}
+
+impl<I: Iterator<Item = String>> Args<I> {
+    /// The next argument as a `T`, or `default` when there is none. Exits
+    /// with code 2 and the usage line when it does not parse.
+    pub fn next_or<T: FromStr>(&mut self, name: &str, default: T) -> T {
+        self.parse_next(name, default).unwrap_or_else(|message| {
+            eprintln!("{message}");
+            std::process::exit(2)
+        })
+    }
+
+    fn parse_next<T: FromStr>(&mut self, name: &str, default: T) -> Result<T, String> {
+        match self.args.next() {
+            None => Ok(default),
+            Some(arg) => arg
+                .parse()
+                .map_err(|_| format!("{name}: cannot parse {arg:?}\nusage: {}", self.usage)),
+        }
+    }
+}
+
 /// Runs `program args…` and returns the first line it prints, or `None`
 /// if it cannot run or fails.
 fn first_line(program: &str, args: &[&str]) -> Option<String> {
@@ -96,6 +134,21 @@ mod tests {
     fn pct_formats() {
         assert_eq!(pct(0.5), "50.0%");
         assert_eq!(pct(0.0), "0.0%");
+    }
+
+    #[test]
+    fn args_keep_their_defaults_and_refuse_what_does_not_parse() {
+        let mut args = Args { args: ["8", "1.5"].map(String::from).into_iter(), usage: "demo" };
+        assert_eq!(args.parse_next("threads", 4usize), Ok(8));
+        assert_eq!(args.parse_next("seconds", 1.0f64), Ok(1.5));
+        assert_eq!(args.parse_next("seed", 42u64), Ok(42), "a missing argument keeps its default");
+        let usage = "fleet [vehicles] [min_fps]";
+        let mut args = Args { args: ["16", "1,185,000"].map(String::from).into_iter(), usage };
+        assert_eq!(args.parse_next("vehicles", 100usize), Ok(16));
+        assert_eq!(
+            args.parse_next("min_fps", 0.0f64),
+            Err(format!("min_fps: cannot parse \"1,185,000\"\nusage: {usage}"))
+        );
     }
 
     #[test]

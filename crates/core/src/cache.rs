@@ -2,8 +2,10 @@
 //!
 //! [`GenCache`] backs the policy engine's decision cache: entries are tagged
 //! with the policy **generation** they were computed under, and a reload
-//! invalidates by bumping the generation — stale entries can never answer,
-//! they are simply overwritten.
+//! moves to the next generation, so an entry it does not carry over can
+//! never answer again: it is simply overwritten. A key's slot ignores its
+//! tag, so [`GenCache::retag`] carries an entry into the next generation
+//! where it lies, under the `&mut` access a reload has.
 //!
 //! The table is direct-mapped and every slot is a tiny seqlock built purely
 //! from atomics (no `unsafe`): a writer claims a slot by CAS-ing its
@@ -15,12 +17,28 @@
 //! best-effort).
 //!
 //! Keys are three `u64` words packed by the caller; the third word must be
-//! non-zero (callers set [`KEY_VALID`]) so an all-zero slot can never match.
+//! non-zero (callers set [`KEY_VALID`]) so an all-zero slot can never match,
+//! and carries the generation tag where [`tag_bits`] puts it.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Bit the caller must set in `key[2]` so empty slots never match.
 pub const KEY_VALID: u64 = 1 << 63;
+
+/// The lowest bit of the generation tag in `key[2]`.
+const TAG_SHIFT: u32 = 42;
+
+/// The generation bits a key carries: a tag repeats every 2^20
+/// generations.
+pub const TAG_MASK: u32 = 0xF_FFFF;
+
+/// The tag's bits in `key[2]`, which a key's slot ignores.
+const TAG_BITS: u64 = (TAG_MASK as u64) << TAG_SHIFT;
+
+/// The tag bits of `generation`, in place in `key[2]`.
+pub fn tag_bits(generation: u32) -> u64 {
+    u64::from(generation & TAG_MASK) << TAG_SHIFT
+}
 
 struct Slot {
     seq: AtomicU32,
@@ -42,7 +60,11 @@ impl Slot {
     }
 }
 
-/// The cache. See the module docs for the concurrency scheme.
+/// The cache: a direct-mapped table of seqlocked slots, each holding one
+/// generation-tagged key and its value. A key's slot ignores its tag, so
+/// the same request lands in the same slot in every generation, and
+/// [`GenCache::retag`] moves an entry to a new generation in place. See
+/// the module docs for the concurrency scheme.
 pub struct GenCache {
     slots: Box<[Slot]>,
     mask: usize,
@@ -54,12 +76,13 @@ impl std::fmt::Debug for GenCache {
     }
 }
 
+/// The slot hash of a key, its generation tag left out.
 fn mix(key: [u64; 3]) -> u64 {
     // splitmix64-style finalisation over the three words
     let mut h = key[0]
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
         ^ key[1].rotate_left(23)
-        ^ key[2].rotate_left(47);
+        ^ (key[2] & !TAG_BITS).rotate_left(47);
     h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     h ^ (h >> 31)
@@ -124,8 +147,34 @@ impl GenCache {
         slot.seq.store(seq.wrapping_add(2), Ordering::Release);
     }
 
-    /// Erases every slot (used on reload when the generation tag in the
-    /// keys wraps, so a repeated tag can never resurrect an old entry).
+    /// Carries entries from generation `from` into generation `to` where
+    /// they lie: `keep` sees the key and value of each entry tagged
+    /// `from` and returns the value it holds under `to`, or `None` to
+    /// leave it behind, where no lookup under `to` matches it. `&mut self`
+    /// means no lookup or insert runs beside the walk, so it reads and
+    /// writes each slot without a CAS, and it allocates nothing.
+    pub fn retag(
+        &mut self,
+        from: u32,
+        to: u32,
+        mut keep: impl FnMut([u64; 3], u64) -> Option<u64>,
+    ) {
+        let outgoing = KEY_VALID | tag_bits(from);
+        for slot in self.slots.iter_mut() {
+            let k2 = *slot.k2.get_mut();
+            if k2 & (KEY_VALID | TAG_BITS) != outgoing {
+                continue;
+            }
+            let key = [*slot.k0.get_mut(), *slot.k1.get_mut(), k2];
+            if let Some(value) = keep(key, *slot.value.get_mut()) {
+                *slot.k2.get_mut() = k2 & !TAG_BITS | tag_bits(to);
+                *slot.value.get_mut() = value;
+            }
+        }
+    }
+
+    /// Erases every slot (used when the generation tag in the keys wraps,
+    /// so a repeated tag can never resurrect an old entry).
     pub fn clear(&self) {
         for slot in self.slots.iter() {
             let seq = slot.seq.load(Ordering::Relaxed);
@@ -169,6 +218,40 @@ mod tests {
         let cache = GenCache::with_capacity(64);
         cache.insert(key(1, 2, 3), 7);
         assert_eq!(cache.lookup(key(1, 2, 4)), None, "generation in k2 differs");
+    }
+
+    fn tagged(a: u64, generation: u32) -> [u64; 3] {
+        key(a, a, tag_bits(generation) | 2)
+    }
+
+    #[test]
+    fn a_keys_slot_ignores_its_tag() {
+        for generation in [1, 2, TAG_MASK] {
+            assert_eq!(mix(tagged(7, generation)), mix(tagged(7, 0)));
+        }
+        assert_ne!(mix(tagged(7, 0)), mix(tagged(8, 0)));
+    }
+
+    #[test]
+    fn retag_carries_the_kept_entries_of_one_generation() {
+        let mut cache = GenCache::with_capacity(1024);
+        for a in 0..4 {
+            cache.insert(tagged(a, 5), a);
+        }
+        cache.insert(tagged(9, 4), 9);
+        let mut seen = Vec::new();
+        cache.retag(5, 6, |key, value| {
+            seen.push(value);
+            (key[0] % 2 == 0).then_some(value * 10)
+        });
+        seen.sort_unstable();
+        assert_eq!(seen, [0, 1, 2, 3], "only generation 5's entries are offered");
+        for a in 0..4 {
+            assert_eq!(cache.lookup(tagged(a, 6)), (a % 2 == 0).then_some(a * 10));
+        }
+        assert_eq!(cache.lookup(tagged(1, 5)), Some(1), "a dropped entry stays behind");
+        assert_eq!(cache.lookup(tagged(0, 5)), None, "a kept entry moved");
+        assert_eq!(cache.lookup(tagged(9, 4)), Some(9));
     }
 
     #[test]

@@ -43,10 +43,11 @@
 //!   dropping any record the writer began to overwrite while it was read,
 //!   and [`PolicyEngine::stats`] sums them;
 //! * decisions themselves are cached in a generation-tagged lock-free
-//!   `GenCache` keyed by
-//!   `(subject, object, action, mode)`; [`PolicyEngine::reload`] bumps the
-//!   generation so stale entries can never answer, and erases the cache
-//!   only when the key's generation tag wraps. A decide probes the cache
+//!   `GenCache` keyed by `(subject, object, action, mode)`;
+//!   [`PolicyEngine::reload`] moves to the next generation and carries
+//!   into it every entry that no rule of a changed policy matches, so an
+//!   entry the update could change never answers again, and erases the
+//!   cache when the key's generation tag wraps. A decide probes the cache
 //!   first and walks rules only on a miss. Cacheability is decided per
 //!   request, during the walk: the decision is cached unless a rule whose
 //!   actions, subject and object all match the request has a condition
@@ -61,7 +62,7 @@
 use crate::action::Action;
 use crate::audit::{AuditRecord, DEFAULT_CAPACITY};
 use crate::bundle::SignedBundle;
-use crate::cache::{GenCache, KEY_VALID};
+use crate::cache::{tag_bits, GenCache, KEY_VALID, TAG_MASK as GENERATION_TAG_MASK};
 use crate::condition::RateSource;
 use crate::entity::EntityId;
 use crate::error::PolicyError;
@@ -524,15 +525,12 @@ fn pack_verdict(action: Action, decision: &Decision) -> u64 {
 }
 
 fn unpack_record([seq, time_us, subject, object, verdict]: [u64; RECORD_WORDS]) -> AuditRecord {
-    let entity = |key: u64| {
-        EntityId::from_symbols(Symbol::from_u32((key >> 32) as u32), Symbol::from_u32(key as u32))
-    };
     AuditRecord {
         seq,
         time_us,
         request: AccessRequest::new(
-            entity(subject),
-            entity(object),
+            entity_of_key(subject),
+            entity_of_key(object),
             Action::ALL[(verdict & 0xFF) as usize],
         ),
         effect: if verdict >> 8 & 1 == 1 { Effect::Deny } else { Effect::Allow },
@@ -727,6 +725,11 @@ fn entity_key(namespace: Symbol, name: Symbol) -> u64 {
     (u64::from(namespace.as_u32()) << 32) | u64::from(name.as_u32())
 }
 
+/// The entity of an [`entity_key`].
+fn entity_of_key(key: u64) -> EntityId {
+    EntityId::from_symbols(Symbol::from_u32((key >> 32) as u32), Symbol::from_u32(key as u32))
+}
+
 /// The rules indexed under `key`, or none.
 #[inline]
 fn bucket(index: &RuleIndex, key: u64) -> &[u32] {
@@ -763,8 +766,10 @@ const COMPACT_AUDIT_CAPACITY: usize = 64;
 /// floors this at its 64-slot minimum).
 const COMPACT_CACHE_SLOTS: usize = 256;
 
-/// The generation bits a cache key carries (see `PolicyEngine::cache_key`).
-const GENERATION_TAG_MASK: u32 = 0xF_FFFF;
+/// The most changed rules a reload carries cached decisions across. Its
+/// walk tests each cached entry against every changed rule, so this bounds
+/// the walk at 64 tests an entry; a larger update retires the whole cache.
+const MAX_CHANGED_RULES: usize = 64;
 
 /// The outcome of combining, before rendering into a `Decision`.
 #[derive(Debug, Clone, Copy)]
@@ -902,9 +907,14 @@ impl PolicyEngine {
         PolicyEngine::new(PolicySet::from_policy(p))
     }
 
-    /// Sets the combining strategy (builder style).
+    /// Sets the combining strategy (builder style). A new strategy retires
+    /// every cached decision: it may combine the same rules into another
+    /// outcome.
     pub fn with_strategy(mut self, s: CombiningStrategy) -> Self {
-        self.strategy = s;
+        if s != self.strategy {
+            self.strategy = s;
+            self.next_generation();
+        }
         self
     }
 
@@ -933,29 +943,64 @@ impl PolicyEngine {
         &self.set
     }
 
-    /// The decision-cache generation: bumped by every [`PolicyEngine::reload`],
-    /// so entries cached under an earlier policy can never answer.
+    /// The decision-cache generation, raised by one by every
+    /// [`PolicyEngine::reload`] and by a strategy change. Only the cached
+    /// decisions a reload carries over answer in the new generation; an
+    /// entry cached under an earlier policy that the update could change
+    /// never answers again.
     pub fn cache_generation(&self) -> u32 {
         self.generation
     }
 
     /// Replaces the policy set (a policy update taking effect), rebuilds
-    /// indexes and invalidates the decision cache by bumping its
-    /// generation. Audit history and statistics are preserved, and so are
-    /// the rate windows of every scope, by key: a key the new set still
-    /// declares keeps its counts, and a key it drops is forgotten, so it
-    /// starts from zero if a later set declares it again.
+    /// indexes and moves the decision cache to the next generation.
+    /// Audit history and statistics are preserved, and so are the rate
+    /// windows of every scope, by key: a key the new set still declares
+    /// keeps its counts, and a key it drops is forgotten, so it starts
+    /// from zero if a later set declares it again.
+    ///
+    /// The new generation keeps every cached decision the update cannot
+    /// change. The outgoing and incoming policies are aligned in order: a
+    /// policy is unchanged when an equal one (name, version, default and
+    /// rules) follows the unchanged policies before it, and every rule of
+    /// any other policy, outgoing or incoming, is a changed rule. One walk
+    /// of the cache retags in place each entry whose request no changed
+    /// rule matches, pointing it at its rule's place in the new set. Such
+    /// an entry is sound: the rules that match its request are the same
+    /// rules in the same order, and the mode, the strategy and the default
+    /// effect are the same, so a walk would reach the same outcome.
+    /// Conditions are not read: a changed rule that matches sends the
+    /// request back to be decided, whatever its condition. The new
+    /// generation starts empty instead when the combined default effect
+    /// changes, when more than 64 rules changed, or when the generation
+    /// tag wraps (every 2^20 generations, which erases the slots).
     pub fn reload(&mut self, set: PolicySet) {
-        self.default_effect = set.default_effect();
-        self.set = set;
+        let outgoing = std::mem::replace(&mut self.set, set);
+        let default_before =
+            std::mem::replace(&mut self.default_effect, self.set.default_effect());
         self.rebuild();
-        // Every key carries the generation's low 20 bits, so the bump alone
-        // retires every cached entry. Only when that tag wraps to 0 could an
-        // entry from 2^20 reloads ago match again: erase the slots then.
+        let Some(from) = self.next_generation() else { return };
+        if self.default_effect != default_before {
+            return;
+        }
+        if let Some(changes) = Changes::between(&outgoing, &self.set) {
+            self.cache
+                .retag(from, self.generation, |key, packed| changes.carry(key, packed));
+        }
+    }
+
+    /// Moves the cache to the next generation, under whose tag nothing is
+    /// cached, and returns the outgoing generation. Returns `None` when
+    /// the new tag wrapped to 0: it was last used 2^20 generations ago,
+    /// so the slots are erased before an old entry could match again.
+    fn next_generation(&mut self) -> Option<u32> {
+        let outgoing = self.generation;
         self.generation = self.generation.wrapping_add(1);
         if self.generation & GENERATION_TAG_MASK == 0 {
             self.cache.clear();
+            return None;
         }
+        Some(outgoing)
     }
 
     /// Verifies a signed bundle against `key` and, on success, reloads the
@@ -1105,13 +1150,12 @@ impl PolicyEngine {
         let o = req.object();
         let k0 = entity_key(s.namespace_symbol(), s.name_symbol());
         let k1 = entity_key(o.namespace_symbol(), o.name_symbol());
-        let generation = u64::from(self.generation & GENERATION_TAG_MASK);
         let (mode_present, mode) = match ctx.mode_symbol() {
             Some(m) => (1u64, u64::from(m.as_u32())),
             None => (0, 0),
         };
         let k2 = KEY_VALID
-            | (generation << 42)
+            | tag_bits(self.generation)
             | (mode_present << 41)
             | (mode << 9)
             | ((req.action() as u64) << 1);
@@ -1237,6 +1281,70 @@ impl PolicyEngine {
     /// [`DEFAULT_CAPACITY`]: crate::audit::DEFAULT_CAPACITY
     pub fn with_audit<R>(&self, f: impl FnOnce(&[AuditRecord]) -> R) -> R {
         f(&self.audit.merged())
+    }
+}
+
+/// What a reload changed, as far as a cached decision can tell: the rules
+/// of every policy it does not keep, outgoing and incoming, and where each
+/// kept rule moved.
+struct Changes<'a> {
+    rules: Vec<&'a Rule>,
+    /// Each outgoing rule's index in the incoming set, or `u32::MAX` when
+    /// its policy was not kept.
+    moved: Vec<u32>,
+}
+
+impl<'a> Changes<'a> {
+    /// Aligns the two sets' policies in order: each outgoing policy is kept
+    /// when an equal policy follows the last kept one in `incoming`, and
+    /// the incoming policies passed over to reach it are not. `None` when
+    /// more than [`MAX_CHANGED_RULES`] rules changed.
+    fn between(outgoing: &'a PolicySet, incoming: &'a PolicySet) -> Option<Changes<'a>> {
+        let mut changes =
+            Changes { rules: Vec::new(), moved: Vec::with_capacity(outgoing.rule_count()) };
+        // the first incoming policy not yet passed, and its first rule's index
+        let (mut next, mut next_start) = (0, 0u32);
+        for policy in outgoing.policies() {
+            let rest = &incoming.policies()[next..];
+            let rules = policy.len() as u32;
+            match rest.iter().position(|p| p == policy) {
+                Some(passed) => {
+                    for p in &rest[..passed] {
+                        changes.rules.extend(p.rules());
+                        next_start += p.len() as u32;
+                    }
+                    changes.moved.extend(next_start..next_start + rules);
+                    next += passed + 1;
+                    next_start += rules;
+                }
+                None => {
+                    changes.rules.extend(policy.rules());
+                    changes.moved.extend(std::iter::repeat_n(u32::MAX, rules as usize));
+                }
+            }
+        }
+        for p in &incoming.policies()[next..] {
+            changes.rules.extend(p.rules());
+        }
+        (changes.rules.len() <= MAX_CHANGED_RULES).then_some(changes)
+    }
+
+    /// The packed outcome a cached entry holds in the new generation, or
+    /// `None` when a changed rule matches its request. The request is
+    /// rebuilt from the key that `PolicyEngine::cache_key` packed.
+    fn carry(&self, [subject, object, mode_action]: [u64; 3], packed: u64) -> Option<u64> {
+        let action = Action::ALL[(mode_action >> 1 & 0xFF) as usize];
+        let request = AccessRequest::new(entity_of_key(subject), entity_of_key(object), action);
+        if self.rules.iter().any(|rule| rule.matches(&request)) {
+            return None;
+        }
+        let kind = packed & 0b111;
+        if kind == KIND_DEFAULT {
+            return Some(packed);
+        }
+        // The deciding rule matches the request, so its policy was kept.
+        let moved = *self.moved.get((packed >> 3) as usize)?;
+        (moved != u32::MAX).then(|| (u64::from(moved) << 3) | kind)
     }
 }
 
@@ -1787,6 +1895,145 @@ mod tests {
         let hits_before = e.stats().cache_hits;
         assert!(e.decide(&r, &ctx).is_allow(), "P1's entry answered after the wrap");
         assert_eq!(e.stats().cache_hits, hits_before);
+    }
+
+    #[test]
+    fn a_strategy_change_retires_cached_decisions() {
+        let exact = |ns: &str, name: &str| EntityMatcher::new(ns, Pattern::Exact(name.into()));
+        let door_write = |id: &str, effect| {
+            let write = ActionSet::only(Action::Write);
+            Rule::new(id, effect, write, exact("entry", "x"), exact("asset", "door"))
+        };
+        let p = Policy::new("p", 1)
+            .add_rule(door_write("first-allow", Effect::Allow))
+            .unwrap()
+            .add_rule(door_write("later-deny", Effect::Deny))
+            .unwrap();
+        let r = req("entry:x", "asset:door", Action::Write);
+        let ctx = EvalContext::new();
+        let e = PolicyEngine::from_policy(p.clone());
+        for _ in 0..2 {
+            assert_eq!(e.decide(&r, &ctx).rule(), Some("p.later-deny"));
+        }
+        let generation = e.cache_generation();
+        let e = e.with_strategy(CombiningStrategy::FirstMatch);
+        assert_eq!(e.cache_generation(), generation + 1);
+        let hits = e.stats().cache_hits;
+        let d = e.decide(&r, &ctx);
+        assert_eq!((d.effect(), d.rule()), (Effect::Allow, Some("p.first-allow")));
+        assert_eq!(e.stats().cache_hits, hits, "a deny-overrides decision answered");
+        let fresh = PolicyEngine::from_policy(p).with_strategy(CombiningStrategy::FirstMatch);
+        assert_eq!(fresh.decide(&r, &ctx), d);
+    }
+
+    #[test]
+    fn a_reload_to_an_equal_set_keeps_every_cached_decision() {
+        let mut e = demo_engine(CombiningStrategy::DenyOverrides);
+        let ctx = EvalContext::new().with_mode("normal");
+        let requests = [
+            req("entry:a", "asset:ecu", Action::Read),
+            req("entry:a", "asset:ecu", Action::Write),
+            req("entry:a", "asset:door", Action::Read),
+        ];
+        let decide_all = |e: &PolicyEngine| requests.map(|r| e.decide(&r, &ctx));
+        let before = decide_all(&e);
+        let generation = e.cache_generation();
+        e.reload(e.policy_set().clone());
+        assert_eq!(e.cache_generation(), generation + 1);
+        let hits = e.stats().cache_hits;
+        assert_eq!(decide_all(&e), before);
+        assert_eq!(e.stats().cache_hits, hits + 3, "every entry answers after the reload");
+    }
+
+    #[test]
+    fn a_kept_policys_decisions_follow_its_rules_to_their_new_place() {
+        let ecu = Policy::new("ecu", 1).add_rule(allow_read("r-read", "ecu")).unwrap();
+        let door = Policy::new("door", 1).add_rule(deny_write("r-door", "door")).unwrap();
+        let mut e = PolicyEngine::new(PolicySet::from_policy(ecu.clone()));
+        let r = req("entry:a", "asset:ecu", Action::Read);
+        let ctx = EvalContext::new();
+        assert_eq!(e.decide(&r, &ctx).rule(), Some("ecu.r-read"));
+        // `door` goes in front, so `ecu`'s rule moves from index 0 to 1.
+        e.reload([door, ecu].into_iter().collect());
+        let hits = e.stats().cache_hits;
+        assert_eq!(e.decide(&r, &ctx).rule(), Some("ecu.r-read"));
+        assert_eq!(e.stats().cache_hits, hits + 1);
+    }
+
+    #[test]
+    fn a_swap_under_first_match_answers_with_the_new_winner() {
+        let allow = Policy::new("allow", 1)
+            .add_rule(Rule::new(
+                "w",
+                Effect::Allow,
+                ActionSet::only(Action::Write),
+                EntityMatcher::anything(),
+                EntityMatcher::anything(),
+            ))
+            .unwrap();
+        let deny = Policy::new("deny", 1).add_rule(deny_write("w", "ecu")).unwrap();
+        let set = |policies: [&Policy; 2]| policies.into_iter().cloned().collect::<PolicySet>();
+        let mut e =
+            PolicyEngine::new(set([&allow, &deny])).with_strategy(CombiningStrategy::FirstMatch);
+        let write = req("entry:x", "asset:ecu", Action::Write);
+        let read = req("entry:x", "asset:ecu", Action::Read);
+        let ctx = EvalContext::new();
+        for _ in 0..2 {
+            assert_eq!(e.decide(&write, &ctx).rule(), Some("allow.w"));
+            assert_eq!(e.decide(&read, &ctx).rule(), None);
+        }
+        e.reload(set([&deny, &allow]));
+        let d = e.decide(&write, &ctx);
+        assert_eq!((d.effect(), d.rule()), (Effect::Deny, Some("deny.w")));
+        // Neither policy's rule matches the read, so its entry answers.
+        let hits = e.stats().cache_hits;
+        assert_eq!(e.decide(&read, &ctx).rule(), None);
+        assert_eq!(e.stats().cache_hits, hits + 1);
+    }
+
+    #[test]
+    fn a_default_effect_change_decides_default_outcomes_again() {
+        let mut e = demo_engine(CombiningStrategy::DenyOverrides);
+        let r = req("entry:a", "asset:door", Action::Read);
+        let ctx = EvalContext::new();
+        for _ in 0..2 {
+            assert_eq!(e.decide(&r, &ctx).effect(), Effect::Deny);
+        }
+        // The same rules, no rule matching the request, default allow.
+        let open = e.policy_set().policies()[0].clone().with_default(Effect::Allow);
+        e.reload(PolicySet::from_policy(open));
+        let hits = e.stats().cache_hits;
+        let d = e.decide(&r, &ctx);
+        assert_eq!((d.effect(), d.rule()), (Effect::Allow, None));
+        assert_eq!(e.stats().cache_hits, hits, "the default-deny entry answered");
+    }
+
+    #[test]
+    fn a_policy_that_gains_a_rule_decides_its_requests_again() {
+        let mut e = demo_engine(CombiningStrategy::DenyOverrides);
+        let ctx = EvalContext::new();
+        let read = req("entry:a", "asset:ecu", Action::Read);
+        let door = req("entry:a", "asset:door", Action::Write);
+        for _ in 0..2 {
+            assert_eq!(e.decide(&read, &ctx).rule(), Some("demo.r-read"));
+            assert_eq!(e.decide(&door, &ctx).rule(), None);
+        }
+        let gained = e.policy_set().policies()[0]
+            .clone()
+            .add_rule(Rule::new(
+                "door-write",
+                Effect::Allow,
+                ActionSet::only(Action::Write),
+                EntityMatcher::anything(),
+                EntityMatcher::new("asset", Pattern::Exact("door".into())),
+            ))
+            .unwrap();
+        e.reload(PolicySet::from_policy(gained));
+        let hits = e.stats().cache_hits;
+        assert_eq!(e.decide(&door, &ctx).rule(), Some("demo.door-write"));
+        // The policy changed, so every rule of it counts as changed.
+        assert_eq!(e.decide(&read, &ctx).rule(), Some("demo.r-read"));
+        assert_eq!(e.stats().cache_hits, hits, "an entry of the edited policy answered");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for the policy core: DSL round trip, engine
-//! determinism and combining-strategy relationships, and the equivalence
-//! of cached, uncached and linear engines that makes the decision cache
-//! correct.
+//! determinism and combining-strategy relationships, the equivalence of
+//! cached, uncached and linear engines that makes the decision cache
+//! correct, and the cached decisions a reload carries over.
 
 use polsec::policy::dsl::{parse_policies, parse_policy, print_policy};
 use polsec::policy::{
@@ -259,6 +259,71 @@ fn gated_rule_targets(set: &PolicySet, request: &AccessRequest) -> bool {
     })
 }
 
+/// `policy` under another name.
+fn renamed(policy: &Policy, name: String) -> Policy {
+    policy.rules().iter().cloned().fold(
+        Policy::new(name, policy.version()).with_default(policy.default_effect()),
+        |p, rule| p.add_rule(rule).expect("the ids stay unique"),
+    )
+}
+
+/// One edit of a policy list, as an update makes one: append (kind 0),
+/// drop (1) or replace (2) a policy, swap two adjacent policies (3), or
+/// flip one policy's default (4). `before` holds at least two policies,
+/// named apart; `replacement` supplies the appended or replacing rules.
+/// Returns the edited list and every policy the edit touched, in its
+/// outgoing and its incoming form.
+fn edit(
+    before: &[Policy],
+    kind: usize,
+    at: usize,
+    replacement: &Policy,
+) -> (Vec<Policy>, Vec<Policy>) {
+    let mut after = before.to_vec();
+    let i = at % before.len();
+    let touched = match kind {
+        0 => {
+            after.push(renamed(replacement, format!("p{}", before.len())));
+            vec![after[before.len()].clone()]
+        }
+        1 => vec![after.remove(i)],
+        2 => {
+            after[i] = renamed(replacement, before[i].name().to_string());
+            vec![before[i].clone(), after[i].clone()]
+        }
+        3 => {
+            let i = i.min(before.len() - 2);
+            after.swap(i, i + 1);
+            vec![before[i].clone(), before[i + 1].clone()]
+        }
+        _ => {
+            after[i] = before[i].clone().with_default(before[i].default_effect().invert());
+            vec![before[i].clone(), after[i].clone()]
+        }
+    };
+    (after, touched)
+}
+
+/// Every pool request under every pool mode, the mode possibly absent.
+fn pool_pairs() -> Vec<(AccessRequest, EvalContext)> {
+    let contexts = [
+        EvalContext::new(),
+        EvalContext::new().with_mode(MODES[0]),
+        EvalContext::new().with_mode(MODES[1]),
+    ];
+    let mut pairs = Vec::new();
+    for entry in ENTRIES {
+        for asset in ASSETS {
+            for action in [Action::Read, Action::Write, Action::Configure] {
+                let subject = EntityId::new("entry", entry);
+                let request = AccessRequest::new(subject, EntityId::new("asset", asset), action);
+                pairs.extend(contexts.iter().map(|ctx| (request, ctx.clone())));
+            }
+        }
+    }
+    pairs
+}
+
 const STRATEGIES: [CombiningStrategy; 3] = [
     CombiningStrategy::DenyOverrides,
     CombiningStrategy::FirstMatch,
@@ -472,5 +537,77 @@ proptest! {
         let want = fresh.decide(&request, &ctx);
         prop_assert_eq!(got.effect(), want.effect());
         prop_assert_eq!(got.rule(), want.rule());
+    }
+
+    #[test]
+    fn a_reload_keeps_exactly_the_decisions_its_edit_cannot_change(
+        pool in prop::collection::vec(arb_pool_policy(), 2..5),
+        kind in 0..5usize,
+        at in any::<prop::sample::Index>(),
+        replacement in arb_pool_policy(),
+    ) {
+        // Warm every pool pair under `before`, reload to `after`, one edit
+        // away: every decision must match a fresh engine's over `after`,
+        // and a cached pair that no rule of a touched policy matches must
+        // be answered from the cache on its first decide after the reload,
+        // unless the combined default effect changed.
+        let before: Vec<Policy> =
+            pool.iter().enumerate().map(|(i, p)| renamed(p, format!("p{i}"))).collect();
+        let (after, touched) = edit(&before, kind, at.index(before.len()), &replacement);
+        let before: PolicySet = before.into_iter().collect();
+        let after: PolicySet = after.into_iter().collect();
+        let keeps = before.default_effect() == after.default_effect();
+        let pairs = pool_pairs();
+        let hits = |engine: &PolicyEngine| engine.stats().cache_hits;
+        for strategy in STRATEGIES {
+            let mut engine = PolicyEngine::new(before.clone()).with_strategy(strategy);
+            let fresh = PolicyEngine::new(after.clone()).with_strategy(strategy);
+            for (request, ctx) in &pairs {
+                engine.decide(request, ctx);
+            }
+            // A second pass in the same order hits exactly the cached
+            // pairs that no other pair evicts, and leaves them cached.
+            let cached: Vec<bool> = pairs
+                .iter()
+                .map(|(request, ctx)| {
+                    let was = hits(&engine);
+                    engine.decide(request, ctx);
+                    hits(&engine) > was
+                })
+                .collect();
+            let generation = engine.cache_generation();
+            engine.reload(after.clone());
+            prop_assert_eq!(engine.cache_generation(), generation + 1);
+            let untouched = |request: &AccessRequest| {
+                !touched.iter().flat_map(|p| p.rules()).any(|rule| rule.matches(request))
+            };
+            let kept = pairs
+                .iter()
+                .zip(&cached)
+                .filter(|((request, _), &cached)| keeps && cached && untouched(request));
+            for (step, ((request, ctx), _)) in kept.enumerate() {
+                let was = hits(&engine);
+                let got = engine.decide(request, ctx);
+                prop_assert_eq!(
+                    hits(&engine),
+                    was + 1,
+                    "strategy {}, edit {}: kept pair {} missed after the reload",
+                    strategy,
+                    kind,
+                    step
+                );
+                let want = fresh.decide(request, ctx);
+                prop_assert_eq!((got.effect(), got.rule()), (want.effect(), want.rule()));
+            }
+            for (step, (request, ctx)) in pairs.iter().enumerate() {
+                let got = engine.decide(request, ctx);
+                let want = fresh.decide(request, ctx);
+                prop_assert_eq!(
+                    (got.effect(), got.rule()),
+                    (want.effect(), want.rule()),
+                    "strategy {}, edit {}, pair {}", strategy, kind, step
+                );
+            }
+        }
     }
 }

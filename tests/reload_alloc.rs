@@ -9,7 +9,10 @@
 //! is dropped without allocating. A device's store rejects a stale bundle
 //! from its header without parsing a policy, and a signature of any size
 //! without decoding it onto the heap; a policy set's clone shares its
-//! rules, and an embedded policy is parsed once per process. A counting
+//! rules, and an embedded policy is parsed once per process. A reload
+//! carries the decision cache over in one walk that allocates nothing per
+//! cached entry, and a decision it carried over answers without
+//! allocating. A counting
 //! global allocator checks this, per thread, in calls and in bytes
 //! requested: the test harness's own thread allocates while the tests run.
 
@@ -21,7 +24,8 @@ use polsec::policy::audit::DEFAULT_CAPACITY;
 use polsec::policy::dsl::tokenize;
 use polsec::policy::{
     AccessRequest, Action, ActionSet, DevicePolicyStore, Effect, EntityId, EntityMatcher,
-    EvalContext, LoadMode, Policy, PolicyEngine, PolicyError, PolicySet, Rule, SignedBundle,
+    EvalContext, LoadMode, Pattern, Policy, PolicyEngine, PolicyError, PolicySet, Rule,
+    SignedBundle,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -136,6 +140,61 @@ fn a_service_engine_reserves_its_audit_ring_on_first_decide() {
     for (what, spent) in [("miss", miss), ("bypass", bypass), ("hit", hit)] {
         assert_eq!(spent.allocations, 0, "a {what} allocated: {spent:?}");
     }
+}
+
+#[test]
+fn a_reload_walks_the_cache_without_allocating_per_entry() {
+    let base = Policy::new("base", 1)
+        .add_rule(Rule::new(
+            "read",
+            Effect::Allow,
+            ActionSet::only(Action::Read),
+            EntityMatcher::anything(),
+            EntityMatcher::anything(),
+        ))
+        .expect("one rule");
+    let extra = Policy::new("extra", 1)
+        .add_rule(Rule::new(
+            "none",
+            Effect::Deny,
+            ActionSet::only(Action::Read),
+            EntityMatcher::new("entry", Pattern::Exact("nobody".into())),
+            EntityMatcher::anything(),
+        ))
+        .expect("one rule");
+    let outgoing = PolicySet::from_policy(base.clone());
+    let incoming: PolicySet = [base, extra].into_iter().collect();
+    let ctx = EvalContext::new();
+    let reload_after_warming = |warmed: usize| {
+        let requests: Vec<AccessRequest> = (0..warmed)
+            .map(|i| {
+                let subject = EntityId::new("entry", format!("warm-{i}"));
+                AccessRequest::new(subject, EntityId::new("asset", "ecu"), Action::Read)
+            })
+            .collect();
+        let mut engine = PolicyEngine::new(outgoing.clone());
+        // One round trip first interns every name the two sets bring.
+        engine.reload(incoming.clone());
+        engine.reload(outgoing.clone());
+        for request in &requests {
+            engine.decide(request, &ctx);
+        }
+        let next = incoming.clone();
+        let (_, reload) = counted(|| engine.reload(next));
+        // The extra policy's one rule matches none of the warmed requests,
+        // so the entry of the last one, which no later insert can have
+        // evicted, was carried over.
+        let hits = engine.stats().cache_hits;
+        let last = requests.last().expect("warmed requests");
+        let (decision, hit) = counted(|| engine.decide(last, &ctx));
+        assert_eq!(decision.rule(), Some("base.read"));
+        assert_eq!(engine.stats().cache_hits, hits + 1, "the carried entry missed");
+        assert_eq!(hit, Spent { allocations: 0, bytes: 0 }, "a carried hit allocated");
+        reload
+    };
+    let few = reload_after_warming(10);
+    let many = reload_after_warming(1_000);
+    assert_eq!(few, many, "the reload walk allocated per cached entry");
 }
 
 #[test]
