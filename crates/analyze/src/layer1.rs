@@ -14,8 +14,9 @@
 //!   [`ModeGraph`] can never reach.
 //! * **Cacheability cross-check** — an independent recomputation of each
 //!   rule's decision-cache safety, compared against the engine's load-time
-//!   analysis ([`PolicyEngine::rule_cacheability`]); any disagreement is
-//!   an `Error`, because a wrong `cache_safe` bit means stale decisions.
+//!   analysis ([`load_time_cacheability`], which every engine compiles and
+//!   [`PolicyEngine::rule_cacheability`] reports); any disagreement is an
+//!   `Error`, because a wrong `cache_safe` bit means stale decisions.
 
 use crate::finding::{Finding, FindingKind, Report, Severity};
 use crate::lattice::{
@@ -25,7 +26,10 @@ use crate::lattice::{
 use crate::modes::ModeGraph;
 use crate::sat::{mentioned_modes, satisfiable};
 use polsec_core::dsl::{print_condition, print_rule};
-use polsec_core::{CombiningStrategy, Condition, Effect, PolicyEngine, PolicySet, Rule};
+use polsec_core::{
+    load_time_cacheability, CombiningStrategy, Condition, Effect, PolicyEngine, PolicySet, Rule,
+    RuleCacheability,
+};
 use std::collections::BTreeSet;
 
 /// Knobs for [`analyze_set`].
@@ -51,19 +55,21 @@ impl Default for AnalysisOptions {
     }
 }
 
-/// One rule with its qualified name and position in the flattened set.
+/// One rule with its owning policy, at its position in the flattened set.
 struct RuleRef<'a> {
-    qualified: String,
+    policy: &'a str,
     rule: &'a Rule,
 }
 
+impl RuleRef<'_> {
+    /// The rule's `policy.rule` name, formatted only into a finding.
+    fn qualified(&self) -> String {
+        format!("{}.{}", self.policy, self.rule.id())
+    }
+}
+
 fn flatten(set: &PolicySet) -> Vec<RuleRef<'_>> {
-    set.rules()
-        .map(|(policy, rule)| RuleRef {
-            qualified: format!("{policy}.{}", rule.id()),
-            rule,
-        })
-        .collect()
+    set.rules().map(|(policy, rule)| RuleRef { policy, rule }).collect()
 }
 
 /// Whether every request rule `a` applies to is also one rule `b` applies
@@ -96,6 +102,7 @@ pub fn analyze_set(set: &PolicySet, opts: &AnalysisOptions) -> Report {
 }
 
 fn check_satisfiability(rules: &[RuleRef<'_>], opts: &AnalysisOptions, report: &mut Report) {
+    let reachable = opts.mode_graph.as_ref().map(|graph| (graph, graph.reachable()));
     for r in rules {
         let c = r.rule.condition();
         if c == &Condition::Always {
@@ -110,7 +117,7 @@ fn check_satisfiability(rules: &[RuleRef<'_>], opts: &AnalysisOptions, report: &
             report.push(Finding {
                 kind: FindingKind::UnsatisfiableCondition,
                 severity: Severity::Warning,
-                rule_ids: vec![r.qualified.clone()],
+                rule_ids: vec![r.qualified()],
                 witness: witness_request(r.rule),
                 explanation: format!(
                     "no evaluation context can satisfy `{}`{rate_note}; the rule is dead",
@@ -119,9 +126,8 @@ fn check_satisfiability(rules: &[RuleRef<'_>], opts: &AnalysisOptions, report: &
             });
             continue;
         }
-        if let Some(graph) = &opts.mode_graph {
-            let reachable = graph.reachable();
-            if !satisfiable(c, Some(&reachable)) {
+        if let Some((graph, reachable)) = &reachable {
+            if !satisfiable(c, Some(reachable)) {
                 let unreachable: Vec<String> = mentioned_modes(c)
                     .into_iter()
                     .filter(|m| !reachable.contains(m))
@@ -129,7 +135,7 @@ fn check_satisfiability(rules: &[RuleRef<'_>], opts: &AnalysisOptions, report: &
                 report.push(Finding {
                     kind: FindingKind::UnreachableMode,
                     severity: Severity::Warning,
-                    rule_ids: vec![r.qualified.clone()],
+                    rule_ids: vec![r.qualified()],
                     witness: witness_request(r.rule),
                     explanation: format!(
                         "condition `{}` requires mode(s) [{}] that no transition sequence \
@@ -176,7 +182,7 @@ fn check_pairs(rules: &[RuleRef<'_>], opts: &AnalysisOptions, report: &mut Repor
                 report.push(Finding {
                     kind: FindingKind::Contradiction,
                     severity: Severity::Error,
-                    rule_ids: vec![allow.qualified.clone(), deny.qualified.clone()],
+                    rule_ids: vec![allow.qualified(), deny.qualified()],
                     witness: witness_request(allow.rule),
                     explanation: format!(
                         "`{}` and `{}` match identical requests under equivalent conditions \
@@ -220,7 +226,7 @@ fn check_pairs(rules: &[RuleRef<'_>], opts: &AnalysisOptions, report: &mut Repor
                 report.push(Finding {
                     kind: FindingKind::ShadowedRule,
                     severity: Severity::Warning,
-                    rule_ids: vec![dead.qualified.clone(), by.qualified.clone()],
+                    rule_ids: vec![dead.qualified(), by.qualified()],
                     witness: witness_request(dead.rule),
                     explanation: format!(
                         "`{}` can never take effect: `{}` applies to every request it \
@@ -243,7 +249,7 @@ fn check_pairs(rules: &[RuleRef<'_>], opts: &AnalysisOptions, report: &mut Repor
                 report.push(Finding {
                     kind: FindingKind::RedundantRule,
                     severity: Severity::Info,
-                    rule_ids: vec![dead.qualified.clone(), by.qualified.clone()],
+                    rule_ids: vec![dead.qualified(), by.qualified()],
                     witness: witness_request(dead.rule),
                     explanation: format!(
                         "`{}` adds nothing: `{}` already produces the same effect for \
@@ -271,44 +277,38 @@ fn independent_cache_safe(c: &Condition) -> bool {
     }
 }
 
-/// Cross-checks the engine's load-time cacheability analysis against an
-/// independent recomputation over `set` (which must be the set the engine
-/// was loaded with). Any disagreement — a verdict flip, a missing rule, an
-/// extra rule — is an `Error`: a wrongly cache-safe rule would let the
-/// decision cache serve stale answers past a state or rate change.
+/// Cross-checks an engine's compiled cacheability verdicts
+/// ([`PolicyEngine::rule_cacheability`]) against an independent
+/// recomputation over `set` (which must be the set the engine was loaded
+/// with). Any disagreement — a verdict flip, a missing rule, an extra rule
+/// — is an `Error`: a wrongly cache-safe rule would let the decision cache
+/// serve stale answers past a state or rate change.
 pub fn cacheability_crosscheck(set: &PolicySet, engine: &PolicyEngine) -> Report {
+    compare_cacheability(set, engine.rule_cacheability())
+}
+
+/// The one comparison behind [`cacheability_crosscheck`] and
+/// [`analyze_with_engine`]: `reported` must hold one verdict per rule of
+/// `set`, in set order, naming that rule and agreeing with
+/// [`independent_cache_safe`]. A count that differs is one finding alone.
+fn compare_cacheability<'a>(
+    set: &PolicySet,
+    reported: impl IntoIterator<Item = RuleCacheability<'a>>,
+) -> Report {
     let mut report = Report::new();
-    let expected: Vec<(String, bool)> = set
-        .rules()
-        .map(|(policy, rule)| {
-            (
-                format!("{policy}.{}", rule.id()),
-                independent_cache_safe(rule.condition()),
-            )
-        })
-        .collect();
-    let actual = engine.rule_cacheability();
-    if expected.len() != actual.len() {
-        report.push(Finding {
-            kind: FindingKind::CacheabilityDisagreement,
-            severity: Severity::Error,
-            rule_ids: Vec::new(),
-            witness: format!("{} rules in set, {} in engine", expected.len(), actual.len()),
-            explanation: "the engine's rule table does not cover the policy set; the \
-                          cacheability report cannot be trusted"
-                .into(),
-        });
-        return report;
-    }
-    for ((qualified, want), got) in expected.iter().zip(actual.iter()) {
-        if qualified != got.qualified || *want != got.cache_safe {
+    let mut reported = reported.into_iter();
+    let mut count = 0;
+    for ((policy, rule), got) in set.rules().zip(reported.by_ref()) {
+        count += 1;
+        let want = independent_cache_safe(rule.condition());
+        if (got.policy, got.rule_id, got.cache_safe) != (policy, rule.id(), want) {
             report.push(Finding {
                 kind: FindingKind::CacheabilityDisagreement,
                 severity: Severity::Error,
-                rule_ids: vec![qualified.clone()],
+                rule_ids: vec![format!("{policy}.{}", rule.id())],
                 witness: format!(
-                    "analyzer says cache_safe={want}, engine says {} for {}",
-                    got.cache_safe, got.qualified
+                    "analyzer says cache_safe={want}, engine says {} for {}.{}",
+                    got.cache_safe, got.policy, got.rule_id
                 ),
                 explanation: "the engine's load-time cacheability analysis disagrees with \
                               an independent recomputation; a wrongly cache-safe rule \
@@ -317,25 +317,41 @@ pub fn cacheability_crosscheck(set: &PolicySet, engine: &PolicyEngine) -> Report
             });
         }
     }
+    count += reported.count();
+    if count != set.rule_count() {
+        // a table that does not cover the set makes its verdicts moot
+        report = Report::new();
+        report.push(Finding {
+            kind: FindingKind::CacheabilityDisagreement,
+            severity: Severity::Error,
+            rule_ids: Vec::new(),
+            witness: format!("{} rules in set, {count} in engine", set.rule_count()),
+            explanation: "the engine's rule table does not cover the policy set; the \
+                          cacheability report cannot be trusted"
+                .into(),
+        });
+    }
     report.sort();
     report
 }
 
-/// Runs [`analyze_set`] plus the cacheability cross-check against a
-/// freshly built engine. The engine is [`PolicyEngine::compact`]: it runs
-/// the same load-time analysis as a service-sized one and is only read.
+/// Runs [`analyze_set`] plus the cacheability cross-check of the engine's
+/// load-time analysis of `set`, [`load_time_cacheability`]: the function
+/// every engine compiles its verdicts from, so the check covers what an
+/// engine loaded with `set` would run. No engine is built.
 pub fn analyze_with_engine(set: &PolicySet, opts: &AnalysisOptions) -> Report {
-    let engine = PolicyEngine::compact(set.clone()).with_strategy(opts.strategy);
     let mut report = analyze_set(set, opts);
-    report.extend(cacheability_crosscheck(set, &engine));
+    report.extend(compare_cacheability(set, load_time_cacheability(set)));
     report.sort();
     report
 }
 
 /// Builds a validator for [`polsec_core::LoadMode::Strict`]: the Layer-1
-/// analyses run over the incoming set and any `Error` finding (or, with
+/// analyses and the cacheability cross-check ([`analyze_with_engine`]) run
+/// over the incoming set and any `Error` finding (or, with
 /// `deny_warnings`, any `Warning`) vetoes the load with the rendered
-/// report.
+/// report. It builds no engine and formats a rule's name only into a
+/// finding.
 pub fn strict_validator(
     opts: AnalysisOptions,
     deny_warnings: bool,

@@ -19,22 +19,24 @@
 //! many disjunctions sit beside them. The branch search is still
 //! exponential in the worst case, so it stops after a fixed number of
 //! branches and then answers "satisfiable": the safe answer, which only
-//! suppresses a finding. No shipped condition comes near the budget.
+//! suppresses a finding. No shipped condition comes near the budget. The
+//! normal form and the assignment borrow their atoms, keys and values from
+//! the condition, so a branch copies no string.
 
 use polsec_core::Condition;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Negation normal form: negations only on atoms.
-enum Nnf {
+enum Nnf<'c> {
     True,
     False,
     /// An atom (`InMode` / `StateEquals` / `RateAtMost`), possibly negated.
-    Lit { neg: bool, atom: Condition },
-    All(Vec<Nnf>),
-    Any(Vec<Nnf>),
+    Lit { neg: bool, atom: &'c Condition },
+    All(Vec<Nnf<'c>>),
+    Any(Vec<Nnf<'c>>),
 }
 
-fn nnf(c: &Condition, neg: bool) -> Nnf {
+fn nnf(c: &Condition, neg: bool) -> Nnf<'_> {
     match c {
         Condition::Always => {
             if neg {
@@ -60,32 +62,33 @@ fn nnf(c: &Condition, neg: bool) -> Nnf {
                 Nnf::Any(kids)
             }
         }
-        atom => Nnf::Lit { neg, atom: atom.clone() },
+        atom => Nnf::Lit { neg, atom },
     }
 }
 
 /// A partial assignment over the atom families; `add` maintains
 /// consistency incrementally.
 #[derive(Clone, Default)]
-struct Assign {
-    mode: Option<String>,
-    not_modes: BTreeSet<String>,
-    state: BTreeMap<String, String>,
-    state_not: BTreeMap<String, BTreeSet<String>>,
-    rate_lo: BTreeMap<String, u64>,
-    rate_hi: BTreeMap<String, u64>,
+struct Assign<'c> {
+    mode: Option<&'c str>,
+    not_modes: BTreeSet<&'c str>,
+    state: BTreeMap<&'c str, &'c str>,
+    state_not: BTreeMap<&'c str, BTreeSet<&'c str>>,
+    rate_lo: BTreeMap<&'c str, u64>,
+    rate_hi: BTreeMap<&'c str, u64>,
 }
 
-impl Assign {
+impl<'c> Assign<'c> {
     /// Folds one literal in; `false` means contradiction.
-    fn add(&mut self, neg: bool, atom: &Condition, modes: Option<&BTreeSet<String>>) -> bool {
+    fn add(&mut self, neg: bool, atom: &'c Condition, modes: Option<&BTreeSet<String>>) -> bool {
         match atom {
             Condition::InMode(m) => {
+                let m = m.as_str();
                 if neg {
-                    if self.mode.as_deref() == Some(m.as_str()) {
+                    if self.mode == Some(m) {
                         return false;
                     }
-                    self.not_modes.insert(m.clone());
+                    self.not_modes.insert(m);
                 } else {
                     if let Some(universe) = modes {
                         if !universe.contains(m) {
@@ -95,19 +98,20 @@ impl Assign {
                     if self.not_modes.contains(m) {
                         return false;
                     }
-                    match &self.mode {
+                    match self.mode {
                         Some(prev) if prev != m => return false,
-                        _ => self.mode = Some(m.clone()),
+                        _ => self.mode = Some(m),
                     }
                 }
                 true
             }
             Condition::StateEquals { key, value } => {
+                let (key, value) = (key.as_str(), value.as_str());
                 if neg {
-                    if self.state.get(key) == Some(value) {
+                    if self.state.get(key) == Some(&value) {
                         return false;
                     }
-                    self.state_not.entry(key.clone()).or_default().insert(value.clone());
+                    self.state_not.entry(key).or_default().insert(value);
                 } else {
                     if self
                         .state_not
@@ -117,22 +121,23 @@ impl Assign {
                         return false;
                     }
                     match self.state.get(key) {
-                        Some(prev) if prev != value => return false,
+                        Some(&prev) if prev != value => return false,
                         _ => {
-                            self.state.insert(key.clone(), value.clone());
+                            self.state.insert(key, value);
                         }
                     }
                 }
                 true
             }
             Condition::RateAtMost { key, max_per_sec } => {
+                let key = key.as_str();
                 let m = u64::from(*max_per_sec);
                 if neg {
                     // rate(key) > m  ⇒  lo := max(lo, m + 1)
-                    let lo = self.rate_lo.entry(key.clone()).or_insert(0);
+                    let lo = self.rate_lo.entry(key).or_insert(0);
                     *lo = (*lo).max(m + 1);
                 } else {
-                    let hi = self.rate_hi.entry(key.clone()).or_insert(u64::MAX);
+                    let hi = self.rate_hi.entry(key).or_insert(u64::MAX);
                     *hi = (*hi).min(m);
                 }
                 let lo = self.rate_lo.get(key).copied().unwrap_or(0);
@@ -148,9 +153,9 @@ impl Assign {
 /// Depth-first exploration: every conjunct is folded into the assignment
 /// first, then the last disjunction found branches the search. `steps`
 /// counts down one per branch; an exhausted budget reads as satisfiable.
-fn sat_rec(
-    mut queue: Vec<&Nnf>,
-    mut assign: Assign,
+fn sat_rec<'c>(
+    mut queue: Vec<&Nnf<'c>>,
+    mut assign: Assign<'c>,
     modes: Option<&BTreeSet<String>>,
     steps: &mut u32,
 ) -> bool {

@@ -74,7 +74,7 @@ use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{fence, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 /// How applying rules combine into one decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -544,8 +544,8 @@ fn unpack_record([seq, time_us, subject, object, verdict]: [u64; RECORD_WORDS]) 
 /// writes one lane, still keeps `capacity`. The first eight lanes are
 /// built with the engine and later buckets on a first decide from a slot
 /// they hold. A lane reserves its ring on its first record, so later
-/// records never allocate and an engine that never decides (a
-/// validator's, or one about to be replaced) owns no ring at all.
+/// records never allocate and an engine that never decides (one about
+/// to be replaced, say) owns no ring at all.
 struct AuditSink {
     lanes: [OnceLock<Box<[Lane]>>; LANE_BUCKETS],
     /// A power of two, so a record's ring position is a mask.
@@ -635,28 +635,59 @@ impl AuditSink {
     }
 }
 
-/// A rule compiled for evaluation: the rule plus its pre-interned
-/// `policy.rule` name and condition analysis.
+/// A rule compiled for evaluation: where the rule lies in its policy's
+/// shared rule vector, with its pre-interned `policy.rule` name, its
+/// load-time cacheability verdict, and the effect and priority a decision
+/// renders, kept inline so a cache hit reads no rule.
 #[derive(Debug)]
 struct CompiledRule {
-    rule: Rule,
+    /// The owning policy's rules, shared with the engine's `PolicySet`.
+    rules: Arc<Vec<Rule>>,
+    /// The rule's index in `rules`.
+    at: u32,
+    effect: Effect,
+    priority: i32,
     tag: RuleTag,
     cache_safe: bool,
 }
 
+impl CompiledRule {
+    #[inline]
+    fn rule(&self) -> &Rule {
+        &self.rules[self.at as usize]
+    }
+}
+
 /// One rule's verdict from the engine's load-time cacheability analysis,
-/// as exposed by [`PolicyEngine::rule_cacheability`]. External analyses
-/// (e.g. `polsec-analyze`) recompute cacheability independently and treat
-/// any disagreement with this report as a finding.
+/// [`load_time_cacheability`]. External analyses (e.g. `polsec-analyze`)
+/// recompute cacheability independently and treat any disagreement with
+/// it as a finding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RuleCacheability {
-    /// The interned `policy.rule` qualified name.
-    pub qualified: &'static str,
+pub struct RuleCacheability<'a> {
+    /// The name of the policy that owns the rule.
+    pub policy: &'a str,
     /// The rule's own id within its policy.
     pub rule_id: &'static str,
     /// Whether decisions gated by this rule's condition may be served from
     /// the `(subject, object, action, mode)` decision cache.
     pub cache_safe: bool,
+}
+
+/// The engine's load-time cacheability analysis of `set`: one verdict per
+/// rule, in set order. A rule is cache-safe when its condition reads
+/// nothing outside the `(subject, object, action, mode)` key
+/// ([`crate::Condition::is_cache_safe`]); a decide whose walk meets a
+/// matching rule that is not goes around the decision cache. Every
+/// [`PolicyEngine`] compiles its rules' verdicts from this function, and
+/// [`PolicyEngine::rule_cacheability`] reports what it compiled, so a
+/// check of this analysis over a set checks what an engine loaded with
+/// that set runs, without building one.
+pub fn load_time_cacheability(set: &PolicySet) -> impl Iterator<Item = RuleCacheability<'_>> {
+    set.rules().map(|(policy, rule)| RuleCacheability {
+        policy,
+        rule_id: rule.id(),
+        cache_safe: rule.condition().is_cache_safe(),
+    })
 }
 
 /// What a decide's rule walk saw besides its outcome.
@@ -682,11 +713,12 @@ impl Walk {
         rates: &dyn RateSource,
     ) -> bool {
         self.examined += 1;
-        if !compiled.rule.matches(req) {
+        let rule = compiled.rule();
+        if !rule.matches(req) {
             return false;
         }
         self.cacheable &= compiled.cache_safe;
-        compiled.rule.condition().eval(ctx, rates)
+        rule.condition().eval(ctx, rates)
     }
 }
 
@@ -895,9 +927,8 @@ impl PolicyEngine {
     /// Creates a per-device engine: identical decisions and rule table to
     /// [`PolicyEngine::new`], but a 256-slot cache (~10 KB) and 64-record
     /// audit rings. Use for simulations that construct an engine per
-    /// vehicle (and rebuild on OTA policy swaps), and for engines built
-    /// only to read their load-time analysis (the strict-load validator's
-    /// cacheability cross-check).
+    /// vehicle (and rebuild on OTA policy swaps). Its rule table shares
+    /// the set's rules, so a build copies none.
     pub fn compact(set: PolicySet) -> Self {
         PolicyEngine::with_footprint(set, COMPACT_AUDIT_CAPACITY, COMPACT_CACHE_SLOTS)
     }
@@ -1034,15 +1065,17 @@ impl PolicyEngine {
         Ok(bundle.version)
     }
 
-    /// The engine's load-time cacheability analysis, per rule, in policy
-    /// set order. See [`RuleCacheability`].
-    pub fn rule_cacheability(&self) -> Vec<RuleCacheability> {
-        self.rules
-            .iter()
-            .map(|r| RuleCacheability {
-                qualified: r.tag.qualified.as_str(),
-                rule_id: r.tag.id.as_str(),
-                cache_safe: r.cache_safe,
+    /// The cacheability verdicts the engine compiled, per rule, in policy
+    /// set order: [`load_time_cacheability`] of its set, read back from
+    /// its rule table.
+    pub fn rule_cacheability(&self) -> Vec<RuleCacheability<'_>> {
+        self.set
+            .rules()
+            .zip(&self.rules)
+            .map(|((policy, rule), compiled)| RuleCacheability {
+                policy,
+                rule_id: rule.id(),
+                cache_safe: compiled.cache_safe,
             })
             .collect()
     }
@@ -1054,24 +1087,31 @@ impl PolicyEngine {
         self.object_index.clear();
         self.unindexed.clear();
         let mut qualified = String::new();
-        for (owner, rule) in self.set.rules() {
-            let idx = self.rules.len() as u32;
-            if let Some((ns, name)) = rule.subject().exact_key_symbols() {
-                self.subject_index.entry(entity_key(ns, name)).or_default().push(idx);
-            } else if let Some((ns, name)) = rule.object().exact_key_symbols() {
-                self.object_index.entry(entity_key(ns, name)).or_default().push(idx);
-            } else {
-                self.unindexed.push(idx);
+        let mut verdicts = load_time_cacheability(&self.set);
+        for policy in self.set.policies() {
+            let shared = policy.shared_rules();
+            for (at, (rule, verdict)) in shared.iter().zip(verdicts.by_ref()).enumerate() {
+                let idx = self.rules.len() as u32;
+                if let Some((ns, name)) = rule.subject().exact_key_symbols() {
+                    self.subject_index.entry(entity_key(ns, name)).or_default().push(idx);
+                } else if let Some((ns, name)) = rule.object().exact_key_symbols() {
+                    self.object_index.entry(entity_key(ns, name)).or_default().push(idx);
+                } else {
+                    self.unindexed.push(idx);
+                }
+                qualified.clear();
+                qualified.push_str(policy.name());
+                qualified.push('.');
+                qualified.push_str(rule.id());
+                self.rules.push(CompiledRule {
+                    rules: Arc::clone(shared),
+                    at: at as u32,
+                    effect: rule.effect(),
+                    priority: rule.priority(),
+                    tag: RuleTag { qualified: Symbol::intern(&qualified), id: rule.id_symbol() },
+                    cache_safe: verdict.cache_safe,
+                });
             }
-            qualified.clear();
-            qualified.push_str(owner);
-            qualified.push('.');
-            qualified.push_str(rule.id());
-            self.rules.push(CompiledRule {
-                tag: RuleTag { qualified: Symbol::intern(&qualified), id: rule.id_symbol() },
-                rule: rule.clone(),
-                cache_safe: rule.condition().is_cache_safe(),
-            });
         }
         self.rates
             .rebuild(self.set.rate_keys().iter().map(|k| Symbol::intern(k)));
@@ -1182,7 +1222,7 @@ impl PolicyEngine {
                 kind: ReasonKind::Default,
             },
             Outcome::FirstMatch(i) => Decision {
-                effect: self.rules[i as usize].rule.effect(),
+                effect: self.rules[i as usize].effect,
                 rule: Some(tag(i)),
                 kind: ReasonKind::FirstMatch,
             },
@@ -1197,9 +1237,9 @@ impl PolicyEngine {
                 kind: ReasonKind::AllowNoDeny,
             },
             Outcome::Priority(i) => Decision {
-                effect: self.rules[i as usize].rule.effect(),
+                effect: self.rules[i as usize].effect,
                 rule: Some(tag(i)),
-                kind: ReasonKind::Priority(self.rules[i as usize].rule.priority()),
+                kind: ReasonKind::Priority(self.rules[i as usize].priority),
             },
         }
     }
@@ -1226,7 +1266,7 @@ impl PolicyEngine {
                 for i in candidates {
                     let compiled = &self.rules[i as usize];
                     if walk.applies(compiled, req, ctx, rates) {
-                        if compiled.rule.effect() == Effect::Deny {
+                        if compiled.effect == Effect::Deny {
                             return Outcome::DenyOverrides(i);
                         }
                         if allow.is_none() {
@@ -1244,8 +1284,7 @@ impl PolicyEngine {
                 for i in candidates {
                     let compiled = &self.rules[i as usize];
                     if walk.applies(compiled, req, ctx, rates) {
-                        let rule = &compiled.rule;
-                        let candidate = (rule.priority(), rule.effect(), i);
+                        let candidate = (compiled.priority, compiled.effect, i);
                         best = Some(match best.take() {
                             None => candidate,
                             Some(cur) => {
@@ -1817,6 +1856,64 @@ mod tests {
         // a different request is its own miss
         e.decide(&req("entry:b", "asset:ecu", Action::Read), &ctx);
         assert_eq!(e.stats().cache_misses, 2);
+    }
+
+    #[test]
+    fn a_cache_hit_renders_as_the_walk_did() {
+        let base = Policy::new("base", 1)
+            .add_rule(allow_read("read-all", "ecu").with_priority(3))
+            .unwrap()
+            .add_rule(deny_write("ecu-no-write", "ecu").with_priority(7))
+            .unwrap()
+            .add_rule(
+                Rule::new(
+                    "diag-write",
+                    Effect::Allow,
+                    ActionSet::only(Action::Write),
+                    EntityMatcher::new("entry", Pattern::Exact("diag".into())),
+                    EntityMatcher::new("asset", Pattern::Exact("ecu".into())),
+                )
+                .with_priority(9),
+            )
+            .unwrap();
+        let extra = Policy::new("extra", 1)
+            .add_rule(allow_read("door-read", "door").with_priority(-2))
+            .unwrap()
+            .add_rule(deny_write("door-no-write", "door").with_priority(-2))
+            .unwrap();
+        let set: PolicySet = [base, extra].into_iter().collect();
+        let requests = [
+            req("entry:x", "asset:ecu", Action::Read),
+            req("entry:diag", "asset:ecu", Action::Write),
+            req("entry:x", "asset:ecu", Action::Write),
+            req("entry:x", "asset:door", Action::Read),
+            req("entry:x", "asset:door", Action::Write),
+            req("entry:x", "asset:door", Action::Execute),
+        ];
+        let ctx = EvalContext::new();
+        for strategy in [
+            CombiningStrategy::DenyOverrides,
+            CombiningStrategy::FirstMatch,
+            CombiningStrategy::PriorityOrder,
+        ] {
+            let e = PolicyEngine::new(set.clone()).with_strategy(strategy);
+            for r in &requests {
+                let walked = e.decide(r, &ctx);
+                let hits = e.stats().cache_hits;
+                let cached = e.decide(r, &ctx);
+                assert_eq!(e.stats().cache_hits, hits + 1, "{strategy}: {r:?} was not cached");
+                assert_eq!(cached, walked, "{strategy}: {r:?}");
+                assert_eq!(cached.reason(), walked.reason(), "{strategy}: {r:?}");
+            }
+            if strategy == CombiningStrategy::PriorityOrder {
+                let d = e.decide(&requests[1], &ctx);
+                assert_eq!(d.effect(), Effect::Allow);
+                assert_eq!(d.reason(), "priority 9 rule base.diag-write");
+                let d = e.decide(&requests[4], &ctx);
+                assert_eq!(d.effect(), Effect::Deny);
+                assert_eq!(d.reason(), "priority -2 rule extra.door-no-write");
+            }
+        }
     }
 
     #[test]

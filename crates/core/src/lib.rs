@@ -88,7 +88,8 @@ pub use bundle::{PolicyBundle, SignedBundle};
 pub use compiler::compile_security_model;
 pub use condition::{Condition, RateSource};
 pub use engine::{
-    CombiningStrategy, Decision, EngineStats, LoadMode, PolicyEngine, RuleCacheability,
+    load_time_cacheability, CombiningStrategy, Decision, EngineStats, LoadMode, PolicyEngine,
+    RuleCacheability,
 };
 pub use intern::Symbol;
 pub use entity::{EntityId, EntityMatcher, Pattern};

@@ -228,6 +228,12 @@ impl Policy {
         &self.rules
     }
 
+    /// The shared rule vector itself, for an engine's rule table to
+    /// refer into without copying a rule.
+    pub(crate) fn shared_rules(&self) -> &Arc<Vec<Rule>> {
+        &self.rules
+    }
+
     /// Number of rules.
     pub fn len(&self) -> usize {
         self.rules.len()
