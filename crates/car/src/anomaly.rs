@@ -31,8 +31,6 @@
 //! cannot walk the reference point toward an implausible region by
 //! feeding it intermediate garbage.
 
-use polsec_sim::MetricSet;
-
 /// Outcome of judging one observation against a behavioural model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnomalyVerdict {
@@ -243,21 +241,6 @@ pub struct AnomalyCounters {
 }
 
 impl AnomalyCounters {
-    /// Adds the tally to `metrics` under the `anomaly.*` keys (every key,
-    /// zeros included, so the counter shape does not depend on activity).
-    pub fn fold_into(&self, metrics: &mut MetricSet) {
-        for (key, n) in [
-            ("anomaly.checked", self.checked),
-            ("anomaly.flagged", self.flagged),
-            ("anomaly.rate_jump", self.rate_jump),
-            ("anomaly.out_of_range", self.out_of_range),
-            ("anomaly.stuck", self.stuck),
-            ("anomaly.inconsistent", self.inconsistent),
-        ] {
-            metrics.count(key, u64::from(n));
-        }
-    }
-
     /// Record one verdict.
     pub fn tally(&mut self, verdict: AnomalyVerdict) {
         self.checked += 1;

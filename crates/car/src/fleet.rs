@@ -13,15 +13,16 @@
 //! events, and all jitter comes from a [`DetRng`] stream derived from
 //! `(master seed, vehicle index)` — so a vehicle's entire run is a pure
 //! function of the seed, its index, and the configuration. Vehicles run in
-//! parallel on [`run_sharded`], whose merge of per-vehicle [`MetricSet`]s
-//! is order-free; the merged metrics of a fleet run are therefore
-//! byte-reproducible at any thread count. Wall-clock measurements (the
-//! latency of one shared-engine decide in 32, picked by the deterministic
-//! [`polsec_sim::sampled`] rule) are recorded under the `wall.` prefix and
-//! split out of the deterministic section by [`run_fleet`]. Per-event
-//! counters are plain fields on the frame path, folded into the vehicle's
-//! [`MetricSet`] when it finishes; the crossing check's request entities
-//! are interned once per process.
+//! parallel on [`run_sharded`]. Each counts into a typed tally of plain
+//! fields and histograms; a finished vehicle adds its final bus, gateway,
+//! HPE and component state to it, and the run adds the tallies up field by
+//! field, in any order, and renders its [`MetricSet`] once (the `tally`
+//! module). The metrics of a fleet run are therefore byte-reproducible at
+//! any thread count. Wall-clock measurements (the latency of one
+//! shared-engine decide in 32, picked by the deterministic
+//! [`polsec_sim::sampled`] rule) are rendered under the `wall.` prefix and
+//! split out of the deterministic section by [`run_fleet`]. The crossing
+//! check's request entities are interned once per process.
 //!
 //! # Determinism contract
 //!
@@ -34,19 +35,22 @@
 //! attack accounting — must replay identically, and `polsec-bench`'s `fleet`
 //! binary asserts that it does.
 
-use crate::anomaly::EcuMonitor;
+use crate::anomaly::{AnomalyCounters, EcuMonitor};
 use crate::attacks::SpoofFirmware;
 use crate::builder::{components, hpe_lists_for, CarStates};
 use crate::components::{lock, shared, AppPolicy, Shared};
 use crate::messages::{self, command_frame, parse_command, Origin, NODE_NAMES};
 use crate::security_model::car_policy;
+use crate::tally::{self, Counter, Shown};
 use polsec_can::gateway::Segment;
 use polsec_can::{
     AcceptanceFilter, BusEvent, CanBus, CanFrame, CanId, CanNode, ForwardRule, Gateway, NodeHandle,
 };
 use polsec_core::{AccessRequest, Action, EntityId, EvalContext, PolicyEngine};
 use polsec_hpe::{ApprovedLists, HardwarePolicyEngine};
-use polsec_sim::{run_sharded, sampled, DetRng, MetricSet, Scheduler, SimDuration};
+use polsec_sim::{
+    run_sharded, sampled, DetRng, Fold, Histogram, MetricSet, Scheduler, SimDuration,
+};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -308,15 +312,6 @@ impl OutsideAttack {
         let marker = seq.to_le_bytes();
         command_frame(id, cmd, origin, &marker[..3]).expect("attack frames are well-formed")
     }
-
-    fn metric(self) -> &'static str {
-        match self {
-            OutsideAttack::EcuDisable => "attack.profile.ecu",
-            OutsideAttack::EpsDisable => "attack.profile.eps",
-            OutsideAttack::ModemKill => "attack.profile.modem",
-            OutsideAttack::AlarmKill => "attack.profile.alarm",
-        }
-    }
 }
 
 /// Per-vehicle scheduler events.
@@ -331,10 +326,17 @@ enum VehicleEvent {
     Compromise,
 }
 
-/// Per-event counters of one vehicle: plain fields on the frame path,
-/// folded into its [`MetricSet`] by [`Vehicle::finish`].
-#[derive(Debug, Clone, Copy, Default)]
-struct Tally {
+/// A fleet vehicle's tally, and a run's: plain counts on the frame path
+/// and at the vehicle's end, the two histograms the section holds, and
+/// nothing keyed by string. A run adds its vehicles' tallies up with
+/// [`Fold`] and renders them once with [`FleetTally::render_into`].
+#[derive(Debug, Default)]
+pub(crate) struct FleetTally {
+    vehicles: u64,
+    /// Vehicles per drawn outside attack, indexed like
+    /// [`OutsideAttack::ALL`].
+    outside: [u64; 4],
+    inside: u64,
     attack_injected: u64,
     attack_wire: u64,
     attack_victim_wire: u64,
@@ -343,10 +345,133 @@ struct Tally {
     attack_leaked_frames: u64,
     attack_compromises: u64,
     gateway_crossed: u64,
+    gateway_forwarded: u64,
+    gateway_dropped: u64,
     policy_checked: u64,
     policy_denied: u64,
     frames_consumed: u64,
     ticks: u64,
+    frames_transmitted: u64,
+    frames_delivered: u64,
+    frames_rejected: u64,
+    frames_abandoned: u64,
+    frames_corrupted: u64,
+    frames_blocked_ingress: u64,
+    frames_blocked_egress: u64,
+    bus_time_us: u64,
+    bus_off_nodes: u64,
+    bus_recoveries: u64,
+    hpe_granted: u64,
+    hpe_read_blocked: u64,
+    hpe_write_blocked: u64,
+    hpe_tamper_attempts: u64,
+    hpe_cycles: u64,
+    app_rejected: u64,
+    app_implausible: u64,
+    anomaly_checked: u64,
+    anomaly_flagged: u64,
+    anomaly_rate_jump: u64,
+    anomaly_out_of_range: u64,
+    anomaly_stuck: u64,
+    anomaly_inconsistent: u64,
+    anomaly_implausible_crashes: u64,
+    sim_time_us: u64,
+    /// The receiving segment HPE's verdict cost per gateway crossing.
+    verdict_cycles: Histogram,
+    /// One shared-engine decide in [`DECIDE_SAMPLE_EVERY`], in wall-clock
+    /// nanoseconds (`wall.decide_ns`).
+    decide_ns: Histogram,
+}
+
+/// Every counter of [`FleetTally`]: the key it renders under, its field,
+/// and when the key appears. A key no configuration touches still appears
+/// (`Always`), so the counter shape is the same on every ladder; only the
+/// drawn attack profiles and the per-tick counters come and go.
+const FLEET_COUNTERS: [Counter<FleetTally>; 45] = [
+    ("fleet.vehicles", |t| &mut t.vehicles, Shown::Always),
+    ("attack.profile.ecu", |t| &mut t.outside[0], Shown::NonZero),
+    ("attack.profile.eps", |t| &mut t.outside[1], Shown::NonZero),
+    ("attack.profile.modem", |t| &mut t.outside[2], Shown::NonZero),
+    ("attack.profile.alarm", |t| &mut t.outside[3], Shown::NonZero),
+    ("attack.profile.inside", |t| &mut t.inside, Shown::NonZero),
+    ("attack.injected", |t| &mut t.attack_injected, Shown::Always),
+    ("attack.wire", |t| &mut t.attack_wire, Shown::Always),
+    ("attack.victim_wire", |t| &mut t.attack_victim_wire, Shown::Always),
+    ("attack.crossed_gateway", |t| &mut t.attack_crossed_gateway, Shown::Always),
+    ("attack.leaked", |t| &mut t.attack_leaked, Shown::Always),
+    ("attack.leaked_frames", |t| &mut t.attack_leaked_frames, Shown::Always),
+    ("attack.compromises", |t| &mut t.attack_compromises, Shown::Always),
+    ("gateway.crossed", |t| &mut t.gateway_crossed, Shown::Always),
+    ("gateway.forwarded", |t| &mut t.gateway_forwarded, Shown::Always),
+    ("gateway.dropped", |t| &mut t.gateway_dropped, Shown::Always),
+    ("policy.checked", |t| &mut t.policy_checked, Shown::Always),
+    ("policy.denied", |t| &mut t.policy_denied, Shown::Always),
+    ("frames.consumed", |t| &mut t.frames_consumed, Shown::Ticked),
+    ("sim.ticks", |t| &mut t.ticks, Shown::Ticked),
+    ("frames.transmitted", |t| &mut t.frames_transmitted, Shown::Always),
+    ("frames.delivered", |t| &mut t.frames_delivered, Shown::Always),
+    ("frames.rejected", |t| &mut t.frames_rejected, Shown::Always),
+    ("frames.abandoned", |t| &mut t.frames_abandoned, Shown::Always),
+    ("frames.corrupted", |t| &mut t.frames_corrupted, Shown::Always),
+    ("frames.blocked_ingress", |t| &mut t.frames_blocked_ingress, Shown::Always),
+    ("frames.blocked_egress", |t| &mut t.frames_blocked_egress, Shown::Always),
+    ("bus.time_us", |t| &mut t.bus_time_us, Shown::Always),
+    ("bus.off_nodes", |t| &mut t.bus_off_nodes, Shown::Always),
+    ("bus.recoveries", |t| &mut t.bus_recoveries, Shown::Always),
+    ("hpe.granted", |t| &mut t.hpe_granted, Shown::Always),
+    ("hpe.read_blocked", |t| &mut t.hpe_read_blocked, Shown::Always),
+    ("hpe.write_blocked", |t| &mut t.hpe_write_blocked, Shown::Always),
+    ("hpe.tamper_attempts", |t| &mut t.hpe_tamper_attempts, Shown::Always),
+    ("hpe.cycles", |t| &mut t.hpe_cycles, Shown::Always),
+    ("app.rejected", |t| &mut t.app_rejected, Shown::Always),
+    ("app.implausible", |t| &mut t.app_implausible, Shown::Always),
+    ("anomaly.checked", |t| &mut t.anomaly_checked, Shown::Always),
+    ("anomaly.flagged", |t| &mut t.anomaly_flagged, Shown::Always),
+    ("anomaly.rate_jump", |t| &mut t.anomaly_rate_jump, Shown::Always),
+    ("anomaly.out_of_range", |t| &mut t.anomaly_out_of_range, Shown::Always),
+    ("anomaly.stuck", |t| &mut t.anomaly_stuck, Shown::Always),
+    ("anomaly.inconsistent", |t| &mut t.anomaly_inconsistent, Shown::Always),
+    (
+        "anomaly.implausible_crashes",
+        |t| &mut t.anomaly_implausible_crashes,
+        Shown::Always,
+    ),
+    ("sim.time_us", |t| &mut t.sim_time_us, Shown::Always),
+];
+
+impl Fold for FleetTally {
+    fn fold(&mut self, mut other: Self) {
+        tally::add(&FLEET_COUNTERS, self, &mut other);
+        self.verdict_cycles.merge(&other.verdict_cycles);
+        self.decide_ns.merge(&other.decide_ns);
+    }
+}
+
+impl FleetTally {
+    /// Whether any vehicle is folded in.
+    pub(crate) fn folded(&self) -> bool {
+        self.vehicles > 0
+    }
+
+    /// Adds an anomaly rung's verdict counts to the `anomaly.*` counters:
+    /// the ECU monitor's, and on a V2X vehicle the platoon rung's too.
+    pub(crate) fn add_anomaly(&mut self, c: &AnomalyCounters) {
+        self.anomaly_checked += u64::from(c.checked);
+        self.anomaly_flagged += u64::from(c.flagged);
+        self.anomaly_rate_jump += u64::from(c.rate_jump);
+        self.anomaly_out_of_range += u64::from(c.out_of_range);
+        self.anomaly_stuck += u64::from(c.stuck);
+        self.anomaly_inconsistent += u64::from(c.inconsistent);
+    }
+
+    /// Renders the tally into `m`: every counter [`FLEET_COUNTERS`] shows,
+    /// `verdict.cycles` and `wall.decide_ns` where a value was observed.
+    pub(crate) fn render_into(mut self, m: &mut MetricSet) {
+        let (folded, ticked) = (self.folded(), self.ticks > 0);
+        tally::render(&FLEET_COUNTERS, &mut self, folded, ticked, m);
+        m.merge_histogram("verdict.cycles", self.verdict_cycles);
+        m.merge_histogram("wall.decide_ns", self.decide_ns);
+    }
 }
 
 /// One vehicle of the fleet: two CAN segments, a gateway, per-node and
@@ -375,10 +500,12 @@ pub struct Vehicle {
     compromised: bool,
     inject_seq: u32,
     frames_quota: u64,
-    tally: Tally,
+    tally: FleetTally,
     /// Seeds the [`DECIDE_SAMPLE_EVERY`] selector over `tally.policy_checked`.
     decide_sample_seed: u64,
-    metrics: MetricSet,
+    /// What a caller counts through [`Vehicle::metrics_mut`], made on its
+    /// first call; the fleet and V2X runs never make one.
+    extra: Option<MetricSet>,
     /// Reused across ticks by [`Vehicle::observe_bus_events`] so the event
     /// accounting loop allocates nothing once warm.
     event_buf: Vec<BusEvent>,
@@ -698,12 +825,12 @@ impl Vehicle {
             .with_state("crash", "false")
             .with_state("stolen", "false");
 
-        let mut metrics = MetricSet::new();
-        metrics.count("fleet.vehicles", 1);
-        metrics.count(outside.metric(), 1);
-        if inside_attack {
-            metrics.count("attack.profile.inside", 1);
-        }
+        let mut tally = FleetTally {
+            vehicles: 1,
+            inside: u64::from(inside_attack),
+            ..FleetTally::default()
+        };
+        tally.outside[outside as usize] = 1;
 
         Vehicle {
             powertrain,
@@ -729,9 +856,9 @@ impl Vehicle {
             compromised: false,
             inject_seq: 0,
             frames_quota: cfg.frames_per_vehicle,
-            tally: Tally::default(),
+            tally,
             decide_sample_seed: trace_seed ^ 2,
-            metrics,
+            extra: None,
             event_buf: Vec::new(),
         }
     }
@@ -792,10 +919,12 @@ impl Vehicle {
         self.scheduler.now()
     }
 
-    /// The vehicle's metric set (the V2X layer folds its own counters into
-    /// the same per-vehicle set so one merge covers both).
+    /// A metric set whose counters [`Vehicle::finish`] returns beside the
+    /// vehicle's own, for a caller that layers counters of its own on a
+    /// vehicle. [`run_fleet`] and [`run_v2x`](crate::run_v2x) keep theirs
+    /// in typed tallies and never touch it.
     pub fn metrics_mut(&mut self) -> &mut MetricSet {
-        &mut self.metrics
+        self.extra.get_or_insert_with(MetricSet::new)
     }
 
     /// Relays an accepted V2X platoon-lead message onto the in-vehicle
@@ -917,7 +1046,7 @@ impl Vehicle {
         };
         if let Some(hpe) = seg_hpe {
             let (_, cycles) = hpe.probe_write(frame.id());
-            self.metrics.observe("verdict.cycles", u64::from(cycles));
+            self.tally.verdict_cycles.record(u64::from(cycles));
         }
         // The asset/command maps cover the standard-id space only; extended
         // ids must not alias onto them through low-bit truncation.
@@ -954,7 +1083,7 @@ impl Vehicle {
         let decision = self.engine.decide(&request, &self.ctx);
         if let Some(started) = started {
             let elapsed = started.elapsed().as_nanos() as u64;
-            self.metrics.observe("wall.decide_ns", elapsed);
+            self.tally.decide_ns.record(elapsed);
         }
         self.tally.policy_checked += 1;
         if !decision.is_allow() {
@@ -999,107 +1128,68 @@ impl Vehicle {
         self.tally.frames_consumed += consumed;
     }
 
-    /// Folds the per-event counters, final bus statistics, gateway counters
-    /// and HPE telemetry into the metric set.
+    /// Folds the vehicle's final state into its tally, as [`run_fleet`]
+    /// does for each vehicle, and renders the tally into one metric set
+    /// with the counters added through [`Vehicle::metrics_mut`], `wall.*`
+    /// entries included.
     pub fn finish(mut self) -> MetricSet {
-        let t = self.tally;
-        for (key, n) in [
-            ("attack.injected", t.attack_injected),
-            ("attack.wire", t.attack_wire),
-            ("attack.victim_wire", t.attack_victim_wire),
-            ("attack.crossed_gateway", t.attack_crossed_gateway),
-            ("attack.leaked", t.attack_leaked),
-            ("attack.leaked_frames", t.attack_leaked_frames),
-            ("attack.compromises", t.attack_compromises),
-            ("gateway.crossed", t.gateway_crossed),
-            ("policy.checked", t.policy_checked),
-            ("policy.denied", t.policy_denied),
-        ] {
-            self.metrics.count(key, n);
-        }
-        // Per-tick counters: a vehicle that never ticked carries neither.
-        if t.ticks > 0 {
-            self.metrics.count("frames.consumed", t.frames_consumed);
-            self.metrics.count("sim.ticks", t.ticks);
-        }
-        // Zero-initialise conditionally-counted metrics so the *counter*
-        // shape is identical across enforcement configurations (histograms
-        // like verdict.cycles still only exist where their source layer is
-        // enabled).
-        for key in [
-            "hpe.granted",
-            "hpe.read_blocked",
-            "hpe.write_blocked",
-            "hpe.tamper_attempts",
-            "hpe.cycles",
-            "frames.corrupted",
-            "bus.off_nodes",
-            "bus.recoveries",
-            "app.rejected",
-            "app.implausible",
-            "anomaly.checked",
-            "anomaly.flagged",
-            "anomaly.rate_jump",
-            "anomaly.out_of_range",
-            "anomaly.stuck",
-            "anomaly.inconsistent",
-            "anomaly.implausible_crashes",
-        ] {
-            self.metrics.count(key, 0);
-        }
+        let mut metrics = self.extra.take().unwrap_or_default();
+        self.into_tally().render_into(&mut metrics);
+        metrics
+    }
+
+    /// Adds the vehicle's final bus statistics, gateway counters, HPE
+    /// totals and monitor and component state to its per-event tally and
+    /// returns it: the one fold of a finished vehicle, which [`run_fleet`]
+    /// and [`run_v2x`](crate::run_v2x) add into the run's tally and
+    /// [`Vehicle::finish`] renders.
+    pub(crate) fn into_tally(mut self) -> FleetTally {
+        let mut t = std::mem::take(&mut self.tally);
         if let Some(monitor) = &self.monitor {
-            lock(monitor).counters.fold_into(&mut self.metrics);
-            self.metrics.count(
-                "anomaly.implausible_crashes",
-                u64::from(lock(&self.states.ecu).implausible_crashes),
-            );
+            t.add_anomaly(&lock(monitor).counters);
+            t.anomaly_implausible_crashes += u64::from(lock(&self.states.ecu).implausible_crashes);
         }
         for bus in [&self.powertrain, &self.comfort] {
             let stats = bus.stats();
-            self.metrics.count("frames.transmitted", stats.frames_transmitted);
-            self.metrics.count("frames.delivered", stats.frames_delivered);
-            self.metrics.count("frames.rejected", stats.frames_rejected);
-            self.metrics.count("frames.abandoned", stats.frames_abandoned);
-            self.metrics.count("frames.corrupted", stats.frames_corrupted);
-            self.metrics
-                .count("frames.blocked_ingress", stats.frames_blocked_ingress);
-            self.metrics
-                .count("frames.blocked_egress", stats.frames_blocked_egress);
-            self.metrics.count("bus.time_us", bus.now().as_micros());
-            let bus_off = bus
+            t.frames_transmitted += stats.frames_transmitted;
+            t.frames_delivered += stats.frames_delivered;
+            t.frames_rejected += stats.frames_rejected;
+            t.frames_abandoned += stats.frames_abandoned;
+            t.frames_corrupted += stats.frames_corrupted;
+            t.frames_blocked_ingress += stats.frames_blocked_ingress;
+            t.frames_blocked_egress += stats.frames_blocked_egress;
+            t.bus_time_us += bus.now().as_micros();
+            t.bus_off_nodes += bus
                 .nodes()
                 .filter(|(_, n)| {
                     n.controller().counters().state() == polsec_can::ErrorState::BusOff
                 })
                 .count() as u64;
-            self.metrics.count("bus.off_nodes", bus_off);
-            self.metrics.count("bus.recoveries", stats.bus_off_recoveries);
+            t.bus_recoveries += stats.bus_off_recoveries;
         }
         if self.app.is_some() {
-            let rejected = u64::from(lock(&self.states.ecu).rejected_commands)
-                + u64::from(lock(&self.states.eps).rejected_commands)
-                + u64::from(lock(&self.states.door_locks).rejected_commands)
-                + u64::from(lock(&self.states.telematics).rejected_commands)
-                + u64::from(lock(&self.states.safety).rejected_commands);
-            let implausible = u64::from(lock(&self.states.engine).implausible_readings)
-                + u64::from(lock(&self.states.infotainment).implausible_readings);
-            self.metrics.count("app.rejected", rejected);
-            self.metrics.count("app.implausible", implausible);
+            let s = &self.states;
+            t.app_rejected += u64::from(lock(&s.ecu).rejected_commands)
+                + u64::from(lock(&s.eps).rejected_commands)
+                + u64::from(lock(&s.door_locks).rejected_commands)
+                + u64::from(lock(&s.telematics).rejected_commands)
+                + u64::from(lock(&s.safety).rejected_commands);
+            t.app_implausible += u64::from(lock(&s.engine).implausible_readings)
+                + u64::from(lock(&s.infotainment).implausible_readings);
         }
-        self.metrics.count("gateway.forwarded", self.gateway.forwarded());
-        self.metrics.count("gateway.dropped", self.gateway.dropped());
+        t.gateway_forwarded += self.gateway.forwarded();
+        t.gateway_dropped += self.gateway.dropped();
         let seg_hpes = self.seg_hpe_a.iter().chain(self.seg_hpe_b.iter());
         for hpe in self.node_hpes.values().chain(seg_hpes) {
-            let t = hpe.telemetry();
-            self.metrics.count("hpe.granted", t.read_granted + t.write_granted);
-            self.metrics.count("hpe.read_blocked", t.read_blocked);
-            self.metrics.count("hpe.write_blocked", t.write_blocked);
-            self.metrics.count("hpe.tamper_attempts", t.tamper_attempts);
-            self.metrics.count("hpe.cycles", t.total_cycles);
+            let h = hpe.totals();
+            t.hpe_granted += h.read_granted + h.write_granted;
+            t.hpe_read_blocked += h.read_blocked;
+            t.hpe_write_blocked += h.write_blocked;
+            t.hpe_tamper_attempts += h.tamper_attempts;
+            t.hpe_cycles += h.total_cycles;
         }
-        self.metrics
-            .count("sim.time_us", self.scheduler.now().as_micros());
-        self.metrics
+        t.sim_time_us += self.scheduler.now().as_micros();
+        t
     }
 }
 
@@ -1131,21 +1221,25 @@ impl FleetReport {
 }
 
 /// Runs a whole fleet: builds the shared policy engine, shards vehicles over
-/// the worker pool, merges per-vehicle metrics and splits the wall-clock
-/// section out of the deterministic one.
+/// the worker pool, adds the finished vehicles' tallies up, renders them
+/// once and splits the wall-clock section out of the deterministic one.
 pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     let engine = Arc::new(PolicyEngine::from_policy(car_policy()));
     let started = Instant::now();
-    let mut merged = run_sharded(cfg.vehicles, cfg.threads, |i| {
-        Vehicle::build(cfg, i, Arc::clone(&engine)).run(cfg)
+    let tally: FleetTally = run_sharded(cfg.vehicles, cfg.threads, |i| {
+        let mut vehicle = Vehicle::build(cfg, i, Arc::clone(&engine));
+        vehicle.run_until(cfg, cfg.frames_per_vehicle);
+        vehicle.into_tally()
     });
     let elapsed_sec = started.elapsed().as_secs_f64();
-    let mut wall = merged.split_off_prefix("wall.");
+    let mut metrics = MetricSet::new();
+    tally.render_into(&mut metrics);
+    let mut wall = metrics.split_off_prefix("wall.");
     for (name, value) in engine.stats().as_pairs() {
         wall.count(&format!("engine.{name}"), value);
     }
     FleetReport {
-        metrics: merged,
+        metrics,
         wall,
         vehicles: cfg.vehicles,
         elapsed_sec,

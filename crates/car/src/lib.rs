@@ -50,6 +50,7 @@ pub mod messages;
 pub mod modes;
 pub mod scenario;
 pub mod security_model;
+mod tally;
 pub mod threats;
 pub mod v2x;
 

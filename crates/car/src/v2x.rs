@@ -73,9 +73,10 @@
 //!   double-applying.
 
 use crate::anomaly::{AnomalyCounters, PlatoonMonitor, IMPLAUSIBLE_SPEED_KMH};
-use crate::fleet::{FleetConfig, Vehicle};
+use crate::fleet::{FleetConfig, FleetTally, Vehicle};
 use crate::modes::{LimpTransition, PlatoonHealth};
 use crate::security_model::car_policy;
+use crate::tally::{self, Counter, Shown};
 use polsec_core::dsl::parse_policy;
 use polsec_core::sign::HmacKey;
 use polsec_core::{
@@ -83,7 +84,9 @@ use polsec_core::{
     PolicyEngine, PolicyError, PolicySet, SignedBundle,
 };
 use polsec_sim::plane::{Envelope, EpochCtx, GroupId, Outbox};
-use polsec_sim::{run_epochs_faulted, DetRng, FaultPlan, MessagePlane, MetricSet};
+use polsec_sim::{
+    run_epochs_faulted, DetRng, FaultPlan, Fold, Histogram, MessagePlane, MetricSet,
+};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -531,10 +534,14 @@ impl EnvelopeWindow {
     }
 }
 
-/// Per-message ladder counters of one follower: plain fields on the
-/// message path, folded into the metric set by `V2xVehicle::finish`.
-#[derive(Debug, Clone, Copy, Default)]
-struct LadderTally {
+/// A V2X vehicle's tally, and a run's: its car's [`FleetTally`], the
+/// ladder, heartbeat and rollout counts, and the three V2X histograms. A
+/// vehicle counts into everything but `car` while it runs; its finish
+/// seals the car into `car`, and the run adds the tallies up with [`Fold`]
+/// and renders them once.
+#[derive(Debug, Default)]
+struct V2xTally {
+    car: FleetTally,
     /// Platoon messages that reached the lead itself (not judged).
     lead_ignored: u64,
     received: u64,
@@ -547,6 +554,114 @@ struct LadderTally {
     blocked_attacks: u64,
     dedup_dropped: u64,
     dedup_stale: u64,
+    heartbeat_misses: u64,
+    degraded_entries: u64,
+    degraded_exits: u64,
+    degraded_epochs: u64,
+    lead_outage_epochs: u64,
+    lead_broadcasts: u64,
+    attack_spoof: u64,
+    attack_replay: u64,
+    attack_tamper: u64,
+    attack_spoof_resume: u64,
+    attack_value_spoof: u64,
+    ecu_platoon_msgs: u64,
+    ecu_degraded_events: u64,
+    ecu_resumed_events: u64,
+    ecu_still_degraded: u64,
+    ota_staged: u64,
+    ota_applied: u64,
+    ota_acks_sent: u64,
+    ota_acks: u64,
+    ota_ack_ignored: u64,
+    ota_ack_redundant: u64,
+    ota_retransmits: u64,
+    ota_gave_up: u64,
+    ota_rejected_signature: u64,
+    ota_rejected_stale: u64,
+    ota_rejected_malformed: u64,
+    ota_attack_tampered: u64,
+    ota_attack_stale: u64,
+    ota_version_sum: u64,
+    /// Each vehicle's inbox digest per epoch, masked to 32 bits.
+    inbox_digest: Histogram,
+    ota_applied_wave: Histogram,
+    ota_final_version: Histogram,
+}
+
+/// Every V2X counter of [`V2xTally`]: key, field, and when the key
+/// appears. The ladder's, the heartbeat machine's, the acknowledgement
+/// loop's and the ECU's counters appear in every run, whatever the
+/// defences, faults and outage windows; the attack and rollout event
+/// counts only where the event happened (`v2x.lead_ignored` only in runs
+/// with an attacker, whose broadcasts are the only ones that reach the
+/// lead).
+const V2X_COUNTERS: [Counter<V2xTally>; 40] = [
+    ("v2x.lead_ignored", |t| &mut t.lead_ignored, Shown::NonZero),
+    ("v2x.received", |t| &mut t.received, Shown::Always),
+    ("v2x.accepted", |t| &mut t.accepted, Shown::Always),
+    ("v2x.leaked", |t| &mut t.leaked, Shown::Always),
+    ("v2x.rejected_auth", |t| &mut t.rejected_auth, Shown::Always),
+    ("v2x.rejected_replay", |t| &mut t.rejected_replay, Shown::Always),
+    ("v2x.rejected_policy", |t| &mut t.rejected_policy, Shown::Always),
+    ("v2x.rejected_anomaly", |t| &mut t.rejected_anomaly, Shown::Always),
+    ("v2x.blocked_attacks", |t| &mut t.blocked_attacks, Shown::Always),
+    ("v2x.dedup_dropped", |t| &mut t.dedup_dropped, Shown::Always),
+    ("v2x.dedup_stale", |t| &mut t.dedup_stale, Shown::Always),
+    ("v2x.heartbeat_misses", |t| &mut t.heartbeat_misses, Shown::Always),
+    ("v2x.degraded_entries", |t| &mut t.degraded_entries, Shown::Always),
+    ("v2x.degraded_exits", |t| &mut t.degraded_exits, Shown::Always),
+    ("v2x.degraded_epochs", |t| &mut t.degraded_epochs, Shown::Always),
+    ("v2x.lead_outage_epochs", |t| &mut t.lead_outage_epochs, Shown::Always),
+    ("v2x.lead_broadcasts", |t| &mut t.lead_broadcasts, Shown::NonZero),
+    ("v2x.attack.spoof", |t| &mut t.attack_spoof, Shown::NonZero),
+    ("v2x.attack.replay", |t| &mut t.attack_replay, Shown::NonZero),
+    ("v2x.attack.tamper", |t| &mut t.attack_tamper, Shown::NonZero),
+    ("v2x.attack.spoof_resume", |t| &mut t.attack_spoof_resume, Shown::Always),
+    ("v2x.attack.value_spoof", |t| &mut t.attack_value_spoof, Shown::Always),
+    ("v2x.ecu_platoon_msgs", |t| &mut t.ecu_platoon_msgs, Shown::Always),
+    ("v2x.ecu_degraded_events", |t| &mut t.ecu_degraded_events, Shown::Always),
+    ("v2x.ecu_resumed_events", |t| &mut t.ecu_resumed_events, Shown::Always),
+    ("v2x.ecu_still_degraded", |t| &mut t.ecu_still_degraded, Shown::Always),
+    ("ota.staged", |t| &mut t.ota_staged, Shown::NonZero),
+    ("ota.applied", |t| &mut t.ota_applied, Shown::NonZero),
+    ("ota.acks_sent", |t| &mut t.ota_acks_sent, Shown::Always),
+    ("ota.acks", |t| &mut t.ota_acks, Shown::Always),
+    ("ota.ack_ignored", |t| &mut t.ota_ack_ignored, Shown::Always),
+    ("ota.ack_redundant", |t| &mut t.ota_ack_redundant, Shown::Always),
+    ("ota.retransmits", |t| &mut t.ota_retransmits, Shown::Always),
+    ("ota.gave_up", |t| &mut t.ota_gave_up, Shown::Always),
+    ("ota.rejected_signature", |t| &mut t.ota_rejected_signature, Shown::NonZero),
+    ("ota.rejected_stale", |t| &mut t.ota_rejected_stale, Shown::NonZero),
+    ("ota.rejected_malformed", |t| &mut t.ota_rejected_malformed, Shown::NonZero),
+    ("ota.attack.tampered", |t| &mut t.ota_attack_tampered, Shown::NonZero),
+    ("ota.attack.stale", |t| &mut t.ota_attack_stale, Shown::NonZero),
+    ("ota.version_sum", |t| &mut t.ota_version_sum, Shown::Always),
+];
+
+impl Fold for V2xTally {
+    fn fold(&mut self, mut other: Self) {
+        self.car.fold(std::mem::take(&mut other.car));
+        tally::add(&V2X_COUNTERS, self, &mut other);
+        self.inbox_digest.merge(&other.inbox_digest);
+        self.ota_applied_wave.merge(&other.ota_applied_wave);
+        self.ota_final_version.merge(&other.ota_final_version);
+    }
+}
+
+impl V2xTally {
+    /// Renders the tally into `m`: the car's section, every counter
+    /// [`V2X_COUNTERS`] shows, and the histograms where a value was
+    /// observed.
+    fn render_into(mut self, m: &mut MetricSet) {
+        // No V2X counter is per tick.
+        let folded = self.car.folded();
+        tally::render(&V2X_COUNTERS, &mut self, folded, false, m);
+        m.merge_histogram("v2x.inbox_digest", self.inbox_digest);
+        m.merge_histogram("ota.applied_wave", self.ota_applied_wave);
+        m.merge_histogram("ota.final_version", self.ota_final_version);
+        self.car.render_into(m);
+    }
 }
 
 /// One vehicle of the V2X run: the fleet vehicle plus the V2X state —
@@ -560,8 +675,9 @@ struct V2xVehicle {
     /// [`FLEET_V2X_KEY`]'s schedule: verifies every judged message and
     /// signs the lead's and the attacker's own broadcasts.
     v2x_key: HmacKey,
-    ladder: LadderTally,
-    /// The anomaly rung's tally (`anomaly.*`, shared with the fleet keys).
+    tally: V2xTally,
+    /// The anomaly rung's verdicts; `finish` adds them to the car's
+    /// `anomaly.*` counters.
     anomaly: AnomalyCounters,
     store: DevicePolicyStore,
     /// Judges platoon ingestion against the store's *active* set; rebuilt
@@ -632,7 +748,7 @@ impl V2xVehicle {
             is_attacker: Some(shard) == cfg.attacker(),
             car,
             v2x_key: HmacKey::new(FLEET_V2X_KEY),
-            ladder: LadderTally::default(),
+            tally: V2xTally::default(),
             anomaly: AnomalyCounters::default(),
             store,
             ingest,
@@ -653,10 +769,6 @@ impl V2xVehicle {
         }
     }
 
-    fn count(&mut self, key: &str, n: u64) {
-        self.car.metrics_mut().count(key, n);
-    }
-
     /// One epoch: consume the inbox, emit this epoch's mail, then run the
     /// in-vehicle traffic slice (so relayed frames traverse the gateway
     /// and reach the ECU within the same epoch).
@@ -673,11 +785,11 @@ impl V2xVehicle {
             if cfg.defenses.replay_window {
                 match self.windows.entry(env.from).or_default().check(env.seq) {
                     SeqVerdict::Duplicate => {
-                        self.ladder.dedup_dropped += 1;
+                        self.tally.dedup_dropped += 1;
                         continue;
                     }
                     SeqVerdict::Stale => {
-                        self.ladder.dedup_stale += 1;
+                        self.tally.dedup_stale += 1;
                         continue;
                     }
                     SeqVerdict::Fresh => {}
@@ -694,9 +806,7 @@ impl V2xVehicle {
         // Pin this vehicle's inbox (content and order) into the
         // deterministic metrics; masked to 32 bits, which bounds the digest
         // histogram's bucket array to the buckets below 2^32.
-        self.car
-            .metrics_mut()
-            .observe("v2x.inbox_digest", digest & 0xFFFF_FFFF);
+        self.tally.inbox_digest.record(digest & 0xFFFF_FFFF);
 
         if self.shard == cfg.lead() {
             self.emit_lead(cfg, rollout, ctx);
@@ -726,22 +836,22 @@ impl V2xVehicle {
             self.captured_platoon = Some(*msg);
         }
         if self.shard == cfg.lead() {
-            self.ladder.lead_ignored += 1;
+            self.tally.lead_ignored += 1;
             return;
         }
         let attack = u64::from(is_attack);
-        self.ladder.received += 1;
+        self.tally.received += 1;
 
         let authentic = msg.verify_with(&self.v2x_key);
         if cfg.defenses.auth && !authentic {
-            self.ladder.rejected_auth += 1;
-            self.ladder.blocked_attacks += attack;
+            self.tally.rejected_auth += 1;
+            self.tally.blocked_attacks += attack;
             return;
         }
         if cfg.defenses.replay_window {
             if msg.seq <= self.lead_window(msg.lead) {
-                self.ladder.rejected_replay += 1;
-                self.ladder.blocked_attacks += attack;
+                self.tally.rejected_replay += 1;
+                self.tally.blocked_attacks += attack;
                 return;
             }
             // The window tracks the *authenticated* stream only: advance on
@@ -762,8 +872,8 @@ impl V2xVehicle {
             let request = AccessRequest::new(claim, entities.asset, Action::Write);
             let now_us = self.car.now().as_micros();
             if !self.ingest.decide_at(&request, &self.ctx, now_us).is_allow() {
-                self.ladder.rejected_policy += 1;
-                self.ladder.blocked_attacks += attack;
+                self.tally.rejected_policy += 1;
+                self.tally.blocked_attacks += attack;
                 return;
             }
         }
@@ -776,14 +886,14 @@ impl V2xVehicle {
             let verdict = self.platoon.judge(msg.speed, msg.brake);
             self.anomaly.tally(verdict);
             if verdict.flagged() {
-                self.ladder.rejected_anomaly += 1;
-                self.ladder.blocked_attacks += attack;
+                self.tally.rejected_anomaly += 1;
+                self.tally.blocked_attacks += attack;
                 return;
             }
         }
-        self.ladder.accepted += 1;
+        self.tally.accepted += 1;
         // ground truth: an attacker-originated message made it through
-        self.ladder.leaked += attack;
+        self.tally.leaked += attack;
         // Heartbeat liveness is keyed on the *transport* sender shard, not
         // message content: only the real lead's accepted broadcasts feed
         // the limp-home machine, so an accepted attacker message under a
@@ -800,21 +910,21 @@ impl V2xVehicle {
     fn track_heartbeat(&mut self) {
         let heard = self.heard_heartbeat;
         if self.health.joined() && !heard {
-            self.count("v2x.heartbeat_misses", 1);
+            self.tally.heartbeat_misses += 1;
         }
         match self.health.on_epoch(heard) {
             Some(LimpTransition::Enter) => {
-                self.count("v2x.degraded_entries", 1);
+                self.tally.degraded_entries += 1;
                 self.car.relay_v2x_health(true);
             }
             Some(LimpTransition::Exit) => {
-                self.count("v2x.degraded_exits", 1);
+                self.tally.degraded_exits += 1;
                 self.car.relay_v2x_health(false);
             }
             None => {}
         }
         if self.health.degraded() {
-            self.count("v2x.degraded_epochs", 1);
+            self.tally.degraded_epochs += 1;
         }
     }
 
@@ -836,16 +946,14 @@ impl V2xVehicle {
                     self.captured_ota = Some((payload.to_vec(), signature_hex.to_string()));
                 }
                 self.ingest = PolicyEngine::compact(self.store.active().clone());
-                self.count("ota.applied", 1);
-                self.car
-                    .metrics_mut()
-                    .observe("ota.applied_wave", wave);
+                self.tally.ota_applied += 1;
+                self.tally.ota_applied_wave.record(wave);
                 outbox.unicast(from, V2xMsg::OtaAck { version: self.store.version() });
-                self.count("ota.acks_sent", 1);
+                self.tally.ota_acks_sent += 1;
             }
-            Err(PolicyError::BadSignature) => self.count("ota.rejected_signature", 1),
+            Err(PolicyError::BadSignature) => self.tally.ota_rejected_signature += 1,
             Err(PolicyError::StaleVersion { .. }) => {
-                self.count("ota.rejected_stale", 1);
+                self.tally.ota_rejected_stale += 1;
                 // Idempotent re-delivery (a retransmit that crossed the
                 // first ack in flight, or a duplicated envelope under a
                 // weakened dedup rung): the store already holds this or a
@@ -853,9 +961,9 @@ impl V2xVehicle {
                 // sender stops retransmitting. Unverifiable bundles are
                 // never acknowledged.
                 outbox.unicast(from, V2xMsg::OtaAck { version: self.store.version() });
-                self.count("ota.acks_sent", 1);
+                self.tally.ota_acks_sent += 1;
             }
-            Err(_) => self.count("ota.rejected_malformed", 1),
+            Err(_) => self.tally.ota_rejected_malformed += 1,
         }
     }
 
@@ -863,16 +971,16 @@ impl V2xVehicle {
     /// collecting acks for its fleet-wide stale replay) ignore them.
     fn on_ota_ack(&mut self, cfg: &V2xConfig, from: usize, version: u64) {
         if self.shard != cfg.lead() || version == 0 {
-            self.count("ota.ack_ignored", 1);
+            self.tally.ota_ack_ignored += 1;
             return;
         }
         match self.ota_pending.get_mut(&from) {
             Some(d) if !d.acked => {
                 d.acked = true;
-                self.count("ota.acks", 1);
+                self.tally.ota_acks += 1;
             }
-            Some(_) => self.count("ota.ack_redundant", 1),
-            None => self.count("ota.ack_ignored", 1),
+            Some(_) => self.tally.ota_ack_redundant += 1,
+            None => self.tally.ota_ack_ignored += 1,
         }
     }
 
@@ -890,7 +998,7 @@ impl V2xVehicle {
             // the outage window stay stream-aligned.
             let _ = self.rng.next_below(21);
             let _ = self.rng.chance(0.2);
-            self.count("v2x.lead_outage_epochs", 1);
+            self.tally.lead_outage_epochs += 1;
         } else {
             self.lead_seq += 1;
             let speed = 60 + self.rng.next_below(21) as u8; // 60..=80 km/h
@@ -904,7 +1012,7 @@ impl V2xVehicle {
                 CLAIM_V2X_LEAD,
             );
             ctx.outbox.broadcast(PLATOON_GROUP, V2xMsg::Platoon(msg));
-            self.count("v2x.lead_broadcasts", 1);
+            self.tally.lead_broadcasts += 1;
         }
 
         if ctx.epoch < cfg.ota_waves {
@@ -918,7 +1026,7 @@ impl V2xVehicle {
                             wave: ctx.epoch,
                         },
                     );
-                    self.count("ota.staged", 1);
+                    self.tally.ota_staged += 1;
                     self.ota_pending.insert(
                         v,
                         OtaDelivery {
@@ -952,7 +1060,7 @@ impl V2xVehicle {
             }
             if d.attempts > cfg.ota_retry_limit {
                 d.gave_up = true;
-                self.car.metrics_mut().count("ota.gave_up", 1);
+                self.tally.ota_gave_up += 1;
                 continue;
             }
             ctx.outbox.unicast(
@@ -968,7 +1076,7 @@ impl V2xVehicle {
             let jitter = self.backoff_rng.next_below(2);
             d.next_attempt = ctx.epoch + OTA_ACK_RTT_EPOCHS + extra + jitter;
             d.attempts += 1;
-            self.car.metrics_mut().count("ota.retransmits", 1);
+            self.tally.ota_retransmits += 1;
         }
     }
 
@@ -989,14 +1097,14 @@ impl V2xVehicle {
                     tag: 0xDEAD_BEEF_0BAD_F00D ^ u64::from(seq),
                 };
                 ctx.outbox.broadcast(PLATOON_GROUP, V2xMsg::Platoon(forged));
-                self.count("v2x.attack.spoof", 1);
+                self.tally.attack_spoof += 1;
             }
             1 => {
                 // Replayed broadcast: an authentic captured message, sent
                 // again verbatim (valid tag, stale sequence number).
                 if let Some(captured) = self.captured_platoon {
                     ctx.outbox.broadcast(PLATOON_GROUP, V2xMsg::Platoon(captured));
-                    self.count("v2x.attack.replay", 1);
+                    self.tally.attack_replay += 1;
                 }
             }
             2 => {
@@ -1006,7 +1114,7 @@ impl V2xVehicle {
                     tampered.speed = 0;
                     tampered.brake = true;
                     ctx.outbox.broadcast(PLATOON_GROUP, V2xMsg::Platoon(tampered));
-                    self.count("v2x.attack.tamper", 1);
+                    self.tally.attack_tamper += 1;
                 }
             }
             3 => {
@@ -1029,7 +1137,7 @@ impl V2xVehicle {
                     };
                     ctx.outbox.broadcast(PLATOON_GROUP, V2xMsg::Platoon(forged));
                 }
-                self.count("v2x.attack.spoof_resume", 1);
+                self.tally.attack_spoof_resume += 1;
             }
             _ => {
                 // Value spoof: the compromised member broadcasts under its
@@ -1049,7 +1157,7 @@ impl V2xVehicle {
                     CLAIM_V2X_LEAD,
                 );
                 ctx.outbox.broadcast(PLATOON_GROUP, V2xMsg::Platoon(msg));
-                self.count("v2x.attack.value_spoof", 1);
+                self.tally.attack_value_spoof += 1;
             }
         }
 
@@ -1068,7 +1176,7 @@ impl V2xVehicle {
                             wave: u64::MAX,
                         },
                     );
-                    self.count("ota.attack.tampered", 1);
+                    self.tally.ota_attack_tampered += 1;
                 }
             }
         }
@@ -1083,77 +1191,33 @@ impl V2xVehicle {
                             wave: u64::MAX,
                         },
                     );
-                    self.count("ota.attack.stale", 1);
+                    self.tally.ota_attack_stale += 1;
                 }
             }
         }
     }
 
-    /// Seals the vehicle: its ladder and anomaly tallies and its store
-    /// version land in the metrics (so the replay checks also pin the
-    /// rollout outcome per vehicle), then the fleet vehicle folds its final
-    /// statistics.
-    fn finish(mut self) -> MetricSet {
-        let l = self.ladder;
-        // Only an attacker's broadcasts reach the lead, so the key exists
-        // only in runs with one.
-        if l.lead_ignored > 0 {
-            self.car.metrics_mut().count("v2x.lead_ignored", l.lead_ignored);
-        }
-        for (key, n) in [
-            ("v2x.received", l.received),
-            ("v2x.accepted", l.accepted),
-            ("v2x.leaked", l.leaked),
-            ("v2x.rejected_auth", l.rejected_auth),
-            ("v2x.rejected_replay", l.rejected_replay),
-            ("v2x.rejected_policy", l.rejected_policy),
-            ("v2x.rejected_anomaly", l.rejected_anomaly),
-            ("v2x.blocked_attacks", l.blocked_attacks),
-            ("v2x.dedup_dropped", l.dedup_dropped),
-            ("v2x.dedup_stale", l.dedup_stale),
-        ] {
-            self.car.metrics_mut().count(key, n);
-        }
-        self.anomaly.fold_into(self.car.metrics_mut());
-        // Zero-initialise conditionally-counted V2X/OTA metrics so the
-        // counter shape is identical across defence configurations, fault
-        // plans and outage windows.
-        for key in [
-            "v2x.heartbeat_misses",
-            "v2x.degraded_entries",
-            "v2x.degraded_exits",
-            "v2x.degraded_epochs",
-            "v2x.lead_outage_epochs",
-            "v2x.attack.spoof_resume",
-            "v2x.attack.value_spoof",
-            "ota.acks",
-            "ota.acks_sent",
-            "ota.ack_ignored",
-            "ota.ack_redundant",
-            "ota.retransmits",
-            "ota.gave_up",
-        ] {
-            self.car.metrics_mut().count(key, 0);
-        }
+    /// Seals the vehicle: its store version (so the replay checks also pin
+    /// the rollout outcome per vehicle) and the ECU's platoon state land in
+    /// its tally, its car is folded into the tally's `car`, and the anomaly
+    /// rung's verdicts are added to the car's `anomaly.*` counters.
+    fn finish(self) -> V2xTally {
+        let mut t = self.tally;
         let version = self.store.version();
-        self.car.metrics_mut().count("ota.version_sum", version);
-        self.car.metrics_mut().observe("ota.final_version", version);
+        t.ota_version_sum += version;
+        t.ota_final_version.record(version);
         // how many relayed platoon frames survived the in-vehicle path
         // (gateway whitelist, segment + node HPEs) and reached the ECU
-        let (ecu_msgs, ecu_entered, ecu_resumed, ecu_degraded_now) = {
+        {
             let ecu = crate::components::lock(&self.car.states().ecu);
-            (
-                u64::from(ecu.platoon_msgs),
-                u64::from(ecu.degraded_events),
-                u64::from(ecu.resumed_events),
-                u64::from(ecu.degraded),
-            )
-        };
-        self.car.metrics_mut().count("v2x.ecu_platoon_msgs", ecu_msgs);
-        self.car.metrics_mut().count("v2x.ecu_degraded_events", ecu_entered);
-        self.car.metrics_mut().count("v2x.ecu_resumed_events", ecu_resumed);
-        self.car.metrics_mut().count("v2x.ecu_still_degraded", ecu_degraded_now);
-        self.car.finish()
+            t.ecu_platoon_msgs += u64::from(ecu.platoon_msgs);
+            t.ecu_degraded_events += u64::from(ecu.degraded_events);
+            t.ecu_resumed_events += u64::from(ecu.resumed_events);
+            t.ecu_still_degraded += u64::from(ecu.degraded);
+        }
+        t.car = self.car.into_tally();
+        t.car.add_anomaly(&self.anomaly);
+        t
     }
 }
 
@@ -1213,7 +1277,8 @@ pub fn run_v2x(cfg: &V2xConfig) -> V2xReport {
     }
 
     let started = Instant::now();
-    let mut merged = run_epochs_faulted(
+    let mut tally = V2xTally::default();
+    let mut metrics = run_epochs_faulted(
         cfg.fleet.vehicles,
         cfg.fleet.threads,
         cfg.epochs,
@@ -1221,15 +1286,16 @@ pub fn run_v2x(cfg: &V2xConfig) -> V2xReport {
         cfg.faults.as_ref(),
         |shard| V2xVehicle::build(cfg, shard, Arc::clone(&engine)),
         |vehicle, ctx| vehicle.epoch(cfg, &rollout, ctx),
-        |vehicle, metrics| metrics.merge(&vehicle.finish()),
+        |vehicle, _| tally.fold(vehicle.finish()),
     );
     let elapsed_sec = started.elapsed().as_secs_f64();
-    let mut wall = merged.split_off_prefix("wall.");
+    tally.render_into(&mut metrics);
+    let mut wall = metrics.split_off_prefix("wall.");
     for (name, value) in engine.stats().as_pairs() {
         wall.count(&format!("engine.{name}"), value);
     }
     V2xReport {
-        metrics: merged,
+        metrics,
         wall,
         vehicles: cfg.fleet.vehicles,
         epochs: cfg.epochs,

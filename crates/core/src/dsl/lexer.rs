@@ -98,6 +98,12 @@ fn string_len(body: &[u8]) -> Result<usize, (usize, char)> {
     }
 }
 
+/// Source bytes per token [`tokenize`] reserves for. Printed bundle
+/// bodies run about 5.7 bytes a token (the rollout bundle: 342 tokens in
+/// 1 932 bytes) and the analyzer's fixtures 5.0 to 11.8, so a quarter of
+/// the length holds every token of them.
+const BYTES_PER_TOKEN_RESERVED: usize = 4;
+
 /// Tokenizes DSL source.
 ///
 /// Every delimiter and word character is ASCII, so the scan walks bytes
@@ -105,12 +111,16 @@ fn string_len(body: &[u8]) -> Result<usize, (usize, char)> {
 /// is the token vector. A non-ASCII character is decoded only to skip it
 /// as whitespace or to report it.
 ///
+/// The vector is reserved from the source length, one token per four
+/// bytes, so lexing a policy text takes one allocation instead of a vector
+/// doubled from empty; denser text grows it as usual.
+///
 /// # Errors
 /// [`PolicyError::Lex`] on unexpected characters, unterminated strings or
 /// a `\` in a string that escapes neither `"` nor `\`.
 pub fn tokenize(src: &str) -> Result<Vec<Token<'_>>, PolicyError> {
     let bytes = src.as_bytes();
-    let mut tokens = Vec::new();
+    let mut tokens = Vec::with_capacity(src.len() / BYTES_PER_TOKEN_RESERVED);
     let mut line: u32 = 1;
     let mut i = 0;
 

@@ -26,13 +26,14 @@
 //! decision block. Cycle accounting is preserved on hits: the cached verdict
 //! carries the cycle cost the hardware comparator bank spends on every
 //! frame. [`HardwarePolicyEngine::telemetry`] sums the live lanes and the
-//! totals of dropped handles.
+//! totals of dropped handles, per-id block table included;
+//! [`HardwarePolicyEngine::totals`] sums only their scalar counts.
 
 use crate::config::compile_policy_to_lists;
 use crate::decision::DecisionBlock;
 use crate::error::HpeError;
 use crate::lists::ApprovedLists;
-use crate::telemetry::HpeTelemetry;
+use crate::telemetry::{HpeTelemetry, HpeTotals};
 use polsec_can::node::{InterposeVerdict, Interposer};
 use polsec_can::{CanFrame, CanId};
 use polsec_core::SignedBundle;
@@ -157,13 +158,18 @@ impl Lane {
         add(&self.blocked_by_id.other, other.blocked_by_id.other.load(Ordering::Relaxed));
     }
 
-    fn add_to(&self, t: &mut HpeTelemetry) {
+    /// Adds this lane's frames per `(direction, outcome)` and its cycles.
+    fn add_totals(&self, t: &mut HpeTotals) {
         let frames = |i: usize| self.frames[i].load(Ordering::Relaxed);
         t.read_blocked += frames(0);
         t.read_granted += frames(1);
         t.write_blocked += frames(2);
         t.write_granted += frames(3);
         t.total_cycles += self.cycles.load(Ordering::Relaxed);
+    }
+
+    /// Adds this lane's per-id block counts.
+    fn add_blocked_ids(&self, t: &mut HpeTelemetry) {
         self.blocked_by_id
             .for_each(|id, n| *t.blocked_by_id.entry(id).or_insert(0) += n);
         t.blocked_other += self.blocked_by_id.other.load(Ordering::Relaxed);
@@ -179,6 +185,13 @@ struct Lanes {
     live: Vec<Arc<Lane>>,
     /// The first dropped lane, with every later one folded into it.
     retired: Option<Lane>,
+}
+
+impl Lanes {
+    /// The retired totals and every live lane.
+    fn iter(&self) -> impl Iterator<Item = &Lane> {
+        self.retired.iter().chain(self.live.iter().map(|l| &**l))
+    }
 }
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -310,15 +323,21 @@ impl HardwarePolicyEngine {
     }
 
     /// Snapshot of the telemetry counters: the totals of dropped handles
-    /// plus every live handle's lane.
+    /// plus every live handle's lane, per-id block table included.
     pub fn telemetry(&self) -> HpeTelemetry {
         let lanes = lock(&self.shared.lanes);
-        let mut t = HpeTelemetry::new();
-        for lane in lanes.retired.iter().chain(lanes.live.iter().map(|l| &**l)) {
-            lane.add_to(&mut t);
+        let mut t = HpeTelemetry::from(self.shared.totals(&lanes));
+        for lane in lanes.iter() {
+            lane.add_blocked_ids(&mut t);
         }
-        t.tamper_attempts = self.shared.tamper_attempts.load(Ordering::Relaxed);
         t
+    }
+
+    /// The scalar counters of [`HardwarePolicyEngine::telemetry`] without
+    /// its per-id block table: one lock and five sums per lane, where the
+    /// full snapshot also walks each lane's 128-slot table into a map.
+    pub fn totals(&self) -> HpeTotals {
+        self.shared.totals(&lock(&self.shared.lanes))
     }
 
     /// The active configuration version (atomic read; no lock).
@@ -459,6 +478,18 @@ impl Shared {
         }
     }
 
+    /// Sums the scalar counters of `lanes`, which the caller holds locked.
+    fn totals(&self, lanes: &Lanes) -> HpeTotals {
+        let mut t = HpeTotals {
+            tamper_attempts: self.tamper_attempts.load(Ordering::Relaxed),
+            ..HpeTotals::default()
+        };
+        for lane in lanes.iter() {
+            lane.add_totals(&mut t);
+        }
+        t
+    }
+
     fn read_config(&self) -> std::sync::RwLockReadGuard<'_, HpeConfig> {
         self.config.read().unwrap_or_else(|e| e.into_inner())
     }
@@ -506,6 +537,18 @@ mod tests {
 
     fn frame(id: u32) -> CanFrame {
         CanFrame::data(sid(id), &[0xEE]).unwrap()
+    }
+
+    /// The scalar part of a telemetry snapshot.
+    fn scalars(t: &HpeTelemetry) -> HpeTotals {
+        HpeTotals {
+            read_granted: t.read_granted,
+            read_blocked: t.read_blocked,
+            write_granted: t.write_granted,
+            write_blocked: t.write_blocked,
+            tamper_attempts: t.tamper_attempts,
+            total_cycles: t.total_cycles,
+        }
     }
 
     fn engine_allowing(read: &[u32], write: &[u32]) -> HardwarePolicyEngine {
@@ -741,6 +784,7 @@ mod tests {
             .collect();
         // Keep both handles alive so the sum comes from two live lanes.
         let _handles: Vec<_> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+        hpe.firmware_attempt_reconfigure().unwrap_err();
 
         let mut expected = HpeTelemetry::new();
         for t in 0..2u32 {
@@ -764,6 +808,8 @@ mod tests {
                 expected.total_cycles += u64::from(cycles);
             }
         }
+        expected.tamper_attempts = 1;
+        assert_eq!(hpe.totals(), scalars(&expected));
         assert_eq!(hpe.telemetry(), expected);
     }
 
@@ -785,6 +831,7 @@ mod tests {
             HANDLES / 2 * u64::from(grant_cycles + block_cycles)
         );
         assert_eq!(t.blocked_by_id, BTreeMap::from([(0x200, HANDLES / 2)]));
+        assert_eq!(hpe.totals(), scalars(&t), "retired lanes total alike");
         assert!(lock(&hpe.shared.lanes).live.is_empty(), "dropped handles unregister");
     }
 

@@ -58,4 +58,4 @@ pub use decision::{DecisionBlock, Verdict};
 pub use engine::HardwarePolicyEngine;
 pub use error::HpeError;
 pub use lists::{ApprovedList, ApprovedLists};
-pub use telemetry::HpeTelemetry;
+pub use telemetry::{HpeTelemetry, HpeTotals};

@@ -28,6 +28,40 @@ pub struct HpeTelemetry {
     pub blocked_other: u64,
 }
 
+/// The scalar counters of [`HpeTelemetry`], without its per-id block
+/// table: what [`HardwarePolicyEngine::totals`](crate::HardwarePolicyEngine::totals)
+/// reads, for callers that only add the counts up.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HpeTotals {
+    /// Frames granted on the read path.
+    pub read_granted: u64,
+    /// Frames blocked on the read path.
+    pub read_blocked: u64,
+    /// Frames granted on the write path.
+    pub write_granted: u64,
+    /// Frames blocked on the write path.
+    pub write_blocked: u64,
+    /// Unauthenticated reconfiguration attempts rejected.
+    pub tamper_attempts: u64,
+    /// Total modelled lookup cycles spent.
+    pub total_cycles: u64,
+}
+
+impl From<HpeTotals> for HpeTelemetry {
+    /// The totals with an empty per-id block table.
+    fn from(t: HpeTotals) -> Self {
+        HpeTelemetry {
+            read_granted: t.read_granted,
+            read_blocked: t.read_blocked,
+            write_granted: t.write_granted,
+            write_blocked: t.write_blocked,
+            tamper_attempts: t.tamper_attempts,
+            total_cycles: t.total_cycles,
+            ..HpeTelemetry::default()
+        }
+    }
+}
+
 impl HpeTelemetry {
     /// Creates zeroed telemetry.
     pub fn new() -> Self {

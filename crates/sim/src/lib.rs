@@ -12,7 +12,8 @@
 //! * [`metrics`] — counters and bounded, order-free histograms used by
 //!   benches and reports,
 //! * [`shard`] — a deterministic sharded runner that fans independent
-//!   simulations over a thread pool and merges their [`MetricSet`]s,
+//!   simulations over a thread pool and folds their results (a
+//!   [`MetricSet`] or any other order-free [`Fold`]),
 //! * [`plane`] — an epoch-barriered variant of the sharded runner with a
 //!   deterministic cross-shard message plane (broadcast groups, unicast
 //!   mail, `(sender, seq)`-ordered inboxes),
@@ -52,6 +53,6 @@ pub use plane::{
     run_epochs, run_epochs_faulted, Address, Envelope, EpochCtx, FaultPlan, MessagePlane, Outbox,
 };
 pub use rng::DetRng;
-pub use shard::{resolve_threads, run_sharded};
+pub use shard::{resolve_threads, run_sharded, Fold};
 pub use time::{SimDuration, SimTime};
 pub use trace::{sampled, Trace, TraceRecord};

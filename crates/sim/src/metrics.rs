@@ -6,21 +6,36 @@
 //! histograms merge by adding counts, in any order.
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 
 /// Renders `s` as a JSON string literal (quoted, `"`/`\` and control
 /// characters escaped). Shared by [`MetricSet::to_json`] and every other
 /// hand-rolled JSON reporter in the workspace (`polsec-analyze`'s findings
-/// report, the bench harness outputs) so they escape identically.
+/// report, the bench harness outputs) so they escape identically. A string
+/// with nothing to escape costs one allocation, sized for it.
 pub fn json_quote(s: &str) -> String {
-    let escaped: String = s
-        .chars()
-        .flat_map(|c| match c {
-            '"' | '\\' => vec!['\\', c],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect();
-    format!("\"{escaped}\"")
+    let mut out = String::with_capacity(s.len() + 2);
+    push_quoted(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out` as a JSON string literal, escaped as by
+/// [`json_quote`].
+fn push_quoted(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' | '\\' => {
+                out.push('\\');
+                out.push(c);
+            }
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Linear sub-buckets per power of two from 64 up.
@@ -216,6 +231,20 @@ impl MetricSet {
         }
     }
 
+    /// Adds every observation of `h` to the histogram under `name`. An
+    /// empty `h` adds nothing, so a name still appears only where a value
+    /// was observed; otherwise the name is owned only if it is new.
+    pub fn merge_histogram(&mut self, name: &str, h: Histogram) {
+        if h.is_empty() {
+            return;
+        }
+        if let Some(dst) = self.histograms.get_mut(name) {
+            dst.merge(&h);
+        } else {
+            self.histograms.insert(name.to_string(), h);
+        }
+    }
+
     /// Raises the named counter to at least `v` — a high-water gauge.
     ///
     /// Intended for run-level peaks recorded once per run (e.g. the plane's
@@ -282,32 +311,29 @@ impl MetricSet {
     /// byte-identical JSON — the replay-determinism checks compare exactly
     /// this string.
     pub fn to_json(&self) -> String {
-        let quote = json_quote;
         let mut out = String::from("{\"counters\":{");
-        let mut first = true;
-        for (k, v) in &self.counters {
-            if !first {
+        for (i, (k, v)) in self.counters.iter().enumerate() {
+            if i > 0 {
                 out.push(',');
             }
-            first = false;
-            out.push_str(&format!("{}:{}", quote(k), v));
+            push_quoted(&mut out, k);
+            let _ = write!(out, ":{v}");
         }
         out.push_str("},\"histograms\":{");
-        let mut first = true;
-        for (k, h) in &self.histograms {
-            if !first {
+        for (i, (k, h)) in self.histograms.iter().enumerate() {
+            if i > 0 {
                 out.push(',');
             }
-            first = false;
             let (n, min, max) = (h.count(), h.min().unwrap_or(0), h.max().unwrap_or(0));
             let mean = h.mean().unwrap_or(0.0);
             let p50 = h.quantile(0.50).unwrap_or(0);
             let p90 = h.quantile(0.90).unwrap_or(0);
             let p99 = h.quantile(0.99).unwrap_or(0);
-            out.push_str(&format!(
-                "{}:{{\"n\":{n},\"min\":{min},\"mean\":{mean:.3},\"p50\":{p50},\"p90\":{p90},\"p99\":{p99},\"max\":{max}}}",
-                quote(k)
-            ));
+            push_quoted(&mut out, k);
+            let _ = write!(
+                out,
+                ":{{\"n\":{n},\"min\":{min},\"mean\":{mean:.3},\"p50\":{p50},\"p90\":{p90},\"p99\":{p99},\"max\":{max}}}"
+            );
         }
         out.push_str("}}");
         out
@@ -484,6 +510,34 @@ mod tests {
         assert_eq!(m.counter("peak"), 5, "lower values never regress the gauge");
         m.set_max("peak", 9);
         assert_eq!(m.counter("peak"), 9);
+    }
+
+    #[test]
+    fn json_quote_escapes_quotes_backslashes_and_control_characters() {
+        assert_eq!(json_quote("plain.key"), "\"plain.key\"");
+        assert_eq!(json_quote(""), "\"\"");
+        assert_eq!(json_quote("a\"b"), "\"a\\\"b\"");
+        assert_eq!(json_quote("a\\b"), "\"a\\\\b\"");
+        assert_eq!(json_quote("\n\t\r\u{0}\u{1f}"), "\"\\u000a\\u0009\\u000d\\u0000\\u001f\"");
+        // DEL and everything above the control range pass through as UTF-8.
+        assert_eq!(json_quote("\u{7f}é→🚗"), "\"\u{7f}é→🚗\"");
+        let mut m = MetricSet::new();
+        m.count("q\"k", 1);
+        assert_eq!(m.to_json(), "{\"counters\":{\"q\\\"k\":1},\"histograms\":{}}");
+    }
+
+    #[test]
+    fn merge_histogram_adds_observations_and_skips_empty_ones() {
+        let mut m = MetricSet::new();
+        m.merge_histogram("h", Histogram::new());
+        assert!(m.histogram("h").is_none(), "an empty histogram adds no name");
+        let mut h = Histogram::new();
+        h.record(5);
+        m.merge_histogram("h", h.clone());
+        m.observe("h", 9);
+        m.merge_histogram("h", h);
+        let merged = m.histogram("h").unwrap();
+        assert_eq!((merged.count(), merged.min(), merged.max()), (3, Some(5), Some(9)));
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //! envelopes strictly increasing sequence numbers, every inbox is sorted by
 //! `(sender_shard, seq)` — a pure function of the per-shard work, never of
 //! thread scheduling. After the last epoch each shard's final state is
-//! added straight into the run's one [`MetricSet`]; no per-shard result
-//! table is kept.
+//! handed to `finish` on the calling thread, in shard-index order, with the
+//! run's one [`MetricSet`]; no per-shard result table is kept. Because
+//! `finish` is an `FnMut`, a caller may instead fold each state into a
+//! typed tally of its own and render that into the set once.
 //!
 //! # The barrier
 //!
@@ -462,8 +464,8 @@ pub struct EpochCtx<'a, M> {
 /// * `step(state, ctx)` runs one epoch — it reads `ctx.inbox` and writes
 ///   `ctx.outbox`;
 /// * `finish(state, metrics)` adds the final state to the run's metric set
-///   after the last epoch, on the calling thread, one shard after another
-///   in index order.
+///   (or to anything else it holds mutably) after the last epoch, on the
+///   calling thread, one shard after another in index order.
 ///
 /// Mail sent during the final epoch has no consuming epoch; it is still
 /// routed (so `plane.delivered` counts it) but recorded under
@@ -497,7 +499,7 @@ where
     M: Clone + Send + Sync,
     Init: Fn(usize) -> S + Sync,
     Step: Fn(&mut S, &mut EpochCtx<'_, M>) + Sync,
-    Fin: Fn(S, &mut MetricSet) + Sync,
+    Fin: FnMut(S, &mut MetricSet),
 {
     run_epochs_faulted(shards, threads, epochs, plane, None, init, step, finish)
 }
@@ -533,14 +535,14 @@ pub fn run_epochs_faulted<S, M, Init, Step, Fin>(
     faults: Option<&FaultPlan>,
     init: Init,
     step: Step,
-    finish: Fin,
+    mut finish: Fin,
 ) -> MetricSet
 where
     S: Send,
     M: Clone + Send + Sync,
     Init: Fn(usize) -> S + Sync,
     Step: Fn(&mut S, &mut EpochCtx<'_, M>) + Sync,
-    Fin: Fn(S, &mut MetricSet) + Sync,
+    Fin: FnMut(S, &mut MetricSet),
 {
     let threads = resolve_threads(threads).min(shards.max(1));
     let mut router = Router::new(plane, shards, faults);
@@ -807,6 +809,23 @@ mod tests {
         for threads in [2, 4, 16] {
             assert_eq!(digest_run(9, threads, 5, None), reference, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn finish_folds_into_the_callers_own_tally_in_shard_order() {
+        let plane = MessagePlane::new();
+        let mut order = Vec::new();
+        let merged = run_epochs(
+            5,
+            2,
+            2,
+            &plane,
+            |shard| shard,
+            |_, _: &mut EpochCtx<'_, u8>| {},
+            |shard, _| order.push(shard),
+        );
+        assert_eq!(order, vec![0, 1, 2, 3, 4]);
+        assert_eq!(merged.counter("plane.epochs"), 2);
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! Deterministic sharded execution of independent simulation tasks.
 //!
 //! Fleet-scale experiments run many mutually independent simulations (one
-//! per vehicle) and report one merged [`MetricSet`]. [`run_sharded`] fans the
+//! per vehicle) and report one folded result. [`run_sharded`] fans the
 //! shard indices out over a worker pool through a guided self-scheduling
 //! work queue (workers claim shrinking index chunks from one atomic cursor,
 //! so a straggling shard — e.g. the compromised platoon member doing extra
 //! attack work — never idles the other workers behind a static partition).
-//! Each worker folds its shards' results into its own [`MetricSet`] and the
-//! join folds the workers' sets. [`MetricSet::merge`] gives the same result
-//! in any order, so which worker ran which shard cannot show. Combined with
-//! [`DetRng::stream`](crate::DetRng::stream) for per-shard seeds, a sharded
-//! run is bit-for-bit reproducible at any thread count.
+//! Each worker folds its shards' results into its own accumulator and the
+//! join folds the workers' accumulators. A shard result is any [`Fold`]
+//! type: a [`MetricSet`], or a workload's typed tally of plain sums. A fold
+//! gives the same result in any order, so which worker ran which shard
+//! cannot show. Combined with [`DetRng::stream`](crate::DetRng::stream)
+//! for per-shard seeds, a sharded run is bit-for-bit reproducible at any
+//! thread count.
 
 use crate::metrics::MetricSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,14 +54,28 @@ pub(crate) fn claim_chunk(next: &AtomicU64, limit: u64, threads: usize) -> Optio
     }
 }
 
+/// A shard result that folds in any order: folding a set of results into
+/// [`Default::default`] in any order or grouping gives the same value.
+/// Counters that add and histograms that merge bucket by bucket have this
+/// property; a last-writer-wins field does not.
+pub trait Fold: Default + Send {
+    /// Adds `other` into `self`.
+    fn fold(&mut self, other: Self);
+}
+
+impl Fold for MetricSet {
+    fn fold(&mut self, other: Self) {
+        self.merge(&other);
+    }
+}
+
 /// Runs `task(shard)` for every shard in `0..shards` on up to `threads`
-/// worker threads and merges the resulting metric sets.
+/// worker threads and folds the results.
 ///
 /// `threads == 0` uses the available parallelism (or 1 if unknown);
-/// `threads == 1` runs inline on the caller's thread. The merge is
+/// `threads == 1` runs inline on the caller's thread. The fold is
 /// deterministic: any thread count, including 1, produces an identical
-/// merged [`MetricSet`] as long as each shard's result depends only on its
-/// index.
+/// result as long as each shard's result depends only on its index.
 ///
 /// # Example
 /// ```
@@ -75,17 +91,18 @@ pub(crate) fn claim_chunk(next: &AtomicU64, limit: u64, threads: usize) -> Optio
 ///
 /// # Panics
 /// A panic inside `task` is propagated once all workers have stopped.
-pub fn run_sharded<F>(shards: usize, threads: usize, task: F) -> MetricSet
+pub fn run_sharded<R, F>(shards: usize, threads: usize, task: F) -> R
 where
-    F: Fn(usize) -> MetricSet + Sync,
+    R: Fold,
+    F: Fn(usize) -> R + Sync,
 {
     let threads = resolve_threads(threads).min(shards.max(1));
     let next = AtomicU64::new(0);
     let work = || {
-        let mut folded = MetricSet::new();
+        let mut folded = R::default();
         while let Some((start, end)) = claim_chunk(&next, shards as u64, threads) {
             for i in start..end {
-                folded.merge(&task(i as usize));
+                folded.fold(task(i as usize));
             }
         }
         folded
@@ -95,10 +112,10 @@ where
     }
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
-        let mut merged = MetricSet::new();
+        let mut merged = R::default();
         for worker in workers {
             match worker.join() {
-                Ok(folded) => merged.merge(&folded),
+                Ok(folded) => merged.fold(folded),
                 Err(panic) => std::panic::resume_unwind(panic),
             }
         }
@@ -150,6 +167,31 @@ mod tests {
         let merged = run_sharded(0, 4, |_| MetricSet::new());
         assert_eq!(merged.counter("anything"), 0);
         assert_eq!(merged.render(), "");
+    }
+
+    /// A typed shard result: two plain sums.
+    #[derive(Default)]
+    struct Sums {
+        shards: u64,
+        index_sum: u64,
+    }
+
+    impl Fold for Sums {
+        fn fold(&mut self, other: Self) {
+            self.shards += other.shards;
+            self.index_sum += other.index_sum;
+        }
+    }
+
+    #[test]
+    fn typed_results_fold_like_metric_sets() {
+        for threads in [1, 3, 8] {
+            let sums: Sums = run_sharded(50, threads, |i| Sums {
+                shards: 1,
+                index_sum: i as u64,
+            });
+            assert_eq!((sums.shards, sums.index_sum), (50, 49 * 50 / 2), "threads={threads}");
+        }
     }
 
     #[test]
