@@ -19,9 +19,13 @@
 
 use crate::finding::{Finding, FindingKind, Report, Severity};
 use crate::modes::ModeGraph;
-use polsec_car::fleet::{asset_for_id, is_command_id, ladder_description};
+use polsec_car::fleet::ladder_description;
+use polsec_car::messages::{
+    self, crossing_entry, is_command_id, Asset, Origin, IMPLANT_NODE, INSIDE_IMPLANT,
+    OUTSIDE_ATTACKS,
+};
 use polsec_car::v2x::v2x_shared_policy_set;
-use polsec_car::{messages, FleetConfig, FleetEnforcement, LadderDescription};
+use polsec_car::{FleetConfig, FleetEnforcement, LadderDescription};
 use polsec_can::CanId;
 use polsec_core::{
     Action, CombiningStrategy, Condition, Effect, EntityId, PolicySet, Rule,
@@ -392,9 +396,8 @@ fn static_decide_mode(
 
 /// Aggregates the per-mode static decisions over the reachable modes into
 /// a rung outcome.
-fn policy_outcome(spec: &LadderSpec, entry: &str, asset: &str, action: Action) -> RungOutcome {
-    let entry = EntityId::new("entry", entry);
-    let asset = EntityId::new("asset", asset);
+fn policy_outcome(spec: &LadderSpec, entry: EntityId, asset: Asset, action: Action) -> RungOutcome {
+    let asset = asset.entity();
     let mut any_allow = false;
     let mut any_deny = false;
     let mut any_unknown = false;
@@ -414,26 +417,13 @@ fn policy_outcome(spec: &LadderSpec, entry: &str, asset: &str, action: Action) -
     }
 }
 
-/// The policy-layer view of a frame class, mirroring the simulator's
-/// crossing check: commands are a `Write` from their claimed origin,
-/// statuses a boundary `Read` by the consuming segment.
-fn policy_view(id: u16, direction: Direction, claimed_entry: &'static str) -> (&'static str, Action) {
-    if is_command_id(id) {
-        (claimed_entry, Action::Write)
-    } else {
-        match direction {
-            Direction::BtoA | Direction::LocalA => ("telematics", Action::Read),
-            Direction::AtoB | Direction::LocalB => ("infotainment-ui", Action::Read),
-        }
-    }
-}
-
 struct RowInput {
     id: u16,
     direction: Direction,
     origin: OriginClass,
-    /// A command's claimed origin; for statuses, the boundary reader.
-    claimed_entry: &'static str,
+    /// The origin the class's frames claim (`None` for legitimate
+    /// crossings, which are statuses judged as boundary reads).
+    claimed: Option<Origin>,
     /// The transmitting node, if it carries a node HPE (`None` = the
     /// attacker's dongle, which has no interposer).
     transmitter: Option<&'static str>,
@@ -517,8 +507,10 @@ fn evaluate_row(spec: &LadderSpec, input: &RowInput) -> CoverageRow {
         }
     };
 
-    let (entry, action) = policy_view(input.id, input.direction, input.claimed_entry);
-    let policy = asset_for_id(input.id).map(|asset| policy_outcome(spec, entry, asset, action));
+    // The simulator's crossing request, with the segment the class enters.
+    let into_powertrain = matches!(input.direction, Direction::BtoA | Direction::LocalA);
+    let (entry, action) = crossing_entry(input.id, input.claimed, into_powertrain);
+    let policy = Asset::for_id(input.id).map(|asset| policy_outcome(spec, entry, asset, action));
     let app = match policy {
         Some(outcome) if enf.app_policy => outcome,
         _ => RungOutcome::NotApplicable,
@@ -552,7 +544,7 @@ fn evaluate_row(spec: &LadderSpec, input: &RowInput) -> CoverageRow {
         id: input.id,
         direction: input.direction,
         origin: input.origin,
-        claimed_entry: entry,
+        claimed_entry: entry.name(),
         outcomes: RungOutcomes {
             gateway,
             segment,
@@ -565,19 +557,6 @@ fn evaluate_row(spec: &LadderSpec, input: &RowInput) -> CoverageRow {
     }
 }
 
-/// The fleet scenario's outside attack kinds: identifier, claimed origin
-/// (mirroring `OutsideAttack::frame`), and the victim node the command
-/// targets.
-fn external_attack_profile(id: u16) -> Option<(&'static str, &'static str)> {
-    match id {
-        messages::ECU_COMMAND => Some(("telematics", "ev-ecu")),
-        messages::EPS_COMMAND => Some(("diagnostics", "eps")),
-        messages::MODEM_CONTROL => Some(("telematics", "telematics")),
-        messages::ALARM_CONTROL => Some(("infotainment-ui", "safety-critical")),
-        _ => None,
-    }
-}
-
 fn enumerate_classes(ladder: &LadderDescription) -> Vec<RowInput> {
     let mut rows = Vec::new();
     // Legitimate crossings, with their matrix transmitter.
@@ -587,31 +566,27 @@ fn enumerate_classes(ladder: &LadderDescription) -> Vec<RowInput> {
             .copied()
             .find(|n| messages::legitimate_writes(n).contains(&id))
     };
-    for &id in &ladder.cross_a_to_b {
-        rows.push(RowInput {
-            id,
-            direction: Direction::AtoB,
-            origin: OriginClass::Legit,
-            claimed_entry: "infotainment-ui",
-            transmitter: transmitter_of(id, &ladder.powertrain_nodes),
-        });
-    }
-    for &id in &ladder.cross_b_to_a {
-        rows.push(RowInput {
-            id,
-            direction: Direction::BtoA,
-            origin: OriginClass::Legit,
-            claimed_entry: "telematics",
-            transmitter: transmitter_of(id, &ladder.comfort_nodes),
-        });
+    for (direction, ids, senders) in [
+        (Direction::AtoB, &ladder.cross_a_to_b, &ladder.powertrain_nodes),
+        (Direction::BtoA, &ladder.cross_b_to_a, &ladder.comfort_nodes),
+    ] {
+        for &id in ids {
+            rows.push(RowInput {
+                id,
+                direction,
+                origin: OriginClass::Legit,
+                claimed: None,
+                transmitter: transmitter_of(id, senders),
+            });
+        }
     }
     // Outside attacks: the OBD dongle sits on the comfort segment, so the
     // class crosses only if its victim is a powertrain node.
     for &id in &ladder.attack_ids {
-        let Some((claimed, victim)) = external_attack_profile(id) else {
+        let Some(attack) = OUTSIDE_ATTACKS.iter().find(|a| a.id == id) else {
             continue;
         };
-        let direction = if ladder.powertrain_nodes.contains(&victim) {
+        let direction = if ladder.powertrain_nodes.contains(&attack.victim) {
             Direction::BtoA
         } else {
             Direction::LocalB
@@ -620,20 +595,18 @@ fn enumerate_classes(ladder: &LadderDescription) -> Vec<RowInput> {
             id,
             direction,
             origin: OriginClass::ExternalObd,
-            claimed_entry: claimed,
+            claimed: Some(attack.claimed),
             transmitter: None,
         });
     }
-    // The inside implant: compromised door-lock firmware spoofing the
-    // propulsion-disable command with a forged safety-critical origin, on
-    // its own (powertrain) segment.
-    if ladder.attack_ids.contains(&messages::ECU_COMMAND) {
+    // The inside implant, on its own (powertrain) segment.
+    if ladder.attack_ids.contains(&INSIDE_IMPLANT.id) {
         rows.push(RowInput {
-            id: messages::ECU_COMMAND,
+            id: INSIDE_IMPLANT.id,
             direction: Direction::LocalA,
             origin: OriginClass::InsideImplant,
-            claimed_entry: "safety-critical",
-            transmitter: Some("door-locks"),
+            claimed: Some(INSIDE_IMPLANT.claimed),
+            transmitter: Some(IMPLANT_NODE),
         });
     }
     // The compromised legitimate sender (Table I row 2): the sensor node
@@ -645,7 +618,7 @@ fn enumerate_classes(ladder: &LadderDescription) -> Vec<RowInput> {
         id: messages::SENSOR_CRASH,
         direction: Direction::LocalA,
         origin: OriginClass::InsideSensor,
-        claimed_entry: "sensors",
+        claimed: Some(Origin::Sensors),
         transmitter: Some("sensors"),
     });
     rows
@@ -763,7 +736,7 @@ pub fn analyze_ladder(spec: &LadderSpec) -> LadderReport {
             && !is_command_id(row.id)
             && row.outcomes.engine_audit == RungOutcome::Blocks
         {
-            let asset = asset_for_id(row.id).unwrap_or("?");
+            let asset = Asset::for_id(row.id).map_or("?", Asset::name);
             report.push(Finding {
                 kind: FindingKind::DeadWhitelist,
                 severity: Severity::Warning,
@@ -843,22 +816,22 @@ mod tests {
         let spec = LadderSpec::shipped();
         // always denied in every mode
         assert_eq!(
-            policy_outcome(&spec, "unknown", "ev-ecu", Action::Write),
+            policy_outcome(&spec, messages::unknown_entry(), Asset::EvEcu, Action::Write),
             RungOutcome::Blocks
         );
         // allowed everywhere
         assert_eq!(
-            policy_outcome(&spec, "infotainment-ui", "ev-ecu", Action::Read),
+            policy_outcome(&spec, Origin::Infotainment.entity(), Asset::EvEcu, Action::Read),
             RungOutcome::Passes
         );
         // allowed only in remote diagnostic mode -> conditions
         assert_eq!(
-            policy_outcome(&spec, "diagnostics", "eps", Action::Write),
+            policy_outcome(&spec, Origin::Diagnostics.entity(), Asset::Eps, Action::Write),
             RungOutcome::Conditions
         );
         // state-gated -> conditions
         assert_eq!(
-            policy_outcome(&spec, "telematics", "3g-4g-wifi", Action::Write),
+            policy_outcome(&spec, Origin::Telematics.entity(), Asset::Modem, Action::Write),
             RungOutcome::Conditions
         );
     }

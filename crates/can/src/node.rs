@@ -13,7 +13,6 @@
 //! critically — firmware has no API to reach it.
 
 use crate::controller::CanController;
-use crate::filter::FilterBank;
 use crate::frame::CanFrame;
 use polsec_sim::SimTime;
 use std::fmt;
@@ -23,13 +22,9 @@ use std::fmt;
 pub enum FirmwareAction {
     /// Transmit a frame.
     Send(CanFrame),
-    /// Reconfigure the controller's software acceptance filters.
-    SetFilters(FilterBank),
     /// Wipe the software acceptance filters (accept-all) — the classic
     /// firmware-compromise move.
     ClearFilters,
-    /// Emit a log line into the node's log buffer.
-    Log(String),
 }
 
 /// Inline capacity of [`ActionVec`]: responding firmware almost always
@@ -200,19 +195,13 @@ pub trait Interposer: Send {
     }
 }
 
-/// Lines a node's log keeps. Later lines are counted in
-/// [`CanNode::log_dropped`], so a node refusing frames for a whole run holds
-/// bounded memory.
-pub const LOG_CAPACITY: usize = 1024;
-
 /// A complete CAN node.
 pub struct CanNode {
     name: String,
     controller: CanController,
     firmware: Box<dyn Firmware>,
     interposer: Option<Box<dyn Interposer>>,
-    log: Vec<String>,
-    log_dropped: u64,
+    tx_refused: u64,
     ingress_blocked: u64,
     egress_blocked: u64,
 }
@@ -237,8 +226,7 @@ impl CanNode {
             controller: CanController::new(),
             firmware: Box::new(NullFirmware),
             interposer: None,
-            log: Vec::new(),
-            log_dropped: 0,
+            tx_refused: 0,
             ingress_blocked: 0,
             egress_blocked: 0,
         }
@@ -299,36 +287,22 @@ impl CanNode {
         self.egress_blocked
     }
 
-    /// The first [`LOG_CAPACITY`] log lines: firmware [`FirmwareAction::Log`]
-    /// lines and refused sends, in order.
-    pub fn log(&self) -> &[String] {
-        &self.log
-    }
-
-    /// Log lines discarded because the log was full.
-    pub fn log_dropped(&self) -> u64 {
-        self.log_dropped
-    }
-
-    /// Keeps a log line while there is room, building it only then.
-    fn log_with(&mut self, line: impl FnOnce() -> String) {
-        if self.log.len() < LOG_CAPACITY {
-            self.log.push(line());
-        } else {
-            self.log_dropped += 1;
-        }
+    /// Sends the controller refused: its TX queue was full or it was
+    /// bus-off.
+    pub fn tx_refused(&self) -> u64 {
+        self.tx_refused
     }
 
     /// Queues a frame for transmission from application level.
     ///
     /// The frame still passes the egress interposer *when the bus takes it*,
     /// not here — matching hardware, where the gate sits at the pins.
-    /// Queue-full and bus-off errors are surfaced in the node log rather
-    /// than returned, since firmware fire-and-forget sends have no caller to
-    /// propagate to.
+    /// Queue-full and bus-off errors are counted in
+    /// [`CanNode::tx_refused`] rather than returned, since firmware
+    /// fire-and-forget sends have no caller to propagate to.
     pub fn send(&mut self, frame: CanFrame) {
-        if let Err(e) = self.controller.enqueue_tx(frame) {
-            self.log_with(|| format!("tx dropped: {e}"));
+        if self.controller.enqueue_tx(frame).is_err() {
+            self.tx_refused += 1;
         }
     }
 
@@ -409,9 +383,7 @@ impl CanNode {
     fn apply(&mut self, action: FirmwareAction) {
         match action {
             FirmwareAction::Send(f) => self.send(f),
-            FirmwareAction::SetFilters(bank) => *self.controller.filters_mut() = bank,
             FirmwareAction::ClearFilters => self.controller.filters_mut().clear(),
-            FirmwareAction::Log(line) => self.log_with(|| line),
         }
     }
 }
@@ -543,18 +515,6 @@ mod tests {
     }
 
     #[test]
-    fn log_collects_firmware_lines_and_tx_drops() {
-        let mut n = CanNode::new("a");
-        n.apply_actions(ActionVec::one(FirmwareAction::Log("hello".into())));
-        assert_eq!(n.log(), &["hello".to_string()]);
-        // overflow the tx queue to force a logged drop
-        for i in 0..200 {
-            n.send(frame(i & 0x7FF));
-        }
-        assert!(n.log().iter().any(|l| l.contains("tx dropped")));
-    }
-
-    #[test]
     fn action_vec_inline_and_spill() {
         let mut v = ActionVec::new();
         assert!(v.is_empty());
@@ -605,17 +565,20 @@ mod tests {
     }
 
     #[test]
-    fn log_is_bounded_and_counts_what_it_drops() {
+    fn queue_full_and_bus_off_sends_are_counted() {
         let mut n = CanNode::new("a");
-        for _ in 0..32 {
-            n.controller_mut().counters_mut().record_tx_error();
-        }
-        for i in 0..100_000u32 {
+        let capacity = crate::controller::DEFAULT_TX_CAPACITY;
+        for i in 0..capacity as u32 + 5 {
             n.send(frame(i & 0x7FF));
         }
-        assert_eq!(n.log().len(), LOG_CAPACITY);
-        assert_eq!(n.log_dropped(), 100_000 - LOG_CAPACITY as u64);
-        assert!(n.log().iter().all(|l| l == "tx dropped: node is bus-off"));
+        assert_eq!(n.tx_refused(), 5, "queue full");
+        let mut off = CanNode::new("b");
+        for _ in 0..32 {
+            off.controller_mut().counters_mut().record_tx_error();
+        }
+        off.send(frame(0x10));
+        assert_eq!(off.tx_refused(), 1, "bus-off");
+        assert!(take(&mut off).is_none());
     }
 
     #[test]

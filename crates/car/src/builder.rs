@@ -11,7 +11,9 @@ use crate::components::infotainment::SharedEnforcer;
 use crate::messages::{legitimate_reads, legitimate_writes, NODE_NAMES};
 use crate::modes::CarMode;
 use crate::security_model::car_policy;
-use polsec_can::{AcceptanceFilter, CanBus, CanFrame, CanId, CanNode, Firmware, NodeHandle};
+use polsec_can::{
+    AcceptanceFilter, BusEvent, CanBus, CanFrame, CanId, CanNode, Firmware, NodeHandle,
+};
 use polsec_core::{EvalContext, PolicyEngine};
 use polsec_hpe::{ApprovedLists, HardwarePolicyEngine};
 use polsec_mac::{Enforcer, MacPolicy, PolicyModule, TeRule};
@@ -136,6 +138,26 @@ pub struct CarStates {
     pub sensors: Shared<SensorState>,
 }
 
+impl CarStates {
+    /// Commands the application policy rejected, over every component that
+    /// checks one.
+    pub fn rejected_commands(&self) -> u64 {
+        u64::from(lock(&self.ecu).rejected_commands)
+            + u64::from(lock(&self.eps).rejected_commands)
+            + u64::from(lock(&self.engine).rejected_commands)
+            + u64::from(lock(&self.telematics).rejected_commands)
+            + u64::from(lock(&self.door_locks).rejected_commands)
+            + u64::from(lock(&self.safety).rejected_commands)
+    }
+
+    /// Sensor readings the application policy's plausibility checks
+    /// discarded (engine temperature, displayed speed).
+    pub fn implausible_readings(&self) -> u64 {
+        u64::from(lock(&self.engine).implausible_readings)
+            + u64::from(lock(&self.infotainment).implausible_readings)
+    }
+}
+
 /// The eight Fig. 2 component firmwares in [`NODE_NAMES`] order, with
 /// their state handles: the one assembly both [`CarBuilder::build`] and the
 /// fleet's `Vehicle::build` wire onto their buses. Every component shares
@@ -190,6 +212,9 @@ pub(crate) fn hpe_lists_for(node: &str) -> ApprovedLists {
 /// The assembled connected car.
 pub struct Car {
     bus: CanBus,
+    /// The bus's events of the last round, drained so the bus holds none
+    /// across rounds; no caller reads them.
+    events: Vec<BusEvent>,
     mode: CarMode,
     ctx: Shared<EvalContext>,
     app: Option<AppPolicy>,
@@ -290,6 +315,7 @@ impl CarBuilder {
 
         Car {
             bus,
+            events: Vec::new(),
             mode: CarMode::Normal,
             ctx,
             app,
@@ -398,6 +424,7 @@ impl Car {
         for _ in 0..n {
             self.bus.tick_all();
             self.bus.run_until_idle();
+            self.bus.drain_events_into(&mut self.events);
         }
     }
 
@@ -449,15 +476,6 @@ impl Car {
         self.hpes.values().map(|h| h.telemetry().total_blocked()).sum()
     }
 
-    /// Total commands rejected by application policy across components.
-    pub fn policy_rejections_total(&self) -> u64 {
-        let s = &self.states;
-        lock(&s.ecu).rejected_commands as u64
-            + lock(&s.eps).rejected_commands as u64
-            + lock(&s.telematics).rejected_commands as u64
-            + lock(&s.door_locks).rejected_commands as u64
-            + lock(&s.safety).rejected_commands as u64
-    }
 }
 
 #[cfg(test)]
@@ -485,6 +503,17 @@ mod tests {
         assert_eq!(lock(&car.states().infotainment).displayed_speed, 60);
         // telematics uplinks tracking
         assert!(lock(&car.states().telematics).track_reports >= 5);
+    }
+
+    #[test]
+    fn stepping_keeps_at_most_one_rounds_bus_events() {
+        let mut car = CarBuilder::new().build();
+        car.step(1);
+        let one_round = car.events.len();
+        assert!(one_round > 0);
+        car.step(1_000);
+        assert!(car.bus.drain_events().is_empty(), "every round drains the bus");
+        assert!(car.events.len() <= one_round);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! hardwired, as in real vehicles.
 
 use super::{lock, shared, AppPolicy, Shared};
-use crate::messages::{self, parse_command};
+use crate::messages::{self, parse_command, Asset};
 use polsec_can::{ActionVec, CanFrame, CanId, Firmware, FirmwareAction};
 use polsec_core::Action;
 use polsec_sim::SimTime;
@@ -66,11 +66,9 @@ impl Firmware for DoorLockFirmware {
                 };
                 if let Some(p) = &self.policy {
                     p.observe_rate("door-lock-cmd", now);
-                    if !p.permits(origin, "door-locks", Action::Write, now) {
+                    if !p.permits(origin, Asset::DoorLocks, Action::Write, now) {
                         lock(&self.state).rejected_commands += 1;
-                        return ActionVec::one(FirmwareAction::Log(format!(
-                            "door-locks: rejected command {cmd:#04x} from {origin}"
-                        )));
+                        return ActionVec::new();
                     }
                 }
                 let mut s = lock(&self.state);

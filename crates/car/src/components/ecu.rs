@@ -7,7 +7,7 @@
 
 use super::{lock, policy_permits, shared, AppPolicy, Shared};
 use crate::anomaly::EcuMonitor;
-use crate::messages::{self, parse_command};
+use crate::messages::{self, parse_command, Asset};
 use polsec_can::{ActionVec, CanFrame, Firmware, FirmwareAction};
 use polsec_core::Action;
 use polsec_sim::SimTime;
@@ -111,13 +111,11 @@ impl Firmware for EcuFirmware {
                     return ActionVec::new();
                 };
                 let allowed =
-                    policy_permits(&self.policy, origin, "ev-ecu", Action::Write, now);
+                    policy_permits(&self.policy, origin, Asset::EvEcu, Action::Write, now);
                 let mut s = lock(&self.state);
                 if !allowed {
                     s.rejected_commands += 1;
-                    return ActionVec::one(FirmwareAction::Log(format!(
-                        "ecu: rejected command {cmd:#04x} from {origin}"
-                    )));
+                    return ActionVec::new();
                 }
                 match cmd {
                     0x01 => s.propulsion_enabled = true,
@@ -146,9 +144,7 @@ impl Firmware for EcuFirmware {
                             if let Some(policy) = &self.policy {
                                 policy.set_state("implausible", "true");
                             }
-                            return ActionVec::one(FirmwareAction::Log(
-                                "ecu: crash report failed plausibility check".into(),
-                            ));
+                            return ActionVec::new();
                         }
                     }
                     let mut s = lock(&self.state);

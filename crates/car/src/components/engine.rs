@@ -7,7 +7,7 @@
 //! "behavioural or situational based policies").
 
 use super::{lock, policy_permits, shared, AppPolicy, Shared};
-use crate::messages::{self, parse_command};
+use crate::messages::{self, parse_command, Asset};
 use polsec_can::{ActionVec, CanFrame, CanId, Firmware, FirmwareAction};
 use polsec_core::Action;
 use polsec_sim::SimTime;
@@ -28,6 +28,8 @@ pub struct EngineState {
     pub overheat_shutdowns: u32,
     /// Readings discarded as implausible by the behavioural check.
     pub implausible_readings: u32,
+    /// Commands rejected by policy.
+    pub rejected_commands: u32,
     /// Last accepted temperature reading.
     pub last_temp: u8,
 }
@@ -38,6 +40,7 @@ impl Default for EngineState {
             running: true,
             overheat_shutdowns: 0,
             implausible_readings: 0,
+            rejected_commands: 0,
             last_temp: 80,
         }
     }
@@ -72,10 +75,7 @@ impl Firmware for EngineFirmware {
                 // the plausibility window enforced.
                 if self.policy.is_some() && temp.abs_diff(s.last_temp) > MAX_PLAUSIBLE_DELTA {
                     s.implausible_readings += 1;
-                    return ActionVec::one(FirmwareAction::Log(format!(
-                        "engine: implausible temp jump {} -> {temp}",
-                        s.last_temp
-                    )));
+                    return ActionVec::new();
                 }
                 s.last_temp = temp;
                 if temp >= OVERHEAT_LIMIT && s.running {
@@ -88,10 +88,9 @@ impl Firmware for EngineFirmware {
                 let Some((cmd, origin)) = parse_command(frame) else {
                     return ActionVec::new();
                 };
-                if !policy_permits(&self.policy, origin, "engine", Action::Write, now) {
-                    return ActionVec::one(FirmwareAction::Log(format!(
-                        "engine: rejected command {cmd:#04x} from {origin}"
-                    )));
+                if !policy_permits(&self.policy, origin, Asset::Engine, Action::Write, now) {
+                    lock(&self.state).rejected_commands += 1;
+                    return ActionVec::new();
                 }
                 let mut s = lock(&self.state);
                 match cmd {
@@ -172,6 +171,7 @@ mod tests {
         let f = command_frame(messages::ENGINE_COMMAND, 0x02, Origin::Telematics, &[]).unwrap();
         fw.on_frame(SimTime::ZERO, &f);
         assert!(lock(&state).running, "deny-by-default policy rejects");
+        assert_eq!(lock(&state).rejected_commands, 1);
         let (mut fw2, state2) = engine_firmware(None);
         fw2.on_frame(SimTime::ZERO, &f);
         assert!(!lock(&state2).running);

@@ -5,7 +5,7 @@
 //! mode is a legitimate writer.
 
 use super::{lock, policy_permits, shared, AppPolicy, Shared};
-use crate::messages::{self, parse_command};
+use crate::messages::{self, parse_command, Asset};
 use polsec_can::{ActionVec, CanFrame, CanId, Firmware, FirmwareAction};
 use polsec_core::Action;
 use polsec_sim::SimTime;
@@ -53,11 +53,9 @@ impl Firmware for EpsFirmware {
         let Some((cmd, origin)) = parse_command(frame) else {
             return ActionVec::new();
         };
-        if !policy_permits(&self.policy, origin, "eps", Action::Write, now) {
+        if !policy_permits(&self.policy, origin, Asset::Eps, Action::Write, now) {
             lock(&self.state).rejected_commands += 1;
-            return ActionVec::one(FirmwareAction::Log(format!(
-                "eps: rejected command {cmd:#04x} from {origin}"
-            )));
+            return ActionVec::new();
         }
         let mut s = lock(&self.state);
         match cmd {

@@ -97,10 +97,7 @@ impl Firmware for InfotainmentFirmware {
                     && s.displayed_speed != 0
                 {
                     s.implausible_readings += 1;
-                    return ActionVec::one(FirmwareAction::Log(format!(
-                        "infotainment: implausible speed {} -> {speed}",
-                        s.displayed_speed
-                    )));
+                    return ActionVec::new();
                 }
                 s.displayed_speed = speed;
                 ActionVec::new()
@@ -116,9 +113,7 @@ impl Firmware for InfotainmentFirmware {
                 // decides whether the app's domain may touch the bus at all
                 if !mac_permits_can_send(&self.mac, "mediaplayer_t") {
                     lock(&self.state).mac_denials += 1;
-                    return ActionVec::one(FirmwareAction::Log(
-                        "infotainment: app denied can access by mac".to_string(),
-                    ));
+                    return ActionVec::new();
                 }
                 ActionVec::new()
             }

@@ -31,8 +31,8 @@ pub use safety::{safety_firmware, SafetyState};
 pub use sensors::{sensors_firmware, SensorState};
 pub use telematics::{telematics_firmware, TelematicsState};
 
-use crate::messages::Origin;
-use polsec_core::{AccessRequest, Action, EntityId, EvalContext, PolicyEngine};
+use crate::messages::{Asset, Origin};
+use polsec_core::{AccessRequest, Action, EvalContext, PolicyEngine};
 use polsec_sim::SimTime;
 use std::sync::{Arc, Mutex};
 
@@ -75,12 +75,8 @@ impl AppPolicy {
     }
 
     /// Whether `origin` may perform `action` on `asset` right now.
-    pub fn permits(&self, origin: Origin, asset: &str, action: Action, now: SimTime) -> bool {
-        let req = AccessRequest::new(
-            EntityId::new("entry", origin.entry_point_id()),
-            EntityId::new("asset", asset),
-            action,
-        );
+    pub fn permits(&self, origin: Origin, asset: Asset, action: Action, now: SimTime) -> bool {
+        let req = AccessRequest::new(origin.entity(), asset.entity(), action);
         self.engine
             .decide_at(&req, &lock(&self.ctx), now.as_micros())
             .is_allow()
@@ -105,22 +101,13 @@ impl AppPolicy {
     }
 
     /// Sets a situational state variable (e.g. `crash = true`).
-    ///
-    /// Uses the context's in-place writer: components that republish the
-    /// same key every frame (the behavioural monitor's `implausible`
-    /// flag) do not allocate after the first write.
     pub fn set_state(&self, key: &str, value: &str) {
-        lock(&self.ctx).set_state_in_place(key, value);
+        lock(&self.ctx).set_state(key, value);
     }
 
     /// Reads a situational state variable.
     pub fn state(&self, key: &str) -> Option<String> {
         lock(&self.ctx).state(key).map(str::to_string)
-    }
-
-    /// The underlying engine (for audit inspection).
-    pub fn engine(&self) -> &Arc<PolicyEngine> {
-        &self.engine
     }
 }
 
@@ -129,7 +116,7 @@ impl AppPolicy {
 pub fn policy_permits(
     policy: &Option<AppPolicy>,
     origin: Origin,
-    asset: &str,
+    asset: Asset,
     action: Action,
     now: SimTime,
 ) -> bool {
@@ -159,22 +146,22 @@ mod tests {
             }"#,
             "normal",
         );
-        assert!(a.permits(Origin::Manual, "door-locks", Action::Write, SimTime::ZERO));
-        assert!(!a.permits(Origin::Telematics, "door-locks", Action::Write, SimTime::ZERO));
+        assert!(a.permits(Origin::Manual, Asset::DoorLocks, Action::Write, SimTime::ZERO));
+        assert!(!a.permits(Origin::Telematics, Asset::DoorLocks, Action::Write, SimTime::ZERO));
     }
 
     #[test]
     fn state_flows_into_conditions() {
         let a = app(
             r#"policy "t" version 1 {
-                allow write on asset:x from entry:manual when state.armed == false;
+                allow write on asset:engine from entry:manual when state.armed == false;
             }"#,
             "normal",
         );
         a.set_state("armed", "true");
-        assert!(!a.permits(Origin::Manual, "x", Action::Write, SimTime::ZERO));
+        assert!(!a.permits(Origin::Manual, Asset::Engine, Action::Write, SimTime::ZERO));
         a.set_state("armed", "false");
-        assert!(a.permits(Origin::Manual, "x", Action::Write, SimTime::ZERO));
+        assert!(a.permits(Origin::Manual, Asset::Engine, Action::Write, SimTime::ZERO));
         assert_eq!(a.state("armed").as_deref(), Some("false"));
     }
 
@@ -183,7 +170,7 @@ mod tests {
         assert!(policy_permits(
             &None,
             Origin::Telematics,
-            "anything",
+            Asset::Modem,
             Action::Configure,
             SimTime::ZERO
         ));
@@ -193,7 +180,7 @@ mod tests {
     fn rate_scopes_isolate_two_policy_points_on_one_engine() {
         let policy = parse_policy(
             r#"policy "t" version 1 {
-                allow write on asset:x from entry:manual when rate(unlock) <= 1;
+                allow write on asset:door-locks from entry:manual when rate(unlock) <= 1;
             }"#,
         )
         .unwrap();
@@ -211,22 +198,22 @@ mod tests {
         let t = SimTime::from_micros(10);
         a.observe_rate("unlock", t);
         a.observe_rate("unlock", t);
-        assert!(!a.permits(Origin::Manual, "x", Action::Write, t), "a over its limit");
-        assert!(b.permits(Origin::Manual, "x", Action::Write, t), "b unaffected");
+        assert!(!a.permits(Origin::Manual, Asset::DoorLocks, Action::Write, t), "a over its limit");
+        assert!(b.permits(Origin::Manual, Asset::DoorLocks, Action::Write, t), "b unaffected");
     }
 
     #[test]
     fn rate_events_flow_into_rate_conditions() {
         let a = app(
             r#"policy "t" version 1 {
-                allow write on asset:x from entry:manual when rate(unlock) <= 1;
+                allow write on asset:door-locks from entry:manual when rate(unlock) <= 1;
             }"#,
             "normal",
         );
         let t = SimTime::from_micros(10);
-        assert!(a.permits(Origin::Manual, "x", Action::Write, t));
+        assert!(a.permits(Origin::Manual, Asset::DoorLocks, Action::Write, t));
         a.observe_rate("unlock", t);
         a.observe_rate("unlock", t);
-        assert!(!a.permits(Origin::Manual, "x", Action::Write, t));
+        assert!(!a.permits(Origin::Manual, Asset::DoorLocks, Action::Write, t));
     }
 }

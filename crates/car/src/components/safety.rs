@@ -6,7 +6,7 @@
 //! situational context.
 
 use super::{lock, policy_permits, shared, AppPolicy, Shared};
-use crate::messages::{self, parse_command};
+use crate::messages::{self, parse_command, Asset};
 use polsec_can::{ActionVec, CanFrame, CanId, Firmware, FirmwareAction};
 use polsec_core::Action;
 use polsec_sim::SimTime;
@@ -69,9 +69,7 @@ impl Firmware for SafetyFirmware {
                     let moving = p.state("vehicle.moving").as_deref() == Some("true");
                     if !moving {
                         lock(&self.state).suppressed_reactions += 1;
-                        return ActionVec::one(FirmwareAction::Log(
-                            "safety: crash report while stationary suppressed".to_string(),
-                        ));
+                        return ActionVec::new();
                     }
                     p.set_state("crash", "true");
                 }
@@ -92,11 +90,9 @@ impl Firmware for SafetyFirmware {
                 let Some((cmd, origin)) = parse_command(frame) else {
                     return ActionVec::new();
                 };
-                if !policy_permits(&self.policy, origin, "safety-critical", Action::Write, now) {
+                if !policy_permits(&self.policy, origin, Asset::SafetyCritical, Action::Write, now) {
                     lock(&self.state).rejected_commands += 1;
-                    return ActionVec::one(FirmwareAction::Log(format!(
-                        "safety: rejected alarm control from {origin}"
-                    )));
+                    return ActionVec::new();
                 }
                 let mut s = lock(&self.state);
                 s.alarm_armed = cmd != 0x00;
@@ -158,7 +154,7 @@ mod tests {
     fn stationary_crash_report_is_suppressed() {
         let (mut fw, state) = safety_firmware(Some(app(false)));
         let actions = fw.on_frame(SimTime::ZERO, &crash_frame());
-        assert!(matches!(&actions[0], FirmwareAction::Log(_)));
+        assert!(actions.is_empty(), "no safety event or fail-safe trigger is sent");
         let s = lock(&state);
         assert!(!s.crash_detected, "row 15 false trigger suppressed");
         assert_eq!(s.suppressed_reactions, 1);

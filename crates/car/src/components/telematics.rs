@@ -5,7 +5,7 @@
 //! emergency calls) and the privacy exfiltration path.
 
 use super::{lock, policy_permits, shared, AppPolicy, Shared};
-use crate::messages::{self, command_frame, parse_command, Origin};
+use crate::messages::{self, command_frame, parse_command, Asset, Origin};
 use polsec_can::{ActionVec, CanFrame, CanId, Firmware, FirmwareAction};
 use polsec_core::Action;
 use polsec_sim::SimTime;
@@ -66,11 +66,9 @@ impl Firmware for TelematicsFirmware {
                 let Some((cmd, origin)) = parse_command(frame) else {
                     return ActionVec::new();
                 };
-                if !policy_permits(&self.policy, origin, "3g-4g-wifi", Action::Configure, now) {
+                if !policy_permits(&self.policy, origin, Asset::Modem, Action::Configure, now) {
                     lock(&self.state).rejected_commands += 1;
-                    return ActionVec::one(FirmwareAction::Log(format!(
-                        "telematics: rejected modem control from {origin}"
-                    )));
+                    return ActionVec::new();
                 }
                 let mut s = lock(&self.state);
                 s.modem_enabled = cmd != 0x00;
@@ -93,23 +91,18 @@ impl Firmware for TelematicsFirmware {
                     }
                     // disable tracking (the theft scenario)
                     0x02 => {
-                        if !policy_permits(&self.policy, origin, "3g-4g-wifi", Action::Write, now)
-                        {
+                        if !policy_permits(&self.policy, origin, Asset::Modem, Action::Write, now) {
                             lock(&self.state).rejected_commands += 1;
-                            return ActionVec::one(FirmwareAction::Log(
-                                "telematics: rejected tracking disable".to_string(),
-                            ));
+                            return ActionVec::new();
                         }
                         lock(&self.state).tracking_enabled = false;
                         ActionVec::new()
                     }
                     // fail-safe override: re-enable the vehicle remotely
                     0x03 => {
-                        if !policy_permits(&self.policy, origin, "ev-ecu", Action::Write, now) {
+                        if !policy_permits(&self.policy, origin, Asset::EvEcu, Action::Write, now) {
                             lock(&self.state).rejected_commands += 1;
-                            return ActionVec::one(FirmwareAction::Log(
-                                "telematics: rejected fail-safe override".to_string(),
-                            ));
+                            return ActionVec::new();
                         }
                         lock(&self.state).failsafe_overrides += 1;
                         match command_frame(messages::ECU_COMMAND, 0x01, Origin::Telematics, &[]) {
@@ -214,7 +207,8 @@ mod tests {
         let f = command_frame(messages::TELEMATICS_CMD, 0x03, Origin::Telematics, &[]).unwrap();
         let actions = fw.on_frame(SimTime::ZERO, &f);
         assert_eq!(lock(&state).failsafe_overrides, 0);
-        assert!(matches!(&actions[0], FirmwareAction::Log(_)));
+        assert_eq!(lock(&state).rejected_commands, 1);
+        assert!(actions.is_empty(), "no enable command is relayed to the ECU");
         // unprotected: the override relays an enable command to the ECU
         let (mut fw2, state2) = telematics_firmware(None);
         let actions = fw2.on_frame(SimTime::ZERO, &f);

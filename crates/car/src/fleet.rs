@@ -22,7 +22,8 @@
 //! shared-engine decide in 32, picked by the deterministic
 //! [`polsec_sim::sampled`] rule) are rendered under the `wall.` prefix and
 //! split out of the deterministic section by [`run_fleet`]. The crossing
-//! check's request entities are interned once per process.
+//! check builds its request from the car's policy vocabulary in
+//! [`messages`], interned once per process.
 //!
 //! # Determinism contract
 //!
@@ -39,20 +40,23 @@ use crate::anomaly::{AnomalyCounters, EcuMonitor};
 use crate::attacks::SpoofFirmware;
 use crate::builder::{components, hpe_lists_for, CarStates};
 use crate::components::{lock, shared, AppPolicy, Shared};
-use crate::messages::{self, command_frame, parse_command, Origin, NODE_NAMES};
+use crate::messages::{
+    self, crossing_entry, parse_command, Asset, IMPLANT_NODE, INSIDE_IMPLANT, NODE_NAMES,
+    OUTSIDE_ATTACKS,
+};
 use crate::security_model::car_policy;
 use crate::tally::{self, Counter, Shown};
 use polsec_can::gateway::Segment;
 use polsec_can::{
     AcceptanceFilter, BusEvent, CanBus, CanFrame, CanId, CanNode, ForwardRule, Gateway, NodeHandle,
 };
-use polsec_core::{AccessRequest, Action, EntityId, EvalContext, PolicyEngine};
+use polsec_core::{AccessRequest, EvalContext, PolicyEngine};
 use polsec_hpe::{ApprovedLists, HardwarePolicyEngine};
 use polsec_sim::{
     run_sharded, sampled, DetRng, Fold, Histogram, MetricSet, Scheduler, SimDuration,
 };
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Powertrain-segment nodes (segment A).
@@ -99,15 +103,6 @@ const TRACE_SAMPLE_EVERY: u64 = 256;
 /// the vehicle's decide count, seeded like the traces, so it too draws
 /// nothing from the vehicle's RNG stream.
 const DECIDE_SAMPLE_EVERY: u64 = 32;
-
-/// Identifiers no node legitimately transmits — any frame carrying one is
-/// attack traffic, which makes leak accounting unambiguous.
-const ATTACK_IDS: [u16; 4] = [
-    messages::ECU_COMMAND,
-    messages::EPS_COMMAND,
-    messages::MODEM_CONTROL,
-    messages::ALARM_CONTROL,
-];
 
 /// Which enforcement layers a fleet run activates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -278,42 +273,6 @@ impl FleetConfig {
     }
 }
 
-/// The outside attack kind a vehicle's injected traffic uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OutsideAttack {
-    /// Spoofed propulsion-disable command (Table I row 1 class).
-    EcuDisable,
-    /// Spoofed steering-assist deactivation (row 5 class).
-    EpsDisable,
-    /// Modem power-off, cutting fail-safe comms (rows 9/10 class).
-    ModemKill,
-    /// Alarm disablement to allow theft (row 16 class).
-    AlarmKill,
-}
-
-impl OutsideAttack {
-    const ALL: [OutsideAttack; 4] = [
-        OutsideAttack::EcuDisable,
-        OutsideAttack::EpsDisable,
-        OutsideAttack::ModemKill,
-        OutsideAttack::AlarmKill,
-    ];
-
-    /// Builds the attack frame; `seq` is a per-vehicle sequence marker so
-    /// delivered copies of one injection can be deduplicated into a
-    /// per-frame leak count.
-    fn frame(self, seq: u32) -> CanFrame {
-        let (id, cmd, origin) = match self {
-            OutsideAttack::EcuDisable => (messages::ECU_COMMAND, 0x02, Origin::Telematics),
-            OutsideAttack::EpsDisable => (messages::EPS_COMMAND, 0x02, Origin::Diagnostics),
-            OutsideAttack::ModemKill => (messages::MODEM_CONTROL, 0x00, Origin::Telematics),
-            OutsideAttack::AlarmKill => (messages::ALARM_CONTROL, 0x00, Origin::Infotainment),
-        };
-        let marker = seq.to_le_bytes();
-        command_frame(id, cmd, origin, &marker[..3]).expect("attack frames are well-formed")
-    }
-}
-
 /// Per-vehicle scheduler events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum VehicleEvent {
@@ -334,7 +293,7 @@ enum VehicleEvent {
 pub(crate) struct FleetTally {
     vehicles: u64,
     /// Vehicles per drawn outside attack, indexed like
-    /// [`OutsideAttack::ALL`].
+    /// [`OUTSIDE_ATTACKS`].
     outside: [u64; 4],
     inside: u64,
     attack_injected: u64,
@@ -495,7 +454,8 @@ pub struct Vehicle {
     rng: DetRng,
     scheduler: Scheduler<VehicleEvent>,
     states: CarStates,
-    outside: OutsideAttack,
+    /// The drawn [`OUTSIDE_ATTACKS`] slot.
+    outside: usize,
     inside_attack: bool,
     compromised: bool,
     inject_seq: u32,
@@ -516,7 +476,7 @@ impl std::fmt::Debug for Vehicle {
         f.debug_struct("Vehicle")
             .field("powertrain_nodes", &self.powertrain.node_count())
             .field("comfort_nodes", &self.comfort.node_count())
-            .field("outside", &self.outside)
+            .field("outside", &OUTSIDE_ATTACKS[self.outside])
             .field("inside_attack", &self.inside_attack)
             .finish()
     }
@@ -537,80 +497,16 @@ fn segment_hpe_lists(ingress: &[u16], egress: &[u16]) -> ApprovedLists {
     lists
 }
 
-/// Whether the identifier is a command (checked as a `Write` from its
-/// claimed origin) rather than a status broadcast (checked as a boundary
-/// `Read`).
-pub fn is_command_id(id: u16) -> bool {
-    matches!(
-        id,
-        messages::ECU_COMMAND
-            | messages::EPS_COMMAND
-            | messages::ENGINE_COMMAND
-            | messages::DOOR_LOCK_COMMAND
-            | messages::MODEM_CONTROL
-            | messages::ALARM_CONTROL
-            | messages::TELEMATICS_CMD
-    )
-}
-
-/// The policy assets crossing frames concern, indexed by [`asset_index`].
-const ASSETS: [&str; 7] = [
-    "ev-ecu",
-    "eps",
-    "engine",
-    "door-locks",
-    "3g-4g-wifi",
-    "safety-critical",
-    "v2x-platoon",
-];
-
-/// The [`ASSETS`] slot of the asset a crossing frame concerns.
-fn asset_index(id: u16) -> Option<usize> {
-    match id {
-        messages::ECU_COMMAND | messages::ECU_STATUS => Some(0),
-        messages::EPS_COMMAND | messages::EPS_STATUS => Some(1),
-        messages::ENGINE_COMMAND | messages::ENGINE_STATUS => Some(2),
-        messages::DOOR_LOCK_COMMAND | messages::DOOR_LOCK_STATUS => Some(3),
-        messages::MODEM_CONTROL => Some(4),
-        messages::ALARM_CONTROL
-        | messages::SAFETY_EVENT
-        | messages::FAILSAFE_TRIGGER
-        | messages::MODE_CHANGE => Some(5),
-        messages::V2X_LEAD | messages::V2X_HEALTH => Some(6),
-        _ => None,
-    }
-}
-
-/// The policy asset a crossing frame concerns, if the identifier maps onto
-/// one the fleet policy knows about.
+/// The name of the policy asset a crossing frame concerns, if the
+/// identifier maps onto one the fleet policy knows about.
 pub fn asset_for_id(id: u16) -> Option<&'static str> {
-    asset_index(id).map(|i| ASSETS[i])
-}
-
-/// The crossing check's request entities, interned once per process so
-/// the per-frame check never takes the interner's lock.
-struct CrossingEntities {
-    /// `entry:` per claimed origin, indexed like [`Origin::ALL`].
-    origins: [EntityId; Origin::ALL.len()],
-    /// `entry:unknown`, for a command whose payload claims no origin.
-    unknown: EntityId,
-    /// `asset:` per [`ASSETS`] slot.
-    assets: [EntityId; ASSETS.len()],
-}
-
-fn crossing_entities() -> &'static CrossingEntities {
-    static TABLE: OnceLock<CrossingEntities> = OnceLock::new();
-    TABLE.get_or_init(|| CrossingEntities {
-        origins: Origin::ALL.map(|o| EntityId::new("entry", o.entry_point_id())),
-        unknown: EntityId::new("entry", "unknown"),
-        assets: ASSETS.map(|a| EntityId::new("asset", a)),
-    })
+    Asset::for_id(id).map(Asset::name)
 }
 
 fn is_attack_id(id: CanId) -> bool {
     // The command id map is standard-id space; an extended id with the same
     // low bits is a different identifier.
-    !id.is_extended() && ATTACK_IDS.iter().any(|&a| u32::from(a) == id.raw())
+    !id.is_extended() && OUTSIDE_ATTACKS.iter().any(|a| u32::from(a.id) == id.raw())
 }
 
 /// A static description of one vehicle's enforcement ladder: every
@@ -659,7 +555,7 @@ pub fn ladder_description(cfg: &FleetConfig) -> LadderDescription {
             .collect(),
         segment_lists_a: segment_hpe_lists(&CROSS_A_TO_B, &CROSS_B_TO_A),
         segment_lists_b: segment_hpe_lists(&CROSS_B_TO_A, &CROSS_A_TO_B),
-        attack_ids: ATTACK_IDS.to_vec(),
+        attack_ids: OUTSIDE_ATTACKS.iter().map(|a| a.id).collect(),
     }
 }
 
@@ -695,18 +591,17 @@ impl Vehicle {
             .trace_mut()
             .set_sampling(TRACE_SAMPLE_EVERY, trace_seed ^ 1);
 
-        // The software layer: per-component policy points share the fleet
-        // engine but carry a per-vehicle rate scope and their own
-        // situational context, so the layer adds no cross-vehicle coupling.
+        // The situational context of the crossing check. The software
+        // layer: per-component policy points share the fleet engine but
+        // carry a per-vehicle rate scope and their own copy of the context,
+        // so the layer adds no cross-vehicle coupling.
+        let ctx = EvalContext::new()
+            .with_mode("normal")
+            .with_state("vehicle.moving", "true")
+            .with_state("crash", "false")
+            .with_state("stolen", "false");
         let app = cfg.enforcement.app_policy.then(|| {
-            let ctx = shared(
-                EvalContext::new()
-                    .with_mode("normal")
-                    .with_state("vehicle.moving", "true")
-                    .with_state("crash", "false")
-                    .with_state("stolen", "false"),
-            );
-            AppPolicy::new(Arc::clone(&engine), ctx).with_rate_scope(index as u64)
+            AppPolicy::new(Arc::clone(&engine), shared(ctx.clone())).with_rate_scope(index as u64)
         });
 
         // The behavioural rung: one monitor per vehicle, fed only from the
@@ -751,7 +646,7 @@ impl Vehicle {
             let h = bus.attach(node);
             handles.push(h);
             match name {
-                "door-locks" => door_locks = Some(h),
+                IMPLANT_NODE => door_locks = Some(h),
                 "telematics" => telematics_node = Some(h),
                 _ => {}
             }
@@ -799,7 +694,7 @@ impl Vehicle {
         // Attack profile: one outside kind per vehicle, plus a chance of an
         // inside firmware compromise. All draws come from the vehicle's
         // stream, in a fixed order.
-        let outside = *rng.pick(&OutsideAttack::ALL).expect("non-empty attack set");
+        let outside = rng.next_below(OUTSIDE_ATTACKS.len() as u64) as usize;
         let inside_attack = rng.chance(cfg.inside_attack_chance);
 
         let mut scheduler = Scheduler::new();
@@ -819,18 +714,12 @@ impl Vehicle {
             scheduler.schedule_in(SimDuration::micros(at), VehicleEvent::Compromise);
         }
 
-        let ctx = EvalContext::new()
-            .with_mode("normal")
-            .with_state("vehicle.moving", "true")
-            .with_state("crash", "false")
-            .with_state("stolen", "false");
-
         let mut tally = FleetTally {
             vehicles: 1,
             inside: u64::from(inside_attack),
             ..FleetTally::default()
         };
-        tally.outside[outside as usize] = 1;
+        tally.outside[outside] = 1;
 
         Vehicle {
             powertrain,
@@ -974,7 +863,9 @@ impl Vehicle {
 
     fn on_inject(&mut self, cfg: &FleetConfig) {
         self.inject_seq += 1;
-        let frame = self.outside.frame(self.inject_seq);
+        // A per-vehicle sequence marker, so delivered copies of one
+        // injection can be deduplicated into a per-frame leak count.
+        let frame = OUTSIDE_ATTACKS[self.outside].frame(&self.inject_seq.to_le_bytes()[..3]);
         let _ = self.comfort.send_from(self.attacker, frame);
         self.tally.attack_injected += 1;
         let next = self.jittered(cfg.inject_period, cfg.inject_jitter);
@@ -982,13 +873,12 @@ impl Vehicle {
     }
 
     fn on_compromise(&mut self) {
-        let spoof = command_frame(messages::ECU_COMMAND, 0x02, Origin::SafetyCritical, &[])
-            .expect("attack frames are well-formed");
+        let spoof = INSIDE_IMPLANT.frame(&[]);
         if let Some(node) = self.powertrain.node_mut(self.door_locks) {
             node.replace_firmware(Box::new(SpoofFirmware::new(vec![spoof])));
             node.controller_mut().filters_mut().clear();
         }
-        if let Some(hpe) = self.node_hpes.get("door-locks") {
+        if let Some(hpe) = self.node_hpes.get(IMPLANT_NODE) {
             // the implant tries to open its own hardware gate; counted, refused
             let _ = hpe.firmware_attempt_reconfigure();
         }
@@ -1053,27 +943,12 @@ impl Vehicle {
         let CanId::Standard(id) = frame.id() else {
             return;
         };
-        let Some(asset) = asset_index(id) else {
+        let Some(asset) = Asset::for_id(id) else {
             return;
         };
-        // Commands are judged as a write from their claimed origin — a
-        // command frame whose payload does not parse claims no origin and is
-        // judged as a write from an unrecognised entry, which the
-        // default-deny policy flags. Status broadcasts are judged as the
-        // consuming segment boundary reading the asset.
-        let entities = crossing_entities();
-        let origins = &entities.origins;
-        let (entry, action) = if is_command_id(id) {
-            match parse_command(frame) {
-                Some((_, origin)) => (origins[origin as usize], Action::Write),
-                None => (entities.unknown, Action::Write),
-            }
-        } else if into_powertrain {
-            (origins[Origin::Telematics as usize], Action::Read)
-        } else {
-            (origins[Origin::Infotainment as usize], Action::Read)
-        };
-        let request = AccessRequest::new(entry, entities.assets[asset], action);
+        let claimed = parse_command(frame).map(|(_, origin)| origin);
+        let (entry, action) = crossing_entry(id, claimed, into_powertrain);
+        let request = AccessRequest::new(entry, asset.entity(), action);
         let timed = sampled(
             self.decide_sample_seed,
             self.tally.policy_checked,
@@ -1168,14 +1043,8 @@ impl Vehicle {
             t.bus_recoveries += stats.bus_off_recoveries;
         }
         if self.app.is_some() {
-            let s = &self.states;
-            t.app_rejected += u64::from(lock(&s.ecu).rejected_commands)
-                + u64::from(lock(&s.eps).rejected_commands)
-                + u64::from(lock(&s.door_locks).rejected_commands)
-                + u64::from(lock(&s.telematics).rejected_commands)
-                + u64::from(lock(&s.safety).rejected_commands);
-            t.app_implausible += u64::from(lock(&s.engine).implausible_readings)
-                + u64::from(lock(&s.infotainment).implausible_readings);
+            t.app_rejected += self.states.rejected_commands();
+            t.app_implausible += self.states.implausible_readings();
         }
         t.gateway_forwarded += self.gateway.forwarded();
         t.gateway_dropped += self.gateway.dropped();

@@ -6,8 +6,9 @@
 //! runner that measures attack outcomes under different enforcement
 //! configurations.
 //!
-//! * [`messages`] — the CAN identifier map and each node's legitimate
-//!   read/write communication matrix,
+//! * [`messages`] — the CAN identifier map, each node's legitimate
+//!   read/write communication matrix, and the policy vocabulary every
+//!   policy point shares,
 //! * [`anomaly`] — the behavioural plausibility rung: per-signal range /
 //!   rate / stuck-value models plus cross-signal consistency, closing
 //!   Table I row 2 (value spoof from the legitimate sensor node),
@@ -61,9 +62,10 @@ pub use anomaly::{
 pub use attacks::AttackId;
 pub use builder::{Car, CarBuilder, EnforcementConfig};
 pub use fleet::{
-    asset_for_id, is_command_id, ladder_description, run_fleet, FleetConfig, FleetEnforcement,
-    FleetReport, LadderDescription, Vehicle,
+    asset_for_id, ladder_description, run_fleet, FleetConfig, FleetEnforcement, FleetReport,
+    LadderDescription, Vehicle,
 };
+pub use messages::is_command_id;
 pub use modes::{CarMode, LimpTransition, PlatoonHealth};
 pub use scenario::{AttackOutcome, AttackReport, ScenarioRunner};
 pub use security_model::{car_policy, car_security_model, car_use_case};

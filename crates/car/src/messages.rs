@@ -10,9 +10,14 @@
 //! application-level policy checks key on it. The origin is attacker-
 //! spoofable — exactly why the paper layers hardware ID filtering
 //! underneath.
+//!
+//! It also holds the policy vocabulary every car policy point shares: the
+//! [`Asset`]s, the interned entities, the [`crossing_entry`] mapping and
+//! the attacks the fleet injects.
 
 use polsec_can::{CanError, CanFrame, CanId};
-use std::fmt;
+use polsec_core::{Action, EntityId};
+use std::sync::OnceLock;
 
 /// Safety-critical event broadcast (crash detected, airbags fired).
 pub const SAFETY_EVENT: u16 = 0x010;
@@ -168,13 +173,189 @@ impl Origin {
             Origin::Diagnostics => "diagnostics",
         }
     }
-}
 
-impl fmt::Display for Origin {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.entry_point_id())
+    /// `entry:` this origin's entry point, interned once per process.
+    pub fn entity(self) -> EntityId {
+        vocabulary().origins[self as usize]
     }
 }
+
+
+/// A policy asset the car's frames concern: the object of every request
+/// the application policy, the gateway crossing check and the V2X policy
+/// rung make.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Asset {
+    /// The EV-ECU.
+    EvEcu,
+    /// Electronic power steering.
+    Eps,
+    /// The engine controller.
+    Engine,
+    /// The door locks.
+    DoorLocks,
+    /// The telematics unit's 3G/4G/WiFi modem.
+    Modem,
+    /// The safety-critical system: alarm, fail-safe, crash events and
+    /// mode changes.
+    SafetyCritical,
+    /// The V2X platoon relay.
+    V2xPlatoon,
+}
+
+impl Asset {
+    /// Every asset, in declaration order (so `ALL[a as usize] == a`).
+    pub const ALL: [Asset; 7] = [
+        Asset::EvEcu,
+        Asset::Eps,
+        Asset::Engine,
+        Asset::DoorLocks,
+        Asset::Modem,
+        Asset::SafetyCritical,
+        Asset::V2xPlatoon,
+    ];
+
+    /// The asset's name in policies (`asset:<name>`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Asset::EvEcu => "ev-ecu",
+            Asset::Eps => "eps",
+            Asset::Engine => "engine",
+            Asset::DoorLocks => "door-locks",
+            Asset::Modem => "3g-4g-wifi",
+            Asset::SafetyCritical => "safety-critical",
+            Asset::V2xPlatoon => "v2x-platoon",
+        }
+    }
+
+    /// The asset a frame with this standard identifier concerns, if the
+    /// identifier maps onto one the car policy knows about.
+    pub fn for_id(id: u16) -> Option<Asset> {
+        match id {
+            ECU_COMMAND | ECU_STATUS => Some(Asset::EvEcu),
+            EPS_COMMAND | EPS_STATUS => Some(Asset::Eps),
+            ENGINE_COMMAND | ENGINE_STATUS => Some(Asset::Engine),
+            DOOR_LOCK_COMMAND | DOOR_LOCK_STATUS => Some(Asset::DoorLocks),
+            MODEM_CONTROL => Some(Asset::Modem),
+            ALARM_CONTROL | SAFETY_EVENT | FAILSAFE_TRIGGER | MODE_CHANGE => {
+                Some(Asset::SafetyCritical)
+            }
+            V2X_LEAD | V2X_HEALTH => Some(Asset::V2xPlatoon),
+            _ => None,
+        }
+    }
+
+    /// `asset:` this asset, interned once per process.
+    pub fn entity(self) -> EntityId {
+        vocabulary().assets[self as usize]
+    }
+}
+
+/// The car's policy entities, interned once per process so that no policy
+/// check takes the interner's lock.
+struct Vocabulary {
+    /// `entry:` per origin, indexed like [`Origin::ALL`].
+    origins: [EntityId; Origin::ALL.len()],
+    unknown: EntityId,
+    v2x_lead: EntityId,
+    /// `asset:` per asset, indexed like [`Asset::ALL`].
+    assets: [EntityId; Asset::ALL.len()],
+}
+
+fn vocabulary() -> &'static Vocabulary {
+    static TABLE: OnceLock<Vocabulary> = OnceLock::new();
+    TABLE.get_or_init(|| Vocabulary {
+        origins: Origin::ALL.map(|o| EntityId::new("entry", o.entry_point_id())),
+        unknown: EntityId::new("entry", "unknown"),
+        v2x_lead: EntityId::new("entry", "v2x-lead"),
+        assets: Asset::ALL.map(|a| EntityId::new("asset", a.name())),
+    })
+}
+
+/// `entry:unknown`: the entry a request names when its frame or message
+/// claims no origin the policy knows, which the default-deny policy flags.
+pub fn unknown_entry() -> EntityId {
+    vocabulary().unknown
+}
+
+/// `entry:v2x-lead`: the entry a platoon message claiming the platoon lead
+/// names.
+pub fn v2x_lead_entry() -> EntityId {
+    vocabulary().v2x_lead
+}
+
+/// Whether the identifier is a command (checked as a `Write` from its
+/// claimed origin) rather than a status broadcast (checked as a boundary
+/// `Read`).
+pub fn is_command_id(id: u16) -> bool {
+    matches!(
+        id,
+        ECU_COMMAND
+            | EPS_COMMAND
+            | ENGINE_COMMAND
+            | DOOR_LOCK_COMMAND
+            | MODEM_CONTROL
+            | ALARM_CONTROL
+            | TELEMATICS_CMD
+    )
+}
+
+/// The crossing mapping: a command is a `Write` from its claimed origin
+/// (`entry:unknown` when it claims none), a status a `Read` by the boundary
+/// of the segment it enters — the telematics unit into the powertrain, the
+/// head unit out of it. The request's object is [`Asset::for_id`].
+pub fn crossing_entry(id: u16, claimed: Option<Origin>, into_powertrain: bool) -> (EntityId, Action) {
+    if is_command_id(id) {
+        (claimed.map_or_else(unknown_entry, Origin::entity), Action::Write)
+    } else if into_powertrain {
+        (Origin::Telematics.entity(), Action::Read)
+    } else {
+        (Origin::Infotainment.entity(), Action::Read)
+    }
+}
+
+/// An attack the fleet injects: a spoofed command and the node it targets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Attack {
+    /// The command identifier.
+    pub id: u16,
+    /// The command byte (`payload[0]`).
+    pub command: u8,
+    /// The origin the frame claims (`payload[1]`).
+    pub claimed: Origin,
+    /// The node the command targets.
+    pub victim: &'static str,
+}
+
+impl Attack {
+    /// The attack frame, `extra` following the origin byte.
+    pub fn frame(&self, extra: &[u8]) -> CanFrame {
+        command_frame(self.id, self.command, self.claimed, extra)
+            .expect("attack frames are well-formed")
+    }
+}
+
+/// The outside attacks a fleet vehicle's OBD dongle injects, one drawn per
+/// vehicle: propulsion disable (Table I row 1 class), steering-assist
+/// deactivation (row 5), modem power-off cutting fail-safe comms (rows
+/// 9/10) and alarm disablement to allow theft (row 16). No node
+/// legitimately transmits their identifiers, so any frame carrying one is
+/// attack traffic.
+pub const OUTSIDE_ATTACKS: [Attack; 4] = [
+    Attack { id: ECU_COMMAND, command: 0x02, claimed: Origin::Telematics, victim: "ev-ecu" },
+    Attack { id: EPS_COMMAND, command: 0x02, claimed: Origin::Diagnostics, victim: "eps" },
+    Attack { id: MODEM_CONTROL, command: 0x00, claimed: Origin::Telematics, victim: "telematics" },
+    Attack { id: ALARM_CONTROL, command: 0x00, claimed: Origin::Infotainment, victim: "safety-critical" },
+];
+
+/// The node an inside implant compromises.
+pub const IMPLANT_NODE: &str = "door-locks";
+
+/// The inside implant's attack: firmware on [`IMPLANT_NODE`] spoofing a
+/// propulsion-disable command with a forged safety-critical origin, once
+/// per tick on its own (powertrain) segment.
+pub const INSIDE_IMPLANT: Attack =
+    Attack { id: ECU_COMMAND, command: 0x02, claimed: Origin::SafetyCritical, victim: "ev-ecu" };
 
 /// Builds a command frame: `payload[0]` = command byte, `payload[1]` =
 /// origin code, remaining bytes as given.

@@ -109,7 +109,7 @@ impl ScenarioRunner {
             config: config.label(),
             outcome,
             hpe_blocked: car.hpe_blocked_total(),
-            policy_rejections: car.policy_rejections_total(),
+            policy_rejections: car.states().rejected_commands(),
             tamper_attempts,
         }
     }

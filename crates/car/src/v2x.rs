@@ -74,6 +74,7 @@
 
 use crate::anomaly::{AnomalyCounters, PlatoonMonitor, IMPLAUSIBLE_SPEED_KMH};
 use crate::fleet::{FleetConfig, FleetTally, Vehicle};
+use crate::messages::{self, Asset, Origin};
 use crate::modes::{LimpTransition, PlatoonHealth};
 use crate::security_model::car_policy;
 use crate::tally::{self, Counter, Shown};
@@ -129,11 +130,17 @@ pub const CLAIM_INFOTAINMENT: u8 = 2;
 
 /// Maps a claimed origin code onto the policy entry point it asserts.
 pub fn claimed_entry(code: u8) -> &'static str {
+    claimed_entity(code).name()
+}
+
+/// `entry:` the policy entry point a claimed origin code asserts, from the
+/// car's policy vocabulary.
+fn claimed_entity(code: u8) -> EntityId {
     match code {
-        CLAIM_V2X_LEAD => "v2x-lead",
-        CLAIM_TELEMATICS => "telematics",
-        CLAIM_INFOTAINMENT => "infotainment-ui",
-        _ => "unknown",
+        CLAIM_V2X_LEAD => messages::v2x_lead_entry(),
+        CLAIM_TELEMATICS => Origin::Telematics.entity(),
+        CLAIM_INFOTAINMENT => Origin::Infotainment.entity(),
+        _ => messages::unknown_entry(),
     }
 }
 
@@ -201,24 +208,6 @@ impl PlatoonMsg {
     pub fn verify_with(&self, key: &HmacKey) -> bool {
         self.tag == platoon_tag(key, self.lead, self.seq, self.speed, self.brake, self.claimed)
     }
-}
-
-/// The policy rung's request entities, interned once per process so the
-/// per-message check never takes the interner's lock.
-struct PlatoonEntities {
-    /// `entry:` per claim code: [`claimed_entry`] of `0..=3`, where slot
-    /// 3 (`entry:unknown`) stands for every code above it.
-    claims: [EntityId; 4],
-    /// `asset:v2x-platoon`.
-    asset: EntityId,
-}
-
-fn platoon_entities() -> &'static PlatoonEntities {
-    static TABLE: OnceLock<PlatoonEntities> = OnceLock::new();
-    TABLE.get_or_init(|| PlatoonEntities {
-        claims: [0, 1, 2, 3].map(|code| EntityId::new("entry", claimed_entry(code))),
-        asset: EntityId::new("asset", "v2x-platoon"),
-    })
 }
 
 /// A message on the V2X plane.
@@ -867,9 +856,11 @@ impl V2xVehicle {
             }
         }
         if cfg.defenses.policy_check {
-            let entities = platoon_entities();
-            let claim = entities.claims[usize::from(msg.claimed.min(3))];
-            let request = AccessRequest::new(claim, entities.asset, Action::Write);
+            let request = AccessRequest::new(
+                claimed_entity(msg.claimed),
+                Asset::V2xPlatoon.entity(),
+                Action::Write,
+            );
             let now_us = self.car.now().as_micros();
             if !self.ingest.decide_at(&request, &self.ctx, now_us).is_allow() {
                 self.tally.rejected_policy += 1;

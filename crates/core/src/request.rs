@@ -109,19 +109,14 @@ impl EvalContext {
         self.state.get(key).map(|s| s.as_str())
     }
 
-    /// Writes a state variable in place.
-    pub fn set_state(&mut self, key: impl Into<String>, value: impl Into<String>) {
-        self.state.insert(key.into(), value.into());
-    }
-
-    /// Writes a state variable, reusing the existing value's allocation
-    /// when the key is already present.
+    /// Writes a state variable in place, reusing the existing value's
+    /// allocation when the key is already present.
     ///
     /// Hot enforcement paths (the fleet's behavioural monitors flip
     /// `implausible` on every flagged frame) republish the same few keys
     /// constantly; after the first write this is allocation-free as long
     /// as the new value fits the old capacity.
-    pub fn set_state_in_place(&mut self, key: &str, value: &str) {
+    pub fn set_state(&mut self, key: &str, value: &str) {
         match self.state.get_mut(key) {
             Some(slot) => {
                 slot.clear();
@@ -198,17 +193,20 @@ mod tests {
 
     #[test]
     fn in_place_state_writes_match_inserting_ones() {
-        let mut a = EvalContext::new().with_state("implausible", "false");
-        let mut b = a.clone();
-        a.set_state("implausible", "true");
-        b.set_state_in_place("implausible", "true");
-        assert_eq!(a, b);
-        // A fresh key inserts like the plain setter does.
-        b.set_state_in_place("new", "v");
-        assert_eq!(b.state("new"), Some("v"));
+        let mut ctx = EvalContext::new().with_state("implausible", "false");
+        ctx.set_state("implausible", "true");
+        assert_eq!(ctx, EvalContext::new().with_state("implausible", "true"));
+        // A fresh key inserts like the builder does.
+        ctx.set_state("new", "v");
+        assert_eq!(
+            ctx,
+            EvalContext::new()
+                .with_state("implausible", "true")
+                .with_state("new", "v")
+        );
         // A shorter value fully replaces the longer one.
-        b.set_state_in_place("implausible", "f");
-        assert_eq!(b.state("implausible"), Some("f"));
+        ctx.set_state("implausible", "f");
+        assert_eq!(ctx.state("implausible"), Some("f"));
     }
 
     #[test]

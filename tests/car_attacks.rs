@@ -119,5 +119,5 @@ fn legitimate_operation_unharmed_under_full_enforcement() {
     assert!(lock(&states.telematics).track_reports >= 10);
     assert_eq!(lock(&states.infotainment).displayed_speed, 60);
     // no false positives: nothing rejected during clean runs
-    assert_eq!(car.policy_rejections_total(), 0);
+    assert_eq!(car.states().rejected_commands(), 0);
 }

@@ -9,12 +9,15 @@
 //! against itself. `tests/golden/e1_matrix.txt` pins the single-bus car's
 //! E1 attack matrix the same way: every cell's outcome and enforcement
 //! evidence, not only whether the attack was blocked.
+//! `tests/golden/ladder_matrix.txt` pins the analyzer's Layer-2 coverage
+//! matrix and findings under every fleet rung subset.
 //!
 //! A fixture may only be regenerated for an intended behaviour change, and
 //! the reason goes into CHANGES.md. The new content is the `left` side of a
 //! failing assertion plus a trailing newline: one line for a JSON section,
 //! one line per cell for the E1 matrix.
 
+use polsec::analyze::{analyze_ladder, LadderSpec};
 use polsec::car::fleet::{run_fleet, FleetConfig, FleetEnforcement, FleetErrorModel};
 use polsec::car::v2x::{run_v2x, V2xConfig};
 use polsec::car::{AttackId, EnforcementConfig, ScenarioRunner};
@@ -89,6 +92,26 @@ fn e1_matrix() -> String {
     out
 }
 
+/// Layer 2's coverage matrix and findings under each of the 32
+/// `FleetEnforcement` subsets, one header line per subset.
+fn ladder_matrix() -> String {
+    let mut out = String::new();
+    for bits in 0..32u8 {
+        let enforcement = FleetEnforcement {
+            gateway_whitelist: bits & 1 != 0,
+            node_hpe: bits & 2 != 0,
+            segment_hpe: bits & 4 != 0,
+            app_policy: bits & 8 != 0,
+            anomaly: bits & 16 != 0,
+        };
+        let result = analyze_ladder(&LadderSpec::with_enforcement(enforcement));
+        out.push_str(&format!("== {}\n", enforcement.label()));
+        out.push_str(&result.matrix_text());
+        out.push_str(&result.report.to_text());
+    }
+    out
+}
+
 fn assert_golden(file: &str, actual: String) {
     let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
     let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
@@ -110,4 +133,9 @@ fn deterministic_sections_match_the_golden_fixtures() {
 #[test]
 fn e1_attack_matrix_matches_the_golden_fixture() {
     assert_golden("e1_matrix.txt", e1_matrix());
+}
+
+#[test]
+fn ladder_coverage_matrix_matches_the_golden_fixture() {
+    assert_golden("ladder_matrix.txt", ladder_matrix());
 }
