@@ -1,9 +1,10 @@
 //! E6: CAN substrate micro-benchmarks — codec round trip, `wire_len` (the
-//! bus's timing path), CRC (bit-serial and word-table), and bus arbitration
-//! rounds.
+//! bus's timing path) on one frame per DLC and on 4 096 distinct relay
+//! frames, the bit-serial CRC beside `wire_info` over the same CRC input,
+//! and bus arbitration rounds.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use polsec_can::{codec, crc::crc15, crc::crc15_words, CanBus, CanFrame, CanId, CanNode};
+use polsec_can::{codec, crc::crc15, CanBus, CanFrame, CanId, CanNode};
 use std::hint::black_box;
 
 fn frame_with_dlc(dlc: usize) -> CanFrame {
@@ -26,6 +27,28 @@ fn bench_encode_decode(c: &mut Criterion) {
             b.iter(|| black_box(codec::wire_len(black_box(&frame))));
         });
     }
+    // The bus's miss path: frames shaped like a relayed platoon lead
+    // message (standard id 0x140; speed, brake flag, 16-bit sequence
+    // number), every one distinct, so neither a memo nor the branch
+    // predictor learns them. One iteration times one frame.
+    let relayed: Vec<CanFrame> = (0..4096u16)
+        .map(|seq| {
+            let payload = [
+                (seq.wrapping_mul(37) % 130) as u8,
+                u8::from(seq % 7 == 0),
+                seq as u8,
+                (seq >> 8) as u8,
+            ];
+            CanFrame::data(CanId::standard(0x140).expect("valid"), &payload).expect("valid")
+        })
+        .collect();
+    let mut next = 0;
+    group.bench_function("wire_info_4096_relay_frames", |b| {
+        b.iter(|| {
+            next = (next + 1) % relayed.len();
+            black_box(codec::wire_info(black_box(&relayed[next])))
+        });
+    });
     group.finish();
 }
 
@@ -34,12 +57,13 @@ fn bench_crc(c: &mut Criterion) {
     c.bench_function("can/crc15_87bits", |b| {
         b.iter(|| black_box(crc15(black_box(&bits))));
     });
-    let mut words = [0u64; 2];
-    for (i, _) in bits.iter().enumerate().filter(|(_, &b)| b) {
-        words[i / 64] |= 1 << (63 - i % 64);
-    }
-    c.bench_function("can/crc15_words_87bits", |b| {
-        b.iter(|| black_box(crc15_words(black_box(&words), bits.len())));
+    // An extended data frame with six bytes has 87 bits of CRC input:
+    // `wire_info` takes its CRC with the byte table and counts its stuff
+    // bits in the same pass.
+    let frame =
+        CanFrame::data(CanId::extended(0x1ABC_D123).expect("valid"), &[0x5D; 6]).expect("valid");
+    c.bench_function("can/wire_info_87bit_crc_input", |b| {
+        b.iter(|| black_box(codec::wire_info(black_box(&frame))));
     });
 }
 
@@ -48,7 +72,9 @@ fn bench_bus_round(c: &mut Criterion) {
         b.iter_with_setup(
             || {
                 let mut bus = CanBus::new(500_000);
-                let handles: Vec<_> = (0..8).map(|i| bus.attach(CanNode::new(format!("n{i}")))).collect();
+                let handles: Vec<_> = (0..8)
+                    .map(|i| bus.attach(CanNode::new(format!("n{i}"))))
+                    .collect();
                 for (i, h) in handles.iter().enumerate() {
                     let f = CanFrame::data(
                         CanId::standard(0x100 + i as u32).expect("valid"),

@@ -12,10 +12,10 @@
 //!   [`destuff`]) — one byte per wire bit, used by the codec's
 //!   [`encode`](crate::codec::encode)/[`decode`](crate::codec::decode) and
 //!   pinned by known-answer tests;
-//! * [`stuff_count_words`] — counts stuff bits over bits packed 64 per `u64`
-//!   word (MSB-first), advancing a whole run of equal bits per iteration.
-//!   The codec's `wire_info` fast path, and so the bus timing, runs on it;
-//!   `tests/codec_equivalence.rs` proves it equal to [`stuff`].
+//! * a stuffing automaton that counts the stuff bits [`stuff`] would insert
+//!   a whole byte per step, from a table built at compile time. The codec's
+//!   `wire_info` fast path, and so the bus timing, runs on it; the tests
+//!   here and `tests/codec_equivalence.rs` pin it equal to [`stuff`].
 
 use crate::error::ProtocolViolation;
 
@@ -190,61 +190,81 @@ pub fn destuff(bits: &[bool]) -> Result<Vec<bool>, ProtocolViolation> {
     Ok(out)
 }
 
-#[inline]
-fn word_bit(words: &[u64], i: usize) -> bool {
-    (words[i >> 6] >> (63 - (i & 63))) & 1 == 1
-}
+/// States of the stuffing automaton: the current run's bit and length, as
+/// `5 * bit + len` with `len` in `0..=4`. A run that reaches five is stuffed
+/// at once and restarts as a run of one of the complement, so a length of
+/// five never persists; length 0 is the start, before any bit.
+const RUN_STATES: usize = 10;
 
-/// Length of the run of bits equal to bit `i` starting at `i`, capped at the
-/// containing word boundary and at `len`. One `leading_ones`/`leading_zeros`
-/// instruction instead of a per-bit compare loop.
-#[inline]
-fn run_at(words: &[u64], len: usize, i: usize) -> usize {
-    let off = i & 63;
-    let w = words[i >> 6] << off;
-    let run = if w >> 63 == 1 {
-        w.leading_ones()
-    } else {
-        w.leading_zeros()
-    } as usize;
-    run.min(64 - off).min(len - i)
-}
-
-/// Counts the stuff bits [`stuff`] would insert into `len` bits packed
-/// MSB-first in `src`, without writing the stuffed stream — the core of the
-/// codec's `wire_len` fast path.
-pub fn stuff_count_words(src: &[u64], len: usize) -> usize {
+/// One automaton step over `byte`, MSB first, by the rule of [`stuff`]: the
+/// state after it in the low nibble, the stuff bits inserted within it in
+/// the high nibble (at most two: a stuff bit starts a run of one, and a
+/// byte has room for one more run of five after the first).
+const fn stuff_entry(state: usize, byte: u8) -> u8 {
+    let mut bit = state >= 5;
+    let mut len = state % 5;
     let mut inserted = 0;
-    let mut i = 0;
-    let mut run_bit = false;
-    let mut run_len = 0usize;
-    while i < len {
-        let b = word_bit(src, i);
-        if run_len == 0 || b != run_bit {
-            run_bit = b;
-            run_len = 0;
+    let mut k = 8;
+    while k > 0 {
+        k -= 1;
+        let b = (byte >> k) & 1 == 1;
+        if len > 0 && b == bit {
+            len += 1;
+        } else {
+            bit = b;
+            len = 1;
         }
-        let take = run_at(src, len, i).min(5 - run_len);
-        run_len += take;
-        i += take;
-        if run_len == 5 {
+        if len == 5 {
             inserted += 1;
-            run_bit = !b;
-            run_len = 1;
+            bit = !b;
+            len = 1;
         }
     }
-    inserted
+    ((inserted << 4) | (5 * bit as usize + len)) as u8
 }
 
-/// Packs bools MSB-first, 64 per word: the layout [`stuff_count_words`] and
-/// [`crc15_words`](crate::crc::crc15_words) read.
-#[cfg(test)]
-pub(crate) fn pack(bits: &[bool]) -> Vec<u64> {
-    let mut words = vec![0u64; bits.len().div_ceil(64)];
-    for (i, _) in bits.iter().enumerate().filter(|(_, &b)| b) {
-        words[i / 64] |= 1 << (63 - i % 64);
+const fn build_stuff_table() -> [[u8; 256]; RUN_STATES] {
+    let mut t = [[0u8; 256]; RUN_STATES];
+    let mut state = 0;
+    while state < RUN_STATES {
+        let mut byte = 0;
+        while byte < 256 {
+            t[state][byte] = stuff_entry(state, byte as u8);
+            byte += 1;
+        }
+        state += 1;
     }
-    words
+    t
+}
+
+/// `STUFF_TABLE[state][byte]`, 2.5 KiB.
+static STUFF_TABLE: [[u8; 256]; RUN_STATES] = build_stuff_table();
+
+/// Counts the stuff bits [`stuff`] inserts into a bit stream fed a whole
+/// byte at a time, MSB first: one table load per byte and no branch on the
+/// bits. A stream that does not end on a byte boundary is fed with its last
+/// byte padded by bits that alternate, starting with the complement of its
+/// last bit: they end the current run and form none of five, so they insert
+/// nothing.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct StuffCounter {
+    state: u8,
+    inserted: u32,
+}
+
+impl StuffCounter {
+    /// Feeds one byte.
+    #[inline]
+    pub(crate) fn feed(&mut self, byte: u8) {
+        let e = STUFF_TABLE[usize::from(self.state)][usize::from(byte)];
+        self.state = e & 0xF;
+        self.inserted += u32::from(e >> 4);
+    }
+
+    /// The stuff bits inserted so far.
+    pub(crate) fn inserted(self) -> usize {
+        self.inserted as usize
+    }
 }
 
 #[cfg(test)]
@@ -314,8 +334,8 @@ mod tests {
         assert_eq!(destuff(&bad), Err(ProtocolViolation::Stuff));
     }
 
-    /// Deterministic pseudo-random bit patterns, long enough to cross word
-    /// boundaries at every alignment.
+    /// Deterministic pseudo-random bit patterns, long enough to span many
+    /// bytes and ending at every byte alignment.
     fn patterns() -> Vec<Vec<bool>> {
         let mut out: Vec<Vec<bool>> = vec![
             vec![],
@@ -332,7 +352,9 @@ mod tests {
         for len in [1usize, 63, 64, 65, 127, 128, 129, 300] {
             let mut v = Vec::with_capacity(len);
             for _ in 0..len {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 v.push(state >> 63 == 1);
             }
             out.push(v);
@@ -340,11 +362,39 @@ mod tests {
         out
     }
 
+    /// Stuff bits counted by [`StuffCounter`] over `bits`, the last byte
+    /// padded by alternating bits that start with the complement of the
+    /// stream's last bit.
+    fn counted(bits: &[bool]) -> usize {
+        let mut counter = StuffCounter::default();
+        for chunk in bits.chunks(8) {
+            let mut byte = 0u8;
+            for (k, &b) in chunk.iter().enumerate() {
+                byte |= u8::from(b) << (7 - k);
+            }
+            let last = chunk[chunk.len() - 1];
+            for k in chunk.len()..8 {
+                byte |= u8::from((k - chunk.len()) % 2 == usize::from(last)) << (7 - k);
+            }
+            counter.feed(byte);
+        }
+        counter.inserted()
+    }
+
     #[test]
-    fn stuff_count_words_matches_stuff() {
+    fn stuff_counter_matches_stuff() {
         for p in patterns() {
             let inserted = stuff(&p).len() - p.len();
-            assert_eq!(stuff_count_words(&pack(&p), p.len()), inserted, "for {p:?}");
+            assert_eq!(counted(&p), inserted, "for {p:?}");
+        }
+        // Every 16-bit stream, and every prefix of it: each state meets
+        // every byte, and every padding length ends a stream.
+        for v in 0..=u16::MAX {
+            let p: Vec<bool> = (0..16).rev().map(|k| (v >> k) & 1 == 1).collect();
+            for end in [1, 7, 9, 12, 16] {
+                let inserted = stuff(&p[..end]).len() - end;
+                assert_eq!(counted(&p[..end]), inserted, "for {:?}", &p[..end]);
+            }
         }
     }
 

@@ -189,7 +189,10 @@ impl CanBus {
 
     /// Iterates `(handle, node)` pairs.
     pub fn nodes(&self) -> impl Iterator<Item = (NodeHandle, &CanNode)> {
-        self.nodes.iter().enumerate().map(|(i, n)| (NodeHandle(i), n))
+        self.nodes
+            .iter()
+            .enumerate()
+            .map(|(i, n)| (NodeHandle(i), n))
     }
 
     /// Installs (or clears) the wire error model, reseeding the bus RNG so
@@ -367,7 +370,10 @@ impl CanBus {
             if corrupted {
                 self.stats.frames_corrupted += 1;
             }
-            self.nodes[winner.0].controller_mut().counters_mut().record_tx_error();
+            self.nodes[winner.0]
+                .controller_mut()
+                .counters_mut()
+                .record_tx_error();
             for (i, n) in self.nodes.iter_mut().enumerate() {
                 if i != winner.0 && corrupted {
                     n.controller_mut().counters_mut().record_rx_error();
@@ -433,7 +439,8 @@ impl CanBus {
             if counters.note_recessive_sequence() {
                 self.stats.bus_off_recoveries += 1;
                 let node = NodeHandle(i);
-                self.events.push(BusEvent::BusOffRecovered { node, at: self.now });
+                self.events
+                    .push(BusEvent::BusOffRecovered { node, at: self.now });
                 self.trace.record_with(self.now, "bus.recover", || {
                     format!("{node} re-integrated after bus-off")
                 });
@@ -640,10 +647,18 @@ mod tests {
             bus.send_from(talker, frame(0x200, i as u8)).unwrap();
             bus.run_until_idle();
         }
-        assert_eq!(state(&bus, victim), ErrorState::BusOff, "one sequence early");
+        assert_eq!(
+            state(&bus, victim),
+            ErrorState::BusOff,
+            "one sequence early"
+        );
         assert_eq!(bus.stats().bus_off_recoveries, 0);
         assert_eq!(
-            bus.node(victim).unwrap().controller().counters().recovery_progress(),
+            bus.node(victim)
+                .unwrap()
+                .controller()
+                .counters()
+                .recovery_progress(),
             127
         );
         bus.drain_events();
@@ -712,8 +727,11 @@ mod tests {
     #[test]
     fn stats_stuffing_and_trace_populated() {
         let (mut bus, a, _b) = two_node_bus();
-        bus.send_from(a, CanFrame::data(CanId::standard(0).unwrap(), &[0; 8]).unwrap())
-            .unwrap();
+        bus.send_from(
+            a,
+            CanFrame::data(CanId::standard(0).unwrap(), &[0; 8]).unwrap(),
+        )
+        .unwrap();
         bus.run_until_idle();
         assert!(bus.stats().stuff_bits > 0);
         assert_eq!(bus.trace().count("bus.tx"), 1);

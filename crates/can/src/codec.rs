@@ -16,12 +16,12 @@
 //! There is one codec, [`encode`]/[`decode`] over `Vec<bool>`: the Fig. 3
 //! harness drives it and the tests use it as their oracle. The bus needs
 //! only each frame's stuffed length, never its wire bits, so it derives frame
-//! timing from [`wire_info`] — the unstuffed region built in two stack words,
-//! a word-level stuff count and a table CRC, allocation-free — memoised by
-//! [`WireInfoCache`].
+//! timing from [`wire_info`] — one pass over the region a byte at a time,
+//! feeding each byte to the CRC table and to the stuffing automaton,
+//! allocation-free — memoised by [`WireInfoCache`].
 
-use crate::bits::{stuff, stuff_count_words, BitReader, BitWriter};
-use crate::crc::{crc15, crc15_words};
+use crate::bits::{stuff, BitReader, BitWriter, StuffCounter};
+use crate::crc::{crc15, step_byte};
 use crate::error::ProtocolViolation;
 use crate::frame::CanFrame;
 use crate::id::CanId;
@@ -116,81 +116,57 @@ pub fn encode(frame: &CanFrame, acked: bool) -> EncodedFrame {
     EncodedFrame { bits, stuff_bits }
 }
 
-/// The unstuffed SOF..CRC region of one frame on the stack: at most 118 bits
-/// (extended id, 8 data bytes, 15-bit CRC), so two words always suffice and
-/// building it allocates nothing.
-struct RegionWords {
-    words: [u64; 2],
-    len: usize,
-}
-
-impl RegionWords {
-    fn new() -> Self {
-        RegionWords { words: [0; 2], len: 0 }
-    }
-
-    #[inline]
-    fn push(&mut self, bit: bool) {
-        self.push_bits(u64::from(bit), 1);
-    }
-
-    /// Appends the lowest `n` bits of `value`, most significant first
-    /// (MSB-first within each word, on a fixed two-word array).
-    #[inline]
-    fn push_bits(&mut self, value: u64, n: u32) {
-        debug_assert!(n <= 64 && self.len + n as usize <= 128);
-        if n == 0 {
-            return;
-        }
-        let v = if n == 64 { value } else { value & ((1u64 << n) - 1) };
-        let top = v << (64 - n);
-        let idx = self.len >> 6;
-        let off = (self.len & 63) as u32;
-        self.words[idx] |= top >> off;
-        if off > 0 && n > 64 - off {
-            self.words[idx + 1] |= top << (64 - off);
-        }
-        self.len += n as usize;
-    }
-}
-
-/// Builds the unstuffed SOF..CRC region (CRC included) entirely in
-/// registers/stack — the front half of [`wire_info`].
-fn encode_region_words(frame: &CanFrame) -> RegionWords {
-    let mut w = RegionWords::new();
-    w.push(false); // SOF, dominant
-    match frame.id() {
-        CanId::Standard(id) => {
-            w.push_bits(u64::from(id), 11);
-            w.push(frame.is_remote()); // RTR
-            w.push(false); // IDE = 0 (standard)
-            w.push(false); // r0
-        }
+/// One pass over a frame's SOF..CRC region, a byte per step: its unstuffed
+/// length in bits, the stuff bits [`stuff`] inserts into it, and the CRC-15
+/// it ends with.
+///
+/// The header (SOF through DLC: 19 bits standard, 39 extended) is one
+/// big-endian value padded in front to whole bytes, so the data bytes
+/// follow it byte-aligned. The CRC table reads the pad as zeros, which
+/// leave the zero register zero. The stuffing automaton reads it as
+/// alternating bits ending in a recessive one (`10101` before a standard
+/// header, `1` before an extended one): they count no stuff bit, and the
+/// dominant SOF after them starts a fresh run, as it does at the start of a
+/// frame. Only the two bytes of the 15-bit CRC wait for the CRC; the last is
+/// padded with the complement of the CRC's last bit, which inserts nothing.
+fn scan_region(frame: &CanFrame) -> (usize, usize, u16) {
+    let rtr = u64::from(frame.is_remote());
+    let dlc = u64::from(frame.dlc());
+    let (header, header_bits, lead): (u64, usize, u8) = match frame.id() {
+        // pad(5) | SOF | ID[11] | RTR | IDE(0) | r0 | DLC[4]
+        CanId::Standard(id) => ((u64::from(id) << 7) | (rtr << 6) | dlc, 19, 0b1010_1000),
+        // pad(1) | SOF | ID[28:18] | SRR(1) | IDE(1) | ID[17:0] | RTR | r1 | r0 | DLC[4]
         CanId::Extended(id) => {
-            w.push_bits(u64::from(id >> 18), 11); // base id
-            w.push(true); // SRR, recessive
-            w.push(true); // IDE = 1 (extended)
-            w.push_bits(u64::from(id & 0x3_FFFF), 18); // id extension
-            w.push(frame.is_remote()); // RTR
-            w.push(false); // r1
-            w.push(false); // r0
+            let id = u64::from(id);
+            let header =
+                ((id >> 18) << 27) | (0b11 << 25) | ((id & 0x3_FFFF) << 7) | (rtr << 6) | dlc;
+            (header, 39, 0b1000_0000)
         }
-    }
-    w.push_bits(u64::from(frame.dlc()), 4);
+    };
+    let header_bytes = header_bits.div_ceil(8);
     let payload = frame.payload();
-    // data field: whole bytes, pushed as one value per 64-bit chunk
-    let mut chunk: u64 = 0;
-    let mut chunk_bits: u32 = 0;
-    for &b in payload {
-        chunk = (chunk << 8) | u64::from(b);
-        chunk_bits += 8;
+
+    let first = (header >> (8 * (header_bytes - 1))) as u8;
+    let mut crc = step_byte(0, first);
+    let mut stuffing = StuffCounter::default();
+    stuffing.feed(first | lead);
+    for k in (0..header_bytes - 1).rev() {
+        let byte = (header >> (8 * k)) as u8;
+        crc = step_byte(crc, byte);
+        stuffing.feed(byte);
     }
-    if chunk_bits > 0 {
-        w.push_bits(chunk, chunk_bits);
+    for &byte in payload {
+        crc = step_byte(crc, byte);
+        stuffing.feed(byte);
     }
-    let crc = crc15_words(&w.words, w.len);
-    w.push_bits(u64::from(crc), 15);
-    w
+    stuffing.feed((crc >> 7) as u8);
+    stuffing.feed(((crc << 1) as u8) | (!crc as u8 & 1));
+
+    (
+        header_bits + 8 * payload.len() + 15,
+        stuffing.inserted(),
+        crc,
+    )
 }
 
 /// The exact stuffed wire length and stuff-bit count of a frame, computed
@@ -209,10 +185,9 @@ pub struct WireInfo {
 
 /// Computes [`WireInfo`] for a frame on the stack, allocation-free.
 pub fn wire_info(frame: &CanFrame) -> WireInfo {
-    let region = encode_region_words(frame);
-    let stuff_bits = stuff_count_words(&region.words, region.len);
+    let (region_bits, stuff_bits, _crc) = scan_region(frame);
     WireInfo {
-        wire_bits: region.len + stuff_bits + TAIL_BITS,
+        wire_bits: region_bits + stuff_bits + TAIL_BITS,
         stuff_bits,
     }
 }
@@ -226,41 +201,64 @@ pub fn wire_len(frame: &CanFrame) -> usize {
 /// A small direct-mapped memo of [`wire_info`] results keyed by
 /// [`CanFrame::content_key`]. Simulated traffic is dominated by periodic
 /// broadcasts whose content repeats tick after tick, so the bus answers most
-/// timing queries with two word compares instead of a stuffing scan.
+/// timing queries with two word compares instead of a region scan. Its 32
+/// slots (768 bytes, inline in the bus) hold most of a vehicle segment's
+/// repeating broadcasts; more slots keep a few more of them but ran slower
+/// end to end, and frames whose content is new every time, such as relayed
+/// platoon messages with their sequence numbers, miss it at any size
+/// (DESIGN.md §8 has the hit ratios and timings).
 /// `wire_info` is a pure function of the frame, so the cache is invisible to
 /// determinism — it changes when, not what, the bus computes.
 #[derive(Debug, Clone)]
 pub struct WireInfoCache {
-    // (key0, key1, info); key0 == u64::MAX marks an empty slot (no frame
-    // produces it: id/flags/dlc occupy fewer than 40 bits).
-    entries: Box<[(u64, u64, WireInfo)]>,
+    slots: [CachedWireInfo; WireInfoCache::SLOTS],
+}
+
+/// One memo slot: the frame's content key, then its wire and stuff bits
+/// (a frame has at most 160 wire bits). `key.0 == u64::MAX` marks an empty
+/// slot: no frame produces it, as id, flags and DLC occupy fewer than 40
+/// bits.
+#[derive(Debug, Clone, Copy)]
+struct CachedWireInfo {
+    key: (u64, u64),
+    wire_bits: u16,
+    stuff_bits: u16,
 }
 
 impl WireInfoCache {
-    const SLOTS: usize = 1024;
-    const EMPTY: u64 = u64::MAX;
+    const SLOTS: usize = 32;
+    const EMPTY: CachedWireInfo = CachedWireInfo {
+        key: (u64::MAX, 0),
+        wire_bits: 0,
+        stuff_bits: 0,
+    };
 
     /// Creates an empty cache.
     pub fn new() -> Self {
         WireInfoCache {
-            entries: vec![(Self::EMPTY, 0, WireInfo { wire_bits: 0, stuff_bits: 0 }); Self::SLOTS]
-                .into_boxed_slice(),
+            slots: [Self::EMPTY; Self::SLOTS],
         }
     }
 
     /// [`wire_info`], memoised.
     pub fn lookup(&mut self, frame: &CanFrame) -> WireInfo {
-        let (k0, k1) = frame.content_key();
+        let key = frame.content_key();
         // splitmix64-style finaliser spreads the key across slots
-        let mut h = k0 ^ k1.rotate_left(32);
+        let mut h = key.0 ^ key.1.rotate_left(32);
         h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        let slot = (h >> 54) as usize & (Self::SLOTS - 1);
-        let e = &mut self.entries[slot];
-        if e.0 == k0 && e.1 == k1 {
-            return e.2;
+        let slot = &mut self.slots[(h >> (64 - Self::SLOTS.trailing_zeros())) as usize];
+        if slot.key == key {
+            return WireInfo {
+                wire_bits: usize::from(slot.wire_bits),
+                stuff_bits: usize::from(slot.stuff_bits),
+            };
         }
         let info = wire_info(frame);
-        *e = (k0, k1, info);
+        *slot = CachedWireInfo {
+            key,
+            wire_bits: info.wire_bits as u16,
+            stuff_bits: info.stuff_bits as u16,
+        };
         info
     }
 }
@@ -342,6 +340,13 @@ impl<'a> DestuffingReader<'a> {
 /// * [`ProtocolViolation::Form`] — CRC/ACK delimiter or EOF not recessive,
 /// * [`ProtocolViolation::Truncated`] — stream too short.
 pub fn decode(bits: &[bool]) -> Result<CanFrame, ProtocolViolation> {
+    decode_with_ack(bits).map(|(frame, _)| frame)
+}
+
+/// [`decode`], also returning whether the decoded frame's ACK slot is
+/// dominant. Bits after the EOF (an intermission, the next frame) are left
+/// unread.
+fn decode_with_ack(bits: &[bool]) -> Result<(CanFrame, bool), ProtocolViolation> {
     let mut r = DestuffingReader::new(BitReader::new(bits));
 
     let sof = r.read()?;
@@ -399,7 +404,7 @@ pub fn decode(bits: &[bool]) -> Result<CanFrame, ProtocolViolation> {
     if !crc_del {
         return Err(ProtocolViolation::Form);
     }
-    let _ack_slot = raw.read()?; // either level is legal at the decoder
+    let ack_slot = raw.read()?; // either level is legal at the decoder
     let ack_del = raw.read()?;
     if !ack_del {
         return Err(ProtocolViolation::Form);
@@ -415,22 +420,17 @@ pub fn decode(bits: &[bool]) -> Result<CanFrame, ProtocolViolation> {
     } else {
         CanFrame::data(id, &data[..dlc as usize]).map_err(|_| ProtocolViolation::Form)?
     };
-    Ok(frame)
+    Ok((frame, !ack_slot))
 }
 
 /// Returns whether the encoded frame's ACK slot is dominant (acknowledged).
+/// The slot is the decoded frame's own, 9 bits before its EOF ends, however
+/// many bits follow the frame.
 ///
 /// # Errors
 /// [`ProtocolViolation`] if the bits do not decode as a frame.
 pub fn ack_seen(bits: &[bool]) -> Result<bool, ProtocolViolation> {
-    // Re-parse up to the ACK slot by decoding fully, then inspect position:
-    // simplest robust approach is to find the slot as (len - 9)th bit:
-    // ... ACK slot | ACK delim | EOF(7)  => 9 bits from the end.
-    if bits.len() < 10 {
-        return Err(ProtocolViolation::Truncated);
-    }
-    decode(bits)?;
-    Ok(!bits[bits.len() - 9])
+    decode_with_ack(bits).map(|(_, acked)| acked)
 }
 
 #[cfg(test)]
@@ -559,7 +559,10 @@ mod tests {
         let f = CanFrame::data(sid(0x77), &[]).unwrap();
         let mut bits = encode(&f, true).bits().to_vec();
         bits[0] = true; // recessive SOF is illegal
-        assert!(matches!(decode(&bits), Err(PV::Form) | Err(PV::Stuff) | Err(PV::Crc)));
+        assert!(matches!(
+            decode(&bits),
+            Err(PV::Form) | Err(PV::Stuff) | Err(PV::Crc)
+        ));
     }
 
     #[test]
@@ -574,9 +577,20 @@ mod tests {
 
     #[test]
     fn ack_slot_reflects_acknowledgement() {
+        // decode accepts bits after the EOF, so the 3-bit recessive
+        // intermission that follows every frame must not move the slot.
         let f = CanFrame::data(sid(0x30), &[9]).unwrap();
-        assert!(ack_seen(encode(&f, true).bits()).unwrap());
-        assert!(!ack_seen(encode(&f, false).bits()).unwrap());
+        for acked in [true, false] {
+            let mut bits = encode(&f, acked).bits().to_vec();
+            assert_eq!(ack_seen(&bits).unwrap(), acked, "acked={acked}");
+            bits.extend([true; 3]);
+            assert_eq!(decode(&bits).unwrap(), f);
+            assert_eq!(
+                ack_seen(&bits).unwrap(),
+                acked,
+                "acked={acked}, intermission"
+            );
+        }
     }
 
     #[test]
@@ -611,12 +625,59 @@ mod tests {
     }
 
     #[test]
+    fn fused_pass_crc_matches_reference() {
+        // The one-pass scan's CRC, region length and stuff count equal the
+        // bit-serial region's, on the sample frames and on seeded random
+        // ones of every shape.
+        let mut frames = sample_frames();
+        let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 32
+        };
+        for _ in 0..2000 {
+            let r = next();
+            let id = if r & 1 == 0 {
+                sid(next() as u32 & 0x7FF)
+            } else {
+                eid(next() as u32 & 0x1FFF_FFFF)
+            };
+            let dlc = (next() % 9) as u8;
+            let payload: Vec<u8> = (0..dlc).map(|_| next() as u8).collect();
+            frames.push(if r & 2 == 0 {
+                CanFrame::data(id, &payload).unwrap()
+            } else {
+                CanFrame::remote(id, dlc).unwrap()
+            });
+        }
+        for frame in frames {
+            let region = encode_stuffed_region(&frame);
+            let crc_bits = &region[region.len() - 15..];
+            let crc = crc_bits.iter().fold(0u16, |c, &b| (c << 1) | u16::from(b));
+            let (bits, stuff_bits, scanned_crc) = scan_region(&frame);
+            assert_eq!(scanned_crc, crc, "CRC for {frame}");
+            assert_eq!(bits, region.len(), "region length for {frame}");
+            assert_eq!(
+                stuff_bits,
+                stuff(&region).len() - region.len(),
+                "stuff bits for {frame}"
+            );
+        }
+    }
+
+    #[test]
     fn wire_info_matches_reference_lengths() {
         for frame in sample_frames() {
             let reference = encode(&frame, true);
             let info = wire_info(&frame);
             assert_eq!(info.wire_bits, reference.len(), "wire_bits for {frame}");
-            assert_eq!(info.stuff_bits, reference.stuff_bits(), "stuff_bits for {frame}");
+            assert_eq!(
+                info.stuff_bits,
+                reference.stuff_bits(),
+                "stuff_bits for {frame}"
+            );
             assert_eq!(wire_len(&frame), reference.len());
         }
     }

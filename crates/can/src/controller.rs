@@ -25,7 +25,9 @@ pub const DEFAULT_RX_CAPACITY: usize = 256;
 /// error counters.
 #[derive(Debug, Clone)]
 pub struct CanController {
-    tx: Vec<(u64, CanFrame)>, // (enqueue seq, frame); kept sorted on pop
+    /// (enqueue seq, frame), unordered: `pop_tx` scans for the lowest
+    /// (arbitration key, seq) and swap-removes it.
+    tx: Vec<(u64, CanFrame)>,
     tx_seq: u64,
     tx_capacity: usize,
     rx: VecDeque<CanFrame>,
@@ -235,7 +237,8 @@ mod tests {
     #[test]
     fn rx_respects_filters() {
         let mut c = CanController::new();
-        c.filters_mut().add(AcceptanceFilter::exact(CanId::standard(0x10).unwrap()));
+        c.filters_mut()
+            .add(AcceptanceFilter::exact(CanId::standard(0x10).unwrap()));
         assert!(c.offer_rx(&frame(0x10)));
         assert!(!c.offer_rx(&frame(0x11)));
         assert_eq!(c.rx_pending(), 1);
@@ -269,7 +272,8 @@ mod tests {
     fn firmware_can_clear_filters() {
         // the compromise path: filters configured, then wiped
         let mut c = CanController::new();
-        c.filters_mut().add(AcceptanceFilter::exact(CanId::standard(0x10).unwrap()));
+        c.filters_mut()
+            .add(AcceptanceFilter::exact(CanId::standard(0x10).unwrap()));
         assert!(!c.offer_rx(&frame(0x99)));
         c.filters_mut().clear();
         assert!(c.offer_rx(&frame(0x99)));

@@ -5,9 +5,9 @@
 //! (0x4599). The CRC is computed over the *unstuffed* bit sequence.
 //!
 //! Two evaluation paths: the bit-serial reference ([`crc15`]) used by the
-//! codec's `encode`/`decode`, and a byte-table path over packed words
-//! ([`crc15_words`]) used by the `wire_info` fast path — eight bits per table
-//! lookup instead of eight shift-register steps. Tests pin them equal.
+//! codec's `encode`/`decode`, and a byte-table step used by the `wire_info`
+//! fast path — eight bits per table lookup instead of eight shift-register
+//! steps. Tests pin them equal.
 
 /// The CAN CRC-15 generator polynomial (without the leading x^15 term).
 pub const POLY: u16 = 0x4599;
@@ -68,45 +68,15 @@ const fn build_table() -> [u16; 256] {
 /// Byte-at-a-time lookup table for the CAN CRC-15 (MSB-first).
 static CRC_TABLE: [u16; 256] = build_table();
 
-/// Advances the 15-bit register by one whole byte via the lookup table.
-/// Because CRC is linear over GF(2), feeding 8 bits into state `crc` equals
-/// shifting the state by 8 and folding in the table entry of
-/// `(top 8 state bits) ^ byte`.
+/// Advances the 15-bit register by one whole byte (MSB first) via the
+/// lookup table. Because CRC is linear over GF(2), feeding 8 bits into state
+/// `crc` equals shifting the state by 8 and folding in the table entry of
+/// `(top 8 state bits) ^ byte`. A zero bit fed into the zero register leaves
+/// it zero, so a stream padded with leading zeros to whole bytes has the
+/// CRC of the unpadded stream.
 #[inline]
-fn step_byte(crc: u16, byte: u8) -> u16 {
-    (((crc << 8) & MASK) ^ CRC_TABLE[(((crc >> 7) as u8) ^ byte) as usize]) & MASK
-}
-
-/// Computes the CRC-15 of `len` bits packed MSB-first, 64 per `u64` word —
-/// byte-table for whole bytes, a short bit-serial tail for the remainder.
-/// Bit-identical to [`crc15`] on the unpacked stream.
-pub fn crc15_words(words: &[u64], len: usize) -> u16 {
-    let mut crc: u16 = 0;
-    let full_words = len / 64;
-    for &w in &words[..full_words] {
-        let mut shift = 64;
-        while shift > 0 {
-            shift -= 8;
-            crc = step_byte(crc, (w >> shift) as u8);
-        }
-    }
-    let tail_bits = len % 64;
-    if tail_bits > 0 {
-        let w = words[full_words];
-        let full_bytes = tail_bits / 8;
-        for k in 0..full_bytes {
-            crc = step_byte(crc, (w >> (56 - 8 * k)) as u8);
-        }
-        for b in (full_bytes * 8)..tail_bits {
-            let bit = (w >> (63 - b)) & 1 == 1;
-            let next = bit != ((crc >> 14) & 1 == 1);
-            crc = (crc << 1) & MASK;
-            if next {
-                crc ^= POLY;
-            }
-        }
-    }
-    crc & MASK
+pub(crate) fn step_byte(crc: u16, byte: u8) -> u16 {
+    ((crc << 8) & MASK) ^ CRC_TABLE[(((crc >> 7) as u8) ^ byte) as usize]
 }
 
 #[cfg(test)]
@@ -169,15 +139,31 @@ mod tests {
         }
     }
 
+    /// The table path over `bits` as the codec feeds it: zero-padded in
+    /// front to whole bytes, MSB first.
+    fn table_crc(bits: &[bool]) -> u16 {
+        let pad = (8 - bits.len() % 8) % 8;
+        let padded: Vec<bool> = std::iter::repeat_n(false, pad)
+            .chain(bits.iter().copied())
+            .collect();
+        padded.chunks(8).fold(0, |crc, byte| {
+            step_byte(
+                crc,
+                byte.iter().fold(0u8, |b, &bit| (b << 1) | u8::from(bit)),
+            )
+        })
+    }
+
     #[test]
     fn table_path_matches_bit_serial_at_every_length() {
-        use crate::bits::pack;
-        // Pseudo-random bit pattern long enough to exercise full words, the
-        // byte tail and the bit tail at every alignment.
-        let bits: Vec<bool> = (0..200u32).map(|i| (i.wrapping_mul(0x9E37) >> 7) & 1 == 1).collect();
+        // Pseudo-random bit pattern long enough to exercise every front
+        // padding at many lengths.
+        let bits: Vec<bool> = (0..200u32)
+            .map(|i| (i.wrapping_mul(0x9E37) >> 7) & 1 == 1)
+            .collect();
         for end in 0..=bits.len() {
             assert_eq!(
-                crc15_words(&pack(&bits[..end]), end),
+                table_crc(&bits[..end]),
                 crc15(&bits[..end]),
                 "divergence at length {end}"
             );
@@ -187,9 +173,11 @@ mod tests {
     #[test]
     fn table_entry_zero_is_zero() {
         // Feeding a zero byte into a zero register must leave it zero, or
-        // step_byte's shift/fold identity would not hold.
+        // step_byte's shift/fold identity and the codec's zero padding would
+        // not hold.
         assert_eq!(CRC_TABLE[0], 0);
-        assert_eq!(crc15_words(&[0u64; 2], 128), 0);
+        assert_eq!(step_byte(0, 0), 0);
+        assert_eq!(table_crc(&[false; 128]), 0);
     }
 
     #[test]
@@ -201,5 +189,6 @@ mod tests {
         assert_ne!(crc15(&a), crc15(&b));
         // one '1' followed by seven zeros: POLY advanced 7 shifts
         assert_eq!(crc15(&bits_of(0x80)), 0x2213);
+        assert_eq!(step_byte(0, 0x80), 0x2213);
     }
 }

@@ -108,9 +108,15 @@ mod tests {
 
     #[test]
     fn display_messages_are_lowercase_and_specific() {
-        let e = CanError::IdOutOfRange { raw: 0x800, extended: false };
+        let e = CanError::IdOutOfRange {
+            raw: 0x800,
+            extended: false,
+        };
         assert_eq!(e.to_string(), "identifier 0x800 exceeds 0x7FF");
-        let e = CanError::IdOutOfRange { raw: 0x2000_0000, extended: true };
+        let e = CanError::IdOutOfRange {
+            raw: 0x2000_0000,
+            extended: true,
+        };
         assert!(e.to_string().contains("0x1FFFFFFF"));
         assert_eq!(
             CanError::PayloadTooLong { len: 9 }.to_string(),

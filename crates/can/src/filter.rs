@@ -259,7 +259,10 @@ mod tests {
     #[test]
     fn bank_extend_and_iter() {
         let mut bank = FilterBank::new();
-        bank.extend([AcceptanceFilter::exact(sid(1)), AcceptanceFilter::exact(sid(2))]);
+        bank.extend([
+            AcceptanceFilter::exact(sid(1)),
+            AcceptanceFilter::exact(sid(2)),
+        ]);
         assert_eq!(bank.iter().count(), 2);
     }
 

@@ -147,7 +147,9 @@ impl Gateway {
                 Some(n) => n,
                 None => {
                     self.drain_buf = drained;
-                    return Err(CanError::UnknownNode { handle: src_handle.index() });
+                    return Err(CanError::UnknownNode {
+                        handle: src_handle.index(),
+                    });
                 }
             };
             while let Some(f) = node.receive() {
@@ -396,7 +398,10 @@ mod tests {
         gw.pump(&mut a, &mut b).unwrap();
         b.run_until_idle();
         assert_eq!(gw.forwarded(), 4);
-        assert_eq!(a.node(gw.endpoint_a()).unwrap().controller().rx_pending(), 0);
+        assert_eq!(
+            a.node(gw.endpoint_a()).unwrap().controller().rx_pending(),
+            0
+        );
         let mut got = 0;
         while let Some(f) = b.node_mut(receiver).unwrap().receive() {
             assert_eq!(f.id().raw(), 0x100);
@@ -426,7 +431,10 @@ mod tests {
         assert_eq!(gw.forwarded(), 0);
         assert_eq!(gw.dropped(), 0);
         // The original frame is still waiting on the real bus.
-        assert_eq!(a.node(gw.endpoint_a()).unwrap().controller().rx_pending(), 1);
+        assert_eq!(
+            a.node(gw.endpoint_a()).unwrap().controller().rx_pending(),
+            1
+        );
     }
 
     #[test]
@@ -457,7 +465,10 @@ mod tests {
         // A→B send also fails here (node_b is unknown on `foreign`), so the
         // A-side frame must be requeued, not lost.
         assert!(err.is_err());
-        assert_eq!(a.node(gw.endpoint_a()).unwrap().controller().rx_pending(), 1);
+        assert_eq!(
+            a.node(gw.endpoint_a()).unwrap().controller().rx_pending(),
+            1
+        );
         // Recovery with the right buses moves both directions.
         gw.pump(&mut a, &mut b).unwrap();
         a.run_until_idle();

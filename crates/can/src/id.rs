@@ -43,7 +43,10 @@ impl CanId {
     /// Returns [`CanError::IdOutOfRange`] if `raw > 0x7FF`.
     pub fn standard(raw: u32) -> Result<Self, CanError> {
         if raw > MAX_STANDARD {
-            Err(CanError::IdOutOfRange { raw, extended: false })
+            Err(CanError::IdOutOfRange {
+                raw,
+                extended: false,
+            })
         } else {
             Ok(CanId::Standard(raw as u16))
         }
@@ -55,7 +58,10 @@ impl CanId {
     /// Returns [`CanError::IdOutOfRange`] if `raw > 0x1FFF_FFFF`.
     pub fn extended(raw: u32) -> Result<Self, CanError> {
         if raw > MAX_EXTENDED {
-            Err(CanError::IdOutOfRange { raw, extended: true })
+            Err(CanError::IdOutOfRange {
+                raw,
+                extended: true,
+            })
         } else {
             Ok(CanId::Extended(raw))
         }
@@ -144,7 +150,13 @@ mod tests {
         assert!(CanId::standard(0).is_ok());
         assert!(CanId::standard(0x7FF).is_ok());
         let err = CanId::standard(0x800).unwrap_err();
-        assert!(matches!(err, CanError::IdOutOfRange { raw: 0x800, extended: false }));
+        assert!(matches!(
+            err,
+            CanError::IdOutOfRange {
+                raw: 0x800,
+                extended: false
+            }
+        ));
     }
 
     #[test]
@@ -198,10 +210,12 @@ mod tests {
 
     #[test]
     fn ord_total_on_mixed_ids() {
-        let mut ids = [CanId::extended(0x1FFF_FFFF).unwrap(),
+        let mut ids = [
+            CanId::extended(0x1FFF_FFFF).unwrap(),
             CanId::standard(0x7FF).unwrap(),
             CanId::standard(0).unwrap(),
-            CanId::extended(0).unwrap()];
+            CanId::extended(0).unwrap(),
+        ];
         ids.sort();
         assert_eq!(ids[0], CanId::standard(0).unwrap());
         // extended 0 has base 0 too but recessive IDE ⇒ after standard 0

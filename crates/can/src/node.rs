@@ -503,7 +503,9 @@ mod tests {
         n.install_interposer(Box::new(BlockId(0x40)));
         n.controller_mut()
             .filters_mut()
-            .add(crate::filter::AcceptanceFilter::exact(CanId::standard(0x1).unwrap()));
+            .add(crate::filter::AcceptanceFilter::exact(
+                CanId::standard(0x1).unwrap(),
+            ));
         n.apply_actions(ActionVec::one(FirmwareAction::ClearFilters));
         assert!(n.controller().filters().is_empty(), "sw filters wiped");
         assert_eq!(

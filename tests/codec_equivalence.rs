@@ -1,29 +1,41 @@
 //! Equivalence proofs for the bus's wire-length fast path (DESIGN.md §8).
 //!
-//! [`codec::wire_info`] computes a frame's stuffed wire length from the
-//! unstuffed region packed into `u64` words (`stuff_count_words`,
-//! `crc15_words`), without materialising a wire bit. It must agree exactly
-//! with the `Vec<bool>` codec. Two layers of pinning:
+//! [`codec::wire_info`] computes a frame's stuffed wire length in one pass
+//! over its SOF..CRC region, a byte per step through the CRC-15 table and a
+//! stuffing automaton, without materialising a wire bit. It must agree
+//! exactly with the `Vec<bool>` codec. Every input goes through one check,
+//! [`matches_reference`]:
 //!
-//! * **Property tests** — random frames and random bit streams, cross-checked
-//!   against the `Vec<bool>` forms.
+//! * **Property tests** — random frames, and frames built from long runs of
+//!   equal bits.
+//! * **A deterministic sweep** — every standard id, data and remote, at
+//!   every DLC; stuffing-heavy payloads on every standard id; a seeded
+//!   sample of extended ids.
 //! * **Known-answer vectors** — wire images captured from
 //!   `codec::encode(frame, true)` (hex, MSB-first), locking both the codec and
 //!   the fast path against silent drift: if either changes its output, these
 //!   fail.
 
-use polsec::can::bits::{stuff, stuff_count_words};
-use polsec::can::crc::{crc15, crc15_words};
+use polsec::can::crc::crc15;
 use polsec::can::{codec, CanFrame, CanId};
 use proptest::prelude::*;
 
-/// Packs bools MSB-first, 64 per word: the layout the `*_words` functions read.
-fn pack(bits: &[bool]) -> Vec<u64> {
-    let mut words = vec![0u64; bits.len().div_ceil(64)];
-    for (i, _) in bits.iter().enumerate().filter(|(_, &b)| b) {
-        words[i / 64] |= 1 << (63 - i % 64);
+/// `wire_info` and `wire_len` equal the lengths of `codec::encode`.
+fn matches_reference(frame: &CanFrame) -> Result<(), String> {
+    let reference = codec::encode(frame, true);
+    let info = codec::wire_info(frame);
+    if info.wire_bits != reference.len()
+        || info.stuff_bits != reference.stuff_bits()
+        || codec::wire_len(frame) != reference.len()
+    {
+        return Err(format!(
+            "{frame}: wire_info {info:?}, wire_len {}, reference {} wire bits with {} stuff bits",
+            codec::wire_len(frame),
+            reference.len(),
+            reference.stuff_bits()
+        ));
     }
-    words
+    Ok(())
 }
 
 fn arb_standard_id() -> impl Strategy<Value = CanId> {
@@ -34,6 +46,14 @@ fn arb_extended_id() -> impl Strategy<Value = CanId> {
     (0u32..=0x1FFF_FFFF).prop_map(|v| CanId::extended(v).expect("in range"))
 }
 
+fn frame_of(id: CanId, payload: Vec<u8>, remote: bool, dlc: u8) -> CanFrame {
+    if remote {
+        CanFrame::remote(id, dlc).expect("dlc in range")
+    } else {
+        CanFrame::data(id, &payload).expect("payload in range")
+    }
+}
+
 fn arb_frame() -> impl Strategy<Value = CanFrame> {
     (
         prop_oneof![arb_standard_id(), arb_extended_id()],
@@ -41,35 +61,101 @@ fn arb_frame() -> impl Strategy<Value = CanFrame> {
         any::<bool>(),
         0u8..=8,
     )
-        .prop_map(|(id, payload, remote, dlc)| {
-            if remote {
-                CanFrame::remote(id, dlc).expect("dlc in range")
-            } else {
-                CanFrame::data(id, &payload).expect("payload in range")
-            }
-        })
+        .prop_map(|(id, payload, remote, dlc)| frame_of(id, payload, remote, dlc))
+}
+
+/// Bytes that are mostly one long run, or end or begin one.
+const RUN_BYTES: [u8; 10] = [0x00, 0xFF, 0x0F, 0xF0, 0x1F, 0xF8, 0x07, 0xE0, 0x83, 0x7C];
+
+/// Frames whose ids and payloads are long runs of equal bits, so runs cross
+/// field and byte boundaries at every offset and the automaton stuffs often.
+fn arb_run_heavy_frame() -> impl Strategy<Value = CanFrame> {
+    let byte = (0..RUN_BYTES.len()).prop_map(|i| RUN_BYTES[i]);
+    let standard = (0u32..=11, any::<bool>()).prop_map(|(n, ones)| {
+        let run = (1u32 << n) - 1;
+        CanId::standard(if ones { run } else { 0x7FF ^ run }).expect("in range")
+    });
+    let extended = (0u32..=29, any::<bool>()).prop_map(|(n, ones)| {
+        let run = (1u32 << n) - 1;
+        CanId::extended(if ones { run } else { 0x1FFF_FFFF ^ run }).expect("in range")
+    });
+    (
+        prop_oneof![standard, extended],
+        prop::collection::vec(byte, 0..=8),
+        any::<bool>(),
+        0u8..=8,
+    )
+        .prop_map(|(id, payload, remote, dlc)| frame_of(id, payload, remote, dlc))
 }
 
 proptest! {
     #[test]
     fn wire_info_matches_reference_without_materialising(frame in arb_frame()) {
-        let reference = codec::encode(&frame, true);
-        let info = codec::wire_info(&frame);
-        prop_assert_eq!(info.wire_bits, reference.len());
-        prop_assert_eq!(info.stuff_bits, reference.stuff_bits());
-        prop_assert_eq!(codec::wire_len(&frame), reference.len());
+        matches_reference(&frame)?;
     }
 
     #[test]
-    fn packed_stuffing_matches_reference(bits in prop::collection::vec(any::<bool>(), 0..300)) {
-        let inserted = stuff(&bits).len() - bits.len();
-        prop_assert_eq!(stuff_count_words(&pack(&bits), bits.len()), inserted);
+    fn stuffing_heavy_frames_match_reference(frame in arb_run_heavy_frame()) {
+        matches_reference(&frame)?;
     }
+}
 
-    #[test]
-    fn packed_crc_matches_reference(bits in prop::collection::vec(any::<bool>(), 0..300)) {
-        prop_assert_eq!(crc15_words(&pack(&bits), bits.len()), crc15(&bits));
+/// Eight payload bytes that alternate runs of five ones and five zeros.
+fn five_runs() -> [u8; 8] {
+    let mut bytes = [0u8; 8];
+    for i in 0..64 {
+        if (i / 5) % 2 == 0 {
+            bytes[i / 8] |= 1 << (7 - i % 8);
+        }
     }
+    bytes
+}
+
+#[test]
+fn sweep_matches_reference() {
+    let payloads: [[u8; 8]; 4] = [
+        [0x00; 8],
+        [0xFF; 8],
+        [0x0F, 0xF0, 0x0F, 0xF0, 0x0F, 0xF0, 0x0F, 0xF0],
+        five_runs(),
+    ];
+    let mut checked = 0;
+    let mut check = |frame: CanFrame| {
+        if let Err(mismatch) = matches_reference(&frame) {
+            panic!("{mismatch}");
+        }
+        checked += 1;
+    };
+    for raw in 0..=0x7FF {
+        let id = CanId::standard(raw).unwrap();
+        for dlc in 0..=8u8 {
+            check(CanFrame::remote(id, dlc).unwrap());
+            let counting: Vec<u8> = (0..dlc)
+                .map(|i| (raw as u8).wrapping_add(i.wrapping_mul(0x5D)))
+                .collect();
+            check(CanFrame::data(id, &counting).unwrap());
+            for payload in &payloads {
+                check(CanFrame::data(id, &payload[..usize::from(dlc)]).unwrap());
+            }
+        }
+    }
+    let mut state: u64 = 0x5EED_0FCA_11D5;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 32
+    };
+    for _ in 0..4096 {
+        let id = CanId::extended(next() as u32 & 0x1FFF_FFFF).unwrap();
+        let dlc = (next() % 9) as u8;
+        let random: Vec<u8> = (0..dlc).map(|_| next() as u8).collect();
+        check(CanFrame::data(id, &random).unwrap());
+        check(CanFrame::remote(id, dlc).unwrap());
+        let payload = &payloads[next() as usize % payloads.len()];
+        check(CanFrame::data(id, &payload[..usize::from(dlc)]).unwrap());
+    }
+    assert_eq!(checked, 2048 * 9 * 6 + 4096 * 3);
 }
 
 /// Wire images captured from the `Vec<bool>` reference implementation
@@ -80,7 +166,12 @@ const KNOWN_ANSWERS: &[(&str, usize, usize, &str)] = &[
     ("std-8-zeros", 124, 16, "0410608208208208208208208516eff0"),
     ("std-counting", 81, 5, "12308210504c197db77f80"),
     ("ext-mixed", 98, 2, "6afa689184deadbe77a163bfc0"),
-    ("ext-ones", 146, 18, "7df7df7df447df7df7df7df7df7df79b69bfc0"),
+    (
+        "ext-ones",
+        146,
+        18,
+        "7df7df7df447df7df7df7df7df7df79b69bfc0",
+    ),
     ("std-rtr5", 44, 0, "1118a35d6ff0"),
     ("ext-rtr0", 66, 2, "2afa6f784121a3bfc0"),
 ];
@@ -90,9 +181,11 @@ fn known_answer_frame(name: &str) -> CanFrame {
         "std-empty" => CanFrame::data(CanId::standard(0x2A5).unwrap(), &[]).unwrap(),
         "std-8-zeros" => CanFrame::data(CanId::standard(0x000).unwrap(), &[0u8; 8]).unwrap(),
         "std-counting" => CanFrame::data(CanId::standard(0x123).unwrap(), &[1, 2, 3, 4]).unwrap(),
-        "ext-mixed" => {
-            CanFrame::data(CanId::extended(0x1ABC_D123).unwrap(), &[0xDE, 0xAD, 0xBE, 0xEF]).unwrap()
-        }
+        "ext-mixed" => CanFrame::data(
+            CanId::extended(0x1ABC_D123).unwrap(),
+            &[0xDE, 0xAD, 0xBE, 0xEF],
+        )
+        .unwrap(),
         "ext-ones" => CanFrame::data(CanId::extended(0x1FFF_FFFF).unwrap(), &[0xFF; 8]).unwrap(),
         "std-rtr5" => CanFrame::remote(CanId::standard(0x111).unwrap(), 5).unwrap(),
         "ext-rtr0" => CanFrame::remote(CanId::extended(0x0ABC_DEF0).unwrap(), 0).unwrap(),
@@ -120,24 +213,47 @@ fn known_answer_vectors_pin_both_codecs() {
         let frame = known_answer_frame(name);
 
         let reference = codec::encode(&frame, true);
-        assert_eq!(reference.len(), wire_len, "{name}: reference wire length drifted");
-        assert_eq!(reference.stuff_bits(), stuff_bits, "{name}: reference stuff count drifted");
-        assert_eq!(hex_of(reference.bits()), hex, "{name}: reference wire image drifted");
-        assert_eq!(codec::decode(reference.bits()).unwrap(), frame, "{name}: reference decode");
+        assert_eq!(
+            reference.len(),
+            wire_len,
+            "{name}: reference wire length drifted"
+        );
+        assert_eq!(
+            reference.stuff_bits(),
+            stuff_bits,
+            "{name}: reference stuff count drifted"
+        );
+        assert_eq!(
+            hex_of(reference.bits()),
+            hex,
+            "{name}: reference wire image drifted"
+        );
+        assert_eq!(
+            codec::decode(reference.bits()).unwrap(),
+            frame,
+            "{name}: reference decode"
+        );
 
         // the fast length path agrees with the same pinned vector
         let info = codec::wire_info(&frame);
         assert_eq!(info.wire_bits, wire_len, "{name}: wire_info length drifted");
-        assert_eq!(info.stuff_bits, stuff_bits, "{name}: wire_info stuff count drifted");
-        assert_eq!(codec::wire_len(&frame), wire_len, "{name}: wire_len drifted");
+        assert_eq!(
+            info.stuff_bits, stuff_bits,
+            "{name}: wire_info stuff count drifted"
+        );
+        assert_eq!(
+            codec::wire_len(&frame),
+            wire_len,
+            "{name}: wire_len drifted"
+        );
     }
 }
 
 #[test]
 fn known_answer_crc_anchors() {
-    // CRC-15 anchors pinning polynomial and bit order for both paths.
+    // CRC-15 anchors pinning polynomial and bit order of the bit-serial
+    // reference; `crc::tests` pins the byte table that `wire_info` steps
+    // with to it.
     assert_eq!(crc15(&[]), 0x0000);
     assert_eq!(crc15(&[true]), 0x4599);
-    assert_eq!(crc15_words(&pack(&[true]), 1), 0x4599);
-    assert_eq!(crc15_words(&[], 0), 0x0000);
 }
